@@ -48,7 +48,7 @@ def main(argv=None) -> int:
     parser.add_argument("--output", default=None, metavar="DIR",
                         help="also write each result to DIR/<name>.txt")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for benchmark-parallel "
+                        help="local sweep-farm worker processes for sweep "
                              "figures (results are identical to --jobs 1)")
     parser.add_argument("--backend", choices=("scalar", "vector"),
                         default="scalar",
@@ -255,8 +255,8 @@ def main(argv=None) -> int:
             emit(f"figure{number}", result)
             print(f"[figure {number}: {time.time() - start:.1f}s]\n")
     except KeyboardInterrupt:
-        # In-flight cells were drained (farm broker / isolated-cell pool
-        # handle that on the way out) and every finished cell is already
+        # In-flight cells were drained (the farm broker handles that on
+        # the way out) and every finished cell is already
         # journaled; tell the user how to pick the sweep back up.
         print("\ninterrupted: sweep drained cleanly.", file=sys.stderr)
         if journal_path:

@@ -18,11 +18,11 @@ The scheme names follow the paper's Figures 10 and 12 exactly:
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
 import os
+import shutil
+import tempfile
 import time
-from dataclasses import dataclass, field
-from multiprocessing import connection as mp_connection
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.config import (
@@ -38,15 +38,11 @@ from repro.core.machine import Machine, SimulationError, simulate
 from repro.core.stats import SimStats
 from repro.experiments.journal import SweepJournal, cell_key
 from repro.farm.lease import FarmSpec
-from repro.retry import backoff_delay
 from repro.workloads import SPEC_FP, SPEC_INT, Trace, generate_trace
 
-#: Ceiling (seconds) on the jittered exponential retry backoff.
-BACKOFF_CAP = 30.0
-
-#: Wall-clock grace an interrupted sweep gives in-flight cells to hand
-#: over results already in the pipe before they are terminated.
-_DRAIN_GRACE = 2.0
+#: Traces one :class:`TraceCache` holds before evicting the oldest.
+#: ``--all`` uses 27 distinct traces, so a whole paper run never evicts.
+TRACE_CACHE_LIMIT = 32
 
 
 def _with_inf_regs(config: MachineConfig) -> MachineConfig:
@@ -231,15 +227,20 @@ def _run_checkpointed(
 
 
 class TraceCache:
-    """Per-process cache: one trace per (benchmark, spec)."""
+    """Per-process FIFO cache: one trace per (benchmark, length, warmup,
+    seed), at most :data:`TRACE_CACHE_LIMIT` of them.  ``spec`` is any
+    object with those three workload fields (a :class:`RunSpec`, or a
+    serve job spec)."""
 
     def __init__(self) -> None:
         self._cache: Dict[Tuple[str, int, int, int], Trace] = {}
 
-    def get(self, benchmark: str, spec: RunSpec) -> Trace:
+    def get(self, benchmark: str, spec) -> Trace:
         key = (benchmark, spec.length, spec.warmup, spec.seed)
         trace = self._cache.get(key)
         if trace is None:
+            if len(self._cache) >= TRACE_CACHE_LIMIT:
+                self._cache.pop(next(iter(self._cache)))
             trace = generate_trace(
                 benchmark, spec.length, seed=spec.seed, warmup=spec.warmup
             )
@@ -248,6 +249,50 @@ class TraceCache:
 
 
 _GLOBAL_TRACES = TraceCache()
+
+
+def watchdog_error(
+    label: str, committed: int, length: int, max_cycles: Optional[int]
+) -> Optional[SimulationError]:
+    """The cycle-limit watchdog: the error for a run that stopped at
+    ``max_cycles`` having committed only ``committed`` of ``length``
+    instructions, or None when it finished (or had no limit).  ``label``
+    names the cell, ``benchmark/scheme``.  Every execution path formats
+    the message here, so a cell fails with the same text wherever it
+    ran."""
+    if max_cycles is None or committed >= length:
+        return None
+    return SimulationError(
+        f"cycle-limit watchdog: {label} committed only "
+        f"{committed}/{length} instructions in {max_cycles} cycles"
+    )
+
+
+def _simulate_cell(
+    benchmark: str,
+    scheme: str,
+    width: int,
+    spec: RunSpec,
+    traces: TraceCache,
+    cycle_hook: Optional[Callable] = None,
+    on_resume: Optional[Callable[[int], None]] = None,
+) -> SimStats:
+    """:func:`run_one`'s body.  A farm worker calls it directly to add
+    its heartbeat/eviction ``cycle_hook`` and learn the cycle it resumed
+    from (see :func:`_run_checkpointed`)."""
+    config = resolve_config(scheme, width, spec)
+    trace = traces.get(benchmark, spec)
+    if spec.checkpoint_every or cycle_hook is not None:
+        path = checkpoint_path(benchmark, scheme, width, spec)
+        stats = _run_checkpointed(config, trace, path, spec, cycle_hook,
+                                  on_resume)
+    else:
+        stats = simulate(config, trace, max_cycles=spec.max_cycles)
+    error = watchdog_error(f"{benchmark}/{scheme}", stats.committed,
+                           len(trace), spec.max_cycles)
+    if error is not None:
+        raise error
+    return stats
 
 
 def run_one(
@@ -267,22 +312,8 @@ def run_one(
     (periodic machine snapshots; a crashed cell resumes mid-simulation
     on the next attempt).
     """
-    spec = spec or RunSpec()
-    traces = traces or _GLOBAL_TRACES
-    config = resolve_config(scheme, width, spec)
-    trace = traces.get(benchmark, spec)
-    if spec.checkpoint_every:
-        path = checkpoint_path(benchmark, scheme, width, spec)
-        stats = _run_checkpointed(config, trace, path, spec)
-    else:
-        stats = simulate(config, trace, max_cycles=spec.max_cycles)
-    if spec.max_cycles is not None and stats.committed < len(trace):
-        raise SimulationError(
-            f"cycle-limit watchdog: {benchmark}/{scheme} committed only "
-            f"{stats.committed}/{len(trace)} instructions in "
-            f"{spec.max_cycles} cycles"
-        )
-    return stats
+    return _simulate_cell(benchmark, scheme, width, spec or RunSpec(),
+                          traces or _GLOBAL_TRACES)
 
 
 # ======================================================== vector columns
@@ -293,63 +324,57 @@ def run_one(
 #: message for a missing numpy) never needs the vector package imported.
 MATRIX_BACKENDS: Tuple[str, ...] = ("scalar", "vector")
 
+#: One lane of :func:`run_lanes`: (key, ``benchmark/scheme`` label,
+#: resolved config, trace).
+LaneSpec = Tuple[str, str, MachineConfig, Trace]
+
 
 def lane_key(benchmark: str, scheme: str) -> str:
     """The lane identity a matrix cell gets inside a vector column."""
     return f"{benchmark}|{scheme}"
 
 
-def _run_cells_vector(
-    cells: List[Tuple[str, str]],
-    width: int,
-    spec: RunSpec,
-    traces: "TraceCache",
-    on_cell_done: Callable[[str, str, "MatrixCell"], None],
-) -> None:
-    """Run a batch of cells on the vector backend, in process.
+def matrix_lanes(
+    cells: Sequence[Tuple[str, str]], width: int, spec: RunSpec,
+    traces: TraceCache,
+) -> List[LaneSpec]:
+    """The :func:`run_lanes` lanes of a batch of matrix cells."""
+    return [
+        (lane_key(benchmark, scheme), f"{benchmark}/{scheme}",
+         resolve_config(scheme, width, spec), traces.get(benchmark, spec))
+        for benchmark, scheme in cells
+    ]
 
-    All cells become lanes of one column; the column planner groups
-    lanes that share a trace and differ only in PRF capacity onto one
-    machine (``base`` and ``inf`` of the same benchmark, notably), and
-    everything else runs as singleton groups — same results, one call.
-    Per-lane stats are bit-identical to :func:`run_one`; the per-lane
-    ``max_cycles`` watchdog is replicated here so a truncated lane
-    surfaces the same :class:`SimulationError` text as the scalar path.
+
+def run_lanes(
+    lanes: Sequence[LaneSpec],
+    max_cycles: Optional[int],
+    cycle_hook: Optional[Callable] = None,
+):
+    """Run ``lanes`` as one batched column on the vector backend
+    (:func:`repro.vector.run_column`, requires numpy).
+
+    The column planner groups lanes that share a trace and differ only
+    in PRF capacity onto one machine; everything else runs as singleton
+    groups.  Returns ``(outcome, cells)``: the
+    :class:`~repro.vector.ColumnOutcome` and, per lane key, its
+    :class:`SimStats` or the error it failed with — the lane's own, or
+    the :func:`watchdog_error` a scalar run of it would raise.
     """
     from repro.vector import Lane, run_column  # lazy: optional numpy dep
 
-    lanes = []
-    lengths: Dict[str, int] = {}
-    for benchmark, scheme in cells:
-        trace = traces.get(benchmark, spec)
-        lengths[benchmark] = len(trace)
-        lanes.append(Lane(
-            key=lane_key(benchmark, scheme),
-            config=resolve_config(scheme, width, spec),
-            trace=trace,
-        ))
-    started = time.monotonic()
-    outcome = run_column(lanes, max_cycles=spec.max_cycles)
-    elapsed = time.monotonic() - started
-    for benchmark, scheme in cells:
-        result = outcome.results[lane_key(benchmark, scheme)]
-        cell: MatrixCell
-        error = result.error
-        if (error is None and spec.max_cycles is not None
-                and result.stats.committed < lengths[benchmark]):
-            error = SimulationError(
-                f"cycle-limit watchdog: {benchmark}/{scheme} committed only "
-                f"{result.stats.committed}/{lengths[benchmark]} instructions "
-                f"in {spec.max_cycles} cycles"
-            )
-        if error is not None:
-            cell = CellError(
-                benchmark, scheme, "error", type(error).__name__,
-                str(error), 1, elapsed,
-            )
-        else:
-            cell = result.stats
-        on_cell_done(benchmark, scheme, cell)
+    outcome = run_column(
+        [Lane(key=key, config=config, trace=trace)
+         for key, _, config, trace in lanes],
+        max_cycles=max_cycles, cycle_hook=cycle_hook,
+    )
+    cells: Dict[str, Union[SimStats, Exception]] = {}
+    for key, label, _, trace in lanes:
+        result = outcome.results[key]
+        error = result.error or watchdog_error(
+            label, result.stats.committed, len(trace), max_cycles)
+        cells[key] = result.stats if error is None else error
+    return outcome, cells
 
 
 # ================================================================ cells
@@ -411,196 +436,6 @@ def matrix_errors(results: Dict[str, Dict[str, MatrixCell]]) -> List[CellError]:
     ]
 
 
-def _cell_entry(conn, cell_fn, benchmark, scheme, width, spec) -> None:
-    """Worker-process entry: one cell, result or error over the pipe.
-    A crash (signal, os._exit) simply never sends — the parent classifies
-    it from the exit code."""
-    try:
-        stats = cell_fn(benchmark, scheme, width, spec, None)
-        conn.send(("ok", stats))
-    except BaseException as exc:  # noqa: BLE001 — must report, not die silently
-        try:
-            conn.send(("error", type(exc).__name__, str(exc)))
-        except Exception:
-            pass
-    finally:
-        conn.close()
-
-
-@dataclass
-class _Pending:
-    benchmark: str
-    scheme: str
-    attempts: int = 0
-    not_before: float = 0.0
-
-
-@dataclass
-class _Running:
-    proc: object
-    conn: object
-    cell: _Pending
-    deadline: Optional[float]
-    started: float = field(default_factory=time.monotonic)
-
-
-def _mp_context():
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else None)
-
-
-def _run_cells_isolated(
-    cells: List[Tuple[str, str]],
-    width: int,
-    spec: RunSpec,
-    jobs: int,
-    cell_timeout: Optional[float],
-    retries: int,
-    retry_backoff: float,
-    cell_fn: Callable,
-    on_cell_done: Callable[[str, str, MatrixCell], None],
-) -> None:
-    """Run cells in per-cell worker processes with crash isolation.
-
-    Each cell gets its own process, so a segfaulting or OOM-killed
-    worker takes down exactly one cell; ``crash`` and ``timeout``
-    failures are retried up to ``retries`` times with exponential
-    backoff, deterministic simulation errors are not.
-    """
-    ctx = _mp_context()
-    pending: List[_Pending] = [_Pending(b, s) for b, s in cells]
-    running: Dict[object, _Running] = {}
-
-    def finish(entry: _Running, kind: Optional[str] = None) -> None:
-        elapsed = time.monotonic() - entry.started
-        cell = entry.cell
-        message = None
-        try:
-            if entry.conn.poll():
-                message = entry.conn.recv()
-        except (EOFError, OSError):
-            message = None
-        entry.conn.close()
-        # A message always wins, even against a just-expired deadline:
-        # the worker finished, so its result (or error) is real.
-        if message is not None and message[0] == "ok":
-            on_cell_done(cell.benchmark, cell.scheme, message[1])
-            return
-        if message is not None:
-            error = CellError(
-                cell.benchmark, cell.scheme, "error",
-                message[1], message[2], cell.attempts, elapsed,
-            )
-            on_cell_done(cell.benchmark, cell.scheme, error)
-            return
-        if kind is None:
-            kind = "crash"
-        if kind == "timeout":
-            error = CellError(
-                cell.benchmark, cell.scheme, "timeout", "TimeoutError",
-                f"cell exceeded its {cell_timeout:.1f}s wall-clock budget",
-                cell.attempts, elapsed,
-            )
-        else:
-            code = entry.proc.exitcode
-            error = CellError(
-                cell.benchmark, cell.scheme, "crash", f"exit({code})",
-                f"worker process died with exit code {code} before "
-                f"reporting a result",
-                cell.attempts, elapsed,
-            )
-        if cell.attempts <= retries:
-            # Jittered and capped: a mass failure (OOM storm, shared-host
-            # stall) fans back in spread over [cap/2, cap) instead of
-            # thundering back as one herd, and the delay can never grow
-            # unbounded with the attempt count.
-            cell.not_before = time.monotonic() + backoff_delay(
-                cell.attempts, retry_backoff, cap=BACKOFF_CAP,
-                token=f"{cell.benchmark}|{cell.scheme}",
-            )
-            pending.append(cell)
-        else:
-            on_cell_done(cell.benchmark, cell.scheme, error)
-
-    try:
-        while pending or running:
-            now = time.monotonic()
-            launched = False
-            while len(running) < jobs and pending:
-                index = next(
-                    (i for i, c in enumerate(pending) if c.not_before <= now),
-                    None,
-                )
-                if index is None:
-                    break
-                cell = pending.pop(index)
-                cell.attempts += 1
-                parent_conn, child_conn = ctx.Pipe(duplex=False)
-                proc = ctx.Process(
-                    target=_cell_entry,
-                    args=(child_conn, cell_fn, cell.benchmark, cell.scheme,
-                          width, spec),
-                    daemon=True,
-                )
-                proc.start()
-                child_conn.close()
-                deadline = now + cell_timeout if cell_timeout else None
-                running[proc.sentinel] = _Running(proc, parent_conn, cell, deadline)
-                launched = True
-            if launched:
-                continue
-            if not running:
-                # Everything pending is backing off: sleep until the first
-                # retry is due.
-                wake = min(c.not_before for c in pending)
-                time.sleep(max(0.0, wake - time.monotonic()) + 0.001)
-                continue
-            timeout = 0.5
-            deadlines = [r.deadline for r in running.values() if r.deadline]
-            if deadlines:
-                timeout = min(timeout, max(0.0, min(deadlines) - now))
-            if pending:
-                wake = min(c.not_before for c in pending)
-                timeout = min(timeout, max(0.0, wake - now))
-            ready = mp_connection.wait(list(running), timeout=timeout)
-            for sentinel in ready:
-                entry = running.pop(sentinel)
-                entry.proc.join()
-                finish(entry)
-            now = time.monotonic()
-            for sentinel, entry in list(running.items()):
-                if entry.deadline is not None and now >= entry.deadline:
-                    del running[sentinel]
-                    entry.proc.terminate()
-                    entry.proc.join(5)
-                    if entry.proc.is_alive():
-                        entry.proc.kill()
-                        entry.proc.join(5)
-                    finish(entry, kind="timeout")
-    except KeyboardInterrupt:
-        # Graceful drain: stop launching, give cells already in flight a
-        # short grace to deliver finished results (which land in the
-        # journal through on_cell_done as usual), then let the finally
-        # clause terminate the rest and re-raise so the caller can print
-        # the resume command.
-        deadline = time.monotonic() + _DRAIN_GRACE
-        while running and time.monotonic() < deadline:
-            ready = mp_connection.wait(
-                list(running), timeout=max(0.0, deadline - time.monotonic())
-            )
-            if not ready:
-                break
-            for sentinel in ready:
-                entry = running.pop(sentinel)
-                entry.proc.join()
-                finish(entry)
-        raise
-    finally:
-        for entry in running.values():
-            entry.proc.terminate()
-            entry.conn.close()
-
-
 def run_matrix(
     benchmarks: Sequence[str],
     schemes: Sequence[str],
@@ -623,15 +458,19 @@ def run_matrix(
 
     Execution is fault-tolerant at (benchmark, scheme) cell granularity:
 
-    * ``jobs > 1`` runs each cell in its own worker process, so one
-      crashing or hanging cell can never take down the sweep (the old
-      pool-based runner died whole);
-    * ``cell_timeout`` bounds each cell's wall-clock seconds (parallel
+    * ``jobs > 1`` runs the cells on ``jobs`` local worker processes of
+      the sweep farm (:mod:`repro.farm`, rooted in a temporary
+      directory removed on return), so one crashing or hanging cell can
+      never take down the sweep: its lease is reclaimed as a ``crash``
+      or ``timeout`` failure and the dead worker replaced;
+    * ``cell_timeout`` bounds each cell's wall-clock seconds (worker
       path only — the serial path relies on ``spec.max_cycles``, the
       in-simulator watchdog, instead);
     * ``crash``/``timeout`` failures are retried up to ``retries`` times
-      with exponential backoff (``retry_backoff * 2**attempt`` seconds);
-      deterministic simulation errors are not retried;
+      with jittered exponential backoff from ``retry_backoff`` seconds
+      (:func:`~repro.retry.backoff_delay`); deterministic simulation
+      errors are not retried.  Setting either option sends the sweep to
+      the workers even with ``jobs == 1``;
     * ``journal`` (a path or a :class:`SweepJournal`) names an on-disk
       JSON journal: completed cells are
       restored from it instead of re-simulated, and every finished cell
@@ -642,13 +481,11 @@ def run_matrix(
       finishing and journaling every other cell — with the partial
       results attached.
 
-    Results are bit-identical between serial and parallel runs: traces
-    are deterministic in (benchmark, spec), and each worker regenerates
-    its own.  For that reason the ``traces`` cache is only consulted on
-    the serial (in-process) path; on the parallel path it is
-    intentionally unused — a cache cannot be shared across processes
-    without shipping whole traces over pickle, which costs more than
-    regeneration.
+    Results are bit-identical between serial and worker runs: traces
+    are deterministic in (benchmark, spec).  The ``traces`` cache serves
+    the in-process paths; each worker process keeps its own
+    :class:`TraceCache`, since shipping whole traces between processes
+    costs more than regenerating them.
 
     ``cell_fn`` overrides the per-cell simulation callable (signature of
     :func:`run_one`); it exists for fault-injection tests.
@@ -679,6 +516,7 @@ def run_matrix(
         raise ValueError(
             f"backend must be one of {MATRIX_BACKENDS}, got {backend!r}"
         )
+    isolate = jobs > 1 or cell_timeout is not None or retries > 0
     if backend == "vector":
         if cell_fn is not None:
             raise ValueError("cell_fn applies to the scalar backend only")
@@ -695,8 +533,7 @@ def run_matrix(
                 f"(use farm=... to distribute columns)"
             )
     spec = spec or RunSpec()
-    user_cell_fn = cell_fn
-    cell_fn = cell_fn or run_one
+    traces = traces or _GLOBAL_TRACES
     if journal is None and farm is not None:
         journal = farm.paths.journal
     if journal is None or isinstance(journal, SweepJournal):
@@ -724,37 +561,44 @@ def run_matrix(
             else:
                 sweep_journal.record_ok(key, cell)
 
-    # ``jobs == 1`` without resilience options stays fully in-process
-    # (fast unit tests, pdb-able); anything else gets per-cell worker
-    # processes — the fork cost is trivial next to a simulation cell,
-    # and only a separate process can survive a crashing or hanging cell.
-    isolate = bool(todo) and (
-        jobs > 1 or cell_timeout is not None or retries > 0
-    )
-    if farm is not None and todo:
+    if todo and (farm is not None or isolate):
+        # ``jobs``/``cell_timeout``/``retries`` without a farm: the same
+        # broker on a throwaway root, whose workers die and are replaced
+        # in place of the sweep when a cell crashes or hangs.
+        local_root = None
+        if farm is None:
+            local_root = tempfile.mkdtemp(prefix="repro-jobs-")
+            farm = FarmSpec(root=local_root, workers=min(jobs, len(todo)),
+                            checkpoint_every=spec.checkpoint_every)
         from repro.farm.broker import run_cells_farm  # lazy: reverse edge
 
-        run_cells_farm(
-            todo, width, spec, farm, sweep_journal, on_cell_done,
-            cell_timeout=cell_timeout, retries=retries,
-            retry_backoff=retry_backoff, cell_fn=user_cell_fn,
-            on_progress=farm_progress, backend=backend,
-        )
-    elif backend == "vector" and todo:
-        _run_cells_vector(
-            todo, width, spec, traces or _GLOBAL_TRACES, on_cell_done,
-        )
-    elif isolate:
-        _run_cells_isolated(
-            todo, width, spec, jobs, cell_timeout, retries, retry_backoff,
-            cell_fn, on_cell_done,
-        )
+        try:
+            run_cells_farm(
+                todo, width, spec, farm, sweep_journal, on_cell_done,
+                cell_timeout=cell_timeout, retries=retries,
+                retry_backoff=retry_backoff, cell_fn=cell_fn,
+                on_progress=farm_progress, backend=backend,
+            )
+        finally:
+            if local_root is not None:
+                shutil.rmtree(local_root, ignore_errors=True)
+    elif todo and backend == "vector":
+        started = time.monotonic()
+        _, cells = run_lanes(matrix_lanes(todo, width, spec, traces),
+                             spec.max_cycles)
+        elapsed = time.monotonic() - started
+        for benchmark, scheme in todo:
+            cell = cells[lane_key(benchmark, scheme)]
+            if isinstance(cell, Exception):
+                cell = CellError(benchmark, scheme, "error",
+                                 type(cell).__name__, str(cell), 1, elapsed)
+            on_cell_done(benchmark, scheme, cell)
     else:
-        local_traces = traces or _GLOBAL_TRACES
+        cell_fn = cell_fn or run_one
         for benchmark, scheme in todo:
             started = time.monotonic()
             try:
-                stats = cell_fn(benchmark, scheme, width, spec, local_traces)
+                stats = cell_fn(benchmark, scheme, width, spec, traces)
             except Exception as exc:  # deterministic: no retry
                 stats = CellError(
                     benchmark, scheme, "error", type(exc).__name__,

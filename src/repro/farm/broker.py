@@ -15,9 +15,12 @@ concurrency story auditable:
   wall-clock timeout, and scrubs fence-stale debris (a lease file
   resurrected by a heartbeat that raced an earlier reclaim — removed
   without burning retry budget, because no live work was lost);
-* **reclaim** — an expired/timed-out/evicted lease is journaled
-  ``abandoned`` (or ``released``), the cell's attempt is bumped and
-  fenced with a jittered, capped backoff
+* **reclaim** — an expired/timed-out/evicted lease, or one a dead
+  local worker still holds (a ``crash``, reclaimed as soon as the
+  worker is reaped rather than after its TTL), is journaled
+  ``abandoned`` (or ``released``); a timed-out cell's local worker is
+  killed and replaced rather than left computing it.  The cell's
+  attempt is bumped and fenced with a jittered, capped backoff
   (:func:`~repro.retry.backoff_delay`), and — crucially — the transport
   makes the bumped spec visible *before* the lease becomes claimable
   again, so no worker can claim the stale attempt in between and an
@@ -48,6 +51,7 @@ in-process one.
 from __future__ import annotations
 
 import dataclasses
+import multiprocessing
 import os
 import time
 from typing import Callable, Dict, List, Optional, Set, Tuple
@@ -63,6 +67,11 @@ from repro.farm.lease import CellResult, CellSpec, FarmSpec, cid_of
 from repro.farm.transport import make_transport
 from repro.farm.worker import WorkerOptions, _worker_entry
 from repro.retry import backoff_delay
+
+
+def _mp_context():
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork" if "fork" in methods else None)
 
 
 def run_cells_farm(
@@ -96,12 +105,7 @@ def run_cells_farm(
     # Lazy: the runner imports repro.farm.lease at module level, so the
     # reverse edge must stay function-local to avoid an import cycle.
     from repro.experiments.journal import cell_key
-    from repro.experiments.runner import (
-        CellError,
-        _mp_context,
-        checkpoint_path,
-        lane_key,
-    )
+    from repro.experiments.runner import CellError, checkpoint_path, lane_key
 
     if backend == "vector" and cell_fn is not None:
         raise ValueError("cell_fn applies to the scalar backend only")
@@ -248,7 +252,11 @@ def run_cells_farm(
                 ))
 
     # ---------------------------------------------------------- reclaim
-    def reclaim(cid: str, lease, reason: str) -> None:
+    def reclaim(cid: str, lease, reason: str, cause: Optional[str] = None,
+                held: float = 0.0) -> None:
+        """Hand ``lease`` back (``reason``: expired, timeout, crash, or
+        released).  ``cause`` and ``held`` describe the failure in a
+        terminal error: what happened, and the seconds it held."""
         cell = published[cid]
         new_attempt = max(cell.attempt, lease.attempt) + 1
         voluntary = reason == "released"
@@ -268,9 +276,10 @@ def run_cells_farm(
                 cid=cid, key=cell.key, worker="broker",
                 attempt=lease.attempt, status="error", kind=kind,
                 error_type=error_type,
-                message=(f"lease {reason} on attempt {lease.attempt} "
-                         f"(held by {lease.worker!r}); retry budget of "
-                         f"{retries} exhausted"),
+                message=(f"{cause or 'lease ' + reason} on attempt "
+                         f"{lease.attempt} (held by {lease.worker!r}); "
+                         f"retry budget of {retries} exhausted"),
+                elapsed=held,
             ))
         else:
             if cell.backend == "scalar" and transport.has_checkpoint(
@@ -346,7 +355,14 @@ def run_cells_farm(
                 jlease(cell, "abandoned", lease.worker,
                        attempt=lease.attempt, reason=reason,
                        cycle=lease.cycle)
-                reclaim(cid, lease, reason)
+                reclaim(cid, lease, reason, held=view.held)
+                proc = procs.get(lease.worker)
+                if timed_out and proc is not None:
+                    # The abandoned cell would keep its worker busy until
+                    # drain: kill it now (its lease is already reclaimed,
+                    # there is nothing to checkpoint-and-release) and let
+                    # reap_and_respawn replace it.
+                    proc.kill()
                 continue
             active += 1
             if now - journal_hb_at.get(cid, 0.0) >= farm.journal_heartbeat_every:
@@ -356,18 +372,41 @@ def run_cells_farm(
                        committed=lease.committed)
         return active
 
+    def reclaim_from_dead(exit_codes: Dict[str, int]) -> None:
+        """Reclaim at once, as crashes, the leases reaped local workers
+        still hold, instead of waiting out their TTL."""
+        # A worker that wrote its result and then died did not crash.
+        fold_new_results()
+        for view in transport.lease_views():
+            cell = published.get(view.cid)
+            if cell is None or view.torn or agg.is_folded(view.cid):
+                continue
+            lease = view.lease
+            if (lease.worker not in exit_codes or lease.state == "released"
+                    or lease.attempt < cell.attempt):
+                continue  # not a dead worker's live lease
+            report.reclaims += 1
+            jlease(cell, "abandoned", lease.worker, attempt=lease.attempt,
+                   reason="crash", cycle=lease.cycle)
+            reclaim(view.cid, lease, "crash", held=view.held,
+                    cause=(f"worker process died with exit code "
+                           f"{exit_codes[lease.worker]}"))
+
     def reap_and_respawn() -> None:
-        unfinished = len(agg.folded) < len(published)
+        exit_codes: Dict[str, int] = {}
         for worker_id, proc in list(procs.items()):
-            if proc.is_alive():
-                continue
-            proc.join()
-            del procs[worker_id]
-            if not unfinished:
-                continue
+            if not proc.is_alive():
+                proc.join()
+                exit_codes[worker_id] = proc.exitcode
+                del procs[worker_id]
+        if exit_codes:
+            reclaim_from_dead(exit_codes)
+        if len(agg.folded) == len(published):
+            return
+        for _ in exit_codes:
             if (farm.max_respawns is not None
                     and report.respawns >= farm.max_respawns):
-                continue
+                return
             report.respawns += 1
             spawn()
 

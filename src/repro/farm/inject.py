@@ -156,13 +156,13 @@ FAULTS: Dict[str, FarmFault] = {
     f.name: f
     for f in (
         FarmFault("kill", "SIGKILL the worker mid-cell (hard crash)",
-                  "lease expires; cell reclaimed and resumed from its "
-                  "latest checkpoint", _kill),
+                  "broker reaps the worker; cell reclaimed and resumed "
+                  "from its latest checkpoint", _kill),
         FarmFault("evict", "SIGTERM the worker (spot eviction)",
                   "worker checkpoints and releases within the grace "
                   "budget; cell resumes elsewhere", _evict),
         FarmFault("orphan", "worker exits silently without releasing",
-                  "lease expires; cell reclaimed", _orphan),
+                  "broker reaps the worker; cell reclaimed", _orphan),
         FarmFault("stall", "heartbeats stop, simulation continues",
                   "lease expires; duplicate result deduplicated "
                   "bit-identically", _stall),

@@ -53,7 +53,6 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.core.machine import SimulationError
 from repro.farm.inject import WorkerChaos
 from repro.farm.lease import CellResult, CellSpec, LeaseLost
 from repro.farm.transport import (
@@ -146,11 +145,7 @@ def _execute_cell(
     :class:`Parked` when the transport's retry deadline dies mid-cell.
     """
     from repro.core.snapshot import save_snapshot, take_snapshot
-    from repro.experiments.runner import (
-        _run_checkpointed,
-        checkpoint_path,
-        resolve_config,
-    )
+    from repro.experiments.runner import _simulate_cell, checkpoint_path
 
     spec = _spec_from_dict(cell.spec)
     if options.checkpoint_every is not None:
@@ -179,8 +174,6 @@ def _execute_cell(
             started,
         )
 
-    config = resolve_config(cell.scheme, cell.width, spec)
-    trace = traces.get(cell.benchmark, spec)
     ckpt = checkpoint_path(cell.benchmark, cell.scheme, cell.width, spec)
     transport.fetch_checkpoint(cell, ckpt)
     interval = spec.checkpoint_every
@@ -234,9 +227,9 @@ def _execute_cell(
                 raise Parked(exc, path=ckpt) from exc
 
     try:
-        stats = _run_checkpointed(
-            config, trace, ckpt, spec, cycle_hook=cycle_hook,
-            on_resume=on_resume,
+        stats = _simulate_cell(
+            cell.benchmark, cell.scheme, cell.width, spec, traces,
+            cycle_hook=cycle_hook, on_resume=on_resume,
         )
     except Evicted:
         # The hook already saved the snapshot; ship it (best-effort —
@@ -246,12 +239,6 @@ def _execute_cell(
         except TransportError:
             pass
         raise
-    if spec.max_cycles is not None and stats.committed < len(trace):
-        raise SimulationError(
-            f"cycle-limit watchdog: {cell.benchmark}/{cell.scheme} "
-            f"committed only {stats.committed}/{len(trace)} instructions "
-            f"in {spec.max_cycles} cycles"
-        )
     return CellResult(
         cid=cell.cid, key=cell.key, worker=lease.worker,
         attempt=cell.attempt, status="ok", stats=stats.to_dict(),
@@ -281,8 +268,7 @@ def _execute_column(
     retry budget.  Per-lane deterministic failures land in
     ``lane_errors``; they never poison sibling lanes.
     """
-    from repro.experiments.runner import lane_key, resolve_config
-    from repro.vector import Lane, run_column
+    from repro.experiments.runner import matrix_lanes, run_lanes
 
     state = {"zombie": False, "last_hb": time.monotonic()}
 
@@ -314,38 +300,14 @@ def _execute_column(
             except TransportUnavailable as exc:
                 raise Parked(exc) from exc  # columns carry no checkpoint
 
-    lanes = []
-    lengths = {}
-    for benchmark, scheme in cell.lanes:
-        trace = traces.get(benchmark, spec)
-        key = lane_key(benchmark, scheme)
-        lengths[key] = len(trace)
-        lanes.append(Lane(
-            key=key,
-            config=resolve_config(scheme, cell.width, spec),
-            trace=trace,
-        ))
-    outcome = run_column(lanes, max_cycles=spec.max_cycles,
-                         cycle_hook=cycle_hook)
-    lane_stats: dict = {}
-    lane_errors: dict = {}
-    for lane in lanes:
-        result = outcome.results[lane.key]
-        error = result.error
-        if (error is None and spec.max_cycles is not None
-                and result.stats.committed < lengths[lane.key]):
-            error = SimulationError(
-                f"cycle-limit watchdog: {lane.key.replace('|', '/')} "
-                f"committed only {result.stats.committed}/"
-                f"{lengths[lane.key]} instructions in "
-                f"{spec.max_cycles} cycles"
-            )
-        if error is not None:
-            lane_errors[lane.key] = {
-                "error_type": type(error).__name__, "message": str(error),
-            }
-        else:
-            lane_stats[lane.key] = result.stats.to_dict()
+    _, cells = run_lanes(matrix_lanes(cell.lanes, cell.width, spec, traces),
+                         spec.max_cycles, cycle_hook=cycle_hook)
+    lane_stats = {key: stats.to_dict() for key, stats in cells.items()
+                  if not isinstance(stats, Exception)}
+    lane_errors = {
+        key: {"error_type": type(error).__name__, "message": str(error)}
+        for key, error in cells.items() if isinstance(error, Exception)
+    }
     return CellResult(
         cid=cell.cid, key=cell.key, worker=lease.worker,
         attempt=cell.attempt, status="ok",

@@ -1,10 +1,11 @@
 """One retry policy for every transient-failure site in the tree.
 
-Before this module, three places re-derived "wait a bit, try again"
-independently: the isolated-cell pool retried crashed/timed-out cells,
-the farm broker fenced reclaimed cells with a backoff, and (new in the
-transport layer) the HTTP lease client retried failed RPCs.  They now
-share exactly one implementation of each half of the problem:
+Every place that waits and tries again shares it: the farm broker
+fences reclaimed cells with a backoff (which is also how a
+``run_matrix(jobs=N)`` sweep retries crashed or timed-out cells, since
+those run on the farm's local workers), the HTTP lease client retries
+failed RPCs, and the serve client retries failed requests.  There is
+exactly one implementation of each half of the problem:
 
 :func:`backoff_delay`
     The *schedule*: jittered, capped exponential backoff.  The jitter is

@@ -18,6 +18,8 @@ from urllib.error import HTTPError, URLError
 from urllib.parse import urlencode
 from urllib.request import Request, urlopen
 
+from repro.retry import RetryExhausted, RetryPolicy, call_with_retry
+
 
 class ServeUnavailable(RuntimeError):
     """The service could not be reached within the retry budget."""
@@ -45,8 +47,7 @@ class ServeClient:
     # -------------------------------------------------------------- wire
 
     def _request(self, request: Request) -> Dict:
-        last: Optional[Exception] = None
-        for attempt in range(self.retries + 1):
+        def attempt() -> Dict:
             try:
                 with urlopen(request, timeout=self.timeout) as resp:
                     return json.loads(resp.read().decode("utf-8"))
@@ -59,12 +60,19 @@ class ServeClient:
                     return payload
                 if 400 <= exc.code < 500:
                     raise ServeRequestError(exc.code, payload) from exc
-                last = exc
-            except (URLError, OSError, ValueError) as exc:
-                last = exc
-            if attempt < self.retries:
-                time.sleep(self.backoff * (2 ** attempt))
-        raise ServeUnavailable(f"{request.full_url}: {last}")
+                raise
+
+        try:
+            return call_with_retry(
+                attempt,
+                policy=RetryPolicy(base=self.backoff,
+                                   max_attempts=self.retries + 1),
+                retryable=lambda exc: isinstance(
+                    exc, (URLError, OSError, ValueError)),
+                token=request.full_url,
+            )
+        except RetryExhausted as exc:
+            raise ServeUnavailable(f"{request.full_url}: {exc.last}") from exc
 
     def _get(self, path: str, query: Optional[Dict] = None) -> Dict:
         url = f"{self.url}{path}"

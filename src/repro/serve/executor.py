@@ -7,7 +7,8 @@ batches of jobs that share every trace-shaping knob
 three backends:
 
 ``vector``
-    All jobs become lanes of one :func:`repro.vector.run_column` call.
+    All jobs become lanes of one column, run through the sweep runner's
+    :func:`~repro.experiments.runner.run_lanes`.
     The column planner coalesces lanes that share a trace and differ
     only in PRF capacity (exactly the ``regs``-sweep misses a Figure-9
     style client fires) onto one machine, forked at the first capacity
@@ -26,6 +27,11 @@ three backends:
     but the core machine, and the path ``auto`` degrades to when numpy
     is unavailable.
 
+Local backends share the runner's per-cell pieces: its
+:class:`~repro.experiments.runner.TraceCache` and its cycle-limit
+:func:`~repro.experiments.runner.watchdog_error`, so a job fails with
+the same message a sweep cell would.
+
 Every result carries cost accounting — cycles simulated, instructions
 committed, wall seconds, backend, batch fan-in — which the server
 journals, caches, and aggregates into ``/metrics``.
@@ -35,8 +41,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
+from repro.core.stats import SimStats
+from repro.experiments.runner import TraceCache
 from repro.serve.jobs import JobSpec
 
 #: Backend names the server accepts.  ``auto`` = vector when numpy
@@ -72,28 +80,6 @@ def resolve_backend(requested: str) -> str:
     return requested
 
 
-class _TraceCache:
-    """One generated trace per (benchmark, length, warmup, seed): jobs
-    in a batch share traces, and repeat batches re-use them."""
-
-    def __init__(self, limit: int = 32) -> None:
-        self._cache: Dict[Tuple, object] = {}
-        self._limit = limit
-
-    def get(self, spec: JobSpec):
-        from repro.workloads import generate_trace
-
-        key = (spec.benchmark, spec.length, spec.warmup, spec.seed)
-        trace = self._cache.get(key)
-        if trace is None:
-            if len(self._cache) >= self._limit:
-                self._cache.pop(next(iter(self._cache)))
-            trace = generate_trace(spec.benchmark, spec.length,
-                                   seed=spec.seed, warmup=spec.warmup)
-            self._cache[key] = trace
-        return trace
-
-
 @dataclass
 class FarmOptions:
     """How the ``farm`` backend drives :func:`repro.farm.run_cells_farm`
@@ -119,7 +105,7 @@ class BatchExecutor:
         if self.backend == "farm" and farm_options is None:
             raise ValueError("backend='farm' needs FarmOptions")
         self.farm_options = farm_options
-        self._traces = _TraceCache()
+        self._traces = TraceCache()
 
     # ------------------------------------------------------------ entry
 
@@ -127,104 +113,56 @@ class BatchExecutor:
         """Simulate every job in ``specs`` (all sharing a batch key);
         returns job-id -> :class:`JobResult`.  Never raises for a
         per-job failure — errors come back as structured results."""
-        if not specs:
-            return {}
-        if self.backend == "vector":
-            try:
-                return self._run_vector(specs)
-            except ImportError:
-                return self._run_scalar(specs)
-        if self.backend == "farm":
-            farmable = [s for s in specs if s.regs is None]
-            local = [s for s in specs if s.regs is not None]
-            out: Dict[str, JobResult] = {}
-            if farmable:
-                out.update(self._run_farm(farmable))
-            if local:
-                out.update(self._run_scalar(local))
-            return out
-        return self._run_scalar(specs)
-
-    # ----------------------------------------------------------- scalar
-
-    def _run_scalar(self, specs: List[JobSpec]) -> Dict[str, JobResult]:
-        from repro.core.machine import Machine, SimulationError
-
+        if self.backend != "farm":
+            return self._run_local(specs)
+        farmable = [s for s in specs if s.regs is None]
+        local = [s for s in specs if s.regs is not None]
         out: Dict[str, JobResult] = {}
-        for spec in specs:
-            trace = self._traces.get(spec)
-            started = time.perf_counter()
-            try:
-                stats = Machine(spec.config()).run(
-                    trace, max_cycles=spec.max_cycles)
-                if (spec.max_cycles is not None
-                        and stats.committed < len(trace)):
-                    raise SimulationError(
-                        f"cycle-limit watchdog: {spec.benchmark}/"
-                        f"{spec.scheme} committed only {stats.committed}/"
-                        f"{len(trace)} instructions in {spec.max_cycles} "
-                        f"cycles")
-                elapsed = time.perf_counter() - started
-                out[spec.job_id()] = JobResult(
-                    status="ok", stats=stats.to_dict(),
-                    cost=_cost("scalar", stats.cycles, stats.committed,
-                               elapsed, batch_jobs=1),
-                )
-            except Exception as exc:  # noqa: BLE001 — structured, never fatal
-                elapsed = time.perf_counter() - started
-                out[spec.job_id()] = JobResult(
-                    status="error",
-                    error={"error_type": type(exc).__name__,
-                           "message": str(exc)},
-                    cost=_cost("scalar", 0, 0, elapsed, batch_jobs=1),
-                )
+        if farmable:
+            out.update(self._run_farm(farmable))
+        if local:
+            out.update(self._run_local(local))
         return out
 
-    # ----------------------------------------------------------- vector
+    # ----------------------------------------------------- scalar/vector
 
-    def _run_vector(self, specs: List[JobSpec]) -> Dict[str, JobResult]:
-        from repro.core.machine import SimulationError
-        from repro.vector import Lane, run_column
+    def _run_local(self, specs: List[JobSpec]) -> Dict[str, JobResult]:
+        """Run ``specs`` in process: one vector column on the ``vector``
+        backend (falling back to scalar without numpy), else one
+        simulation per job."""
+        from repro.core.machine import simulate
+        from repro.experiments.runner import run_lanes, watchdog_error
 
-        lanes = []
-        lengths: Dict[str, int] = {}
+        lanes = [(spec.job_id(), f"{spec.benchmark}/{spec.scheme}",
+                  spec.config(), self._traces.get(spec.benchmark, spec))
+                 for spec in specs]
         max_cycles = specs[0].max_cycles
-        for spec in specs:
-            trace = self._traces.get(spec)
-            lengths[spec.job_id()] = len(trace)
-            lanes.append(Lane(key=spec.job_id(), config=spec.config(),
-                              trace=trace))
-        started = time.perf_counter()
-        outcome = run_column(lanes, max_cycles=max_cycles)
-        elapsed = time.perf_counter() - started
-        out: Dict[str, JobResult] = {}
-        share = elapsed / max(1, len(specs))
-        for spec in specs:
-            job_id = spec.job_id()
-            result = outcome.results[job_id]
-            error = result.error
-            if (error is None and max_cycles is not None
-                    and result.stats.committed < lengths[job_id]):
-                error = SimulationError(
-                    f"cycle-limit watchdog: {spec.benchmark}/{spec.scheme} "
-                    f"committed only {result.stats.committed}/"
-                    f"{lengths[job_id]} instructions in {max_cycles} cycles")
-            cost = _cost("vector",
-                         result.stats.cycles if result.stats else 0,
-                         result.stats.committed if result.stats else 0,
-                         share, batch_jobs=len(specs),
-                         groups=outcome.groups, forks=outcome.forks,
-                         batch_cycles_simulated=outcome.cycles_simulated)
-            if error is not None:
-                out[job_id] = JobResult(
-                    status="error",
-                    error={"error_type": type(error).__name__,
-                           "message": str(error)},
-                    cost=cost)
+        if self.backend == "vector":
+            try:
+                started = time.perf_counter()
+                outcome, cells = run_lanes(lanes, max_cycles)
+            except ImportError:
+                pass
             else:
-                out[job_id] = JobResult(status="ok",
-                                        stats=result.stats.to_dict(),
-                                        cost=cost)
+                share = (time.perf_counter() - started) / len(specs)
+                return {key: _job_result(
+                    cells[key], "vector", outcome.results[key].stats, share,
+                    batch_jobs=len(specs), groups=outcome.groups,
+                    forks=outcome.forks,
+                    batch_cycles_simulated=outcome.cycles_simulated,
+                ) for key in cells}
+        out: Dict[str, JobResult] = {}
+        for key, label, config, trace in lanes:
+            started = time.perf_counter()
+            try:
+                stats = simulate(config, trace, max_cycles=max_cycles)
+                cell = watchdog_error(label, stats.committed, len(trace),
+                                      max_cycles) or stats
+            except Exception as exc:  # noqa: BLE001 — structured, never fatal
+                cell = exc
+            out[key] = _job_result(
+                cell, "scalar", cell if isinstance(cell, SimStats) else None,
+                time.perf_counter() - started, batch_jobs=1)
         return out
 
     # ------------------------------------------------------------- farm
@@ -275,6 +213,18 @@ def _cost(backend: str, cycles: int, instructions: int,
     return {"backend": backend, "cycles": cycles,
             "instructions": instructions,
             "wall_seconds": round(wall_seconds, 6), **extra}
+
+
+def _job_result(cell, backend: str, stats, wall_seconds: float,
+                **extra) -> JobResult:
+    """A local job's result: ``cell`` is its stats or the error it
+    failed with; ``stats`` (or None) is what its cost accounts for."""
+    cost = _cost(backend, stats.cycles if stats else 0,
+                 stats.committed if stats else 0, wall_seconds, **extra)
+    if isinstance(cell, Exception):
+        return JobResult(status="error", cost=cost, error={
+            "error_type": type(cell).__name__, "message": str(cell)})
+    return JobResult(status="ok", stats=cell.to_dict(), cost=cost)
 
 
 #: Signature of the server's completion callback, for reference:

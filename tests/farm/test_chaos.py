@@ -242,6 +242,53 @@ def test_retry_budget_exhaustion_is_terminal(tmp_path):
     assert _PRI in str(journal.errors())
 
 
+def test_dead_worker_lease_is_reclaimed_without_waiting_for_ttl(tmp_path):
+    """A local worker that dies mid-cell gives its lease back as soon as
+    the broker reaps it, classified as a crash with the exit code —
+    not as an expiry one full lease TTL later."""
+    farm = FarmSpec(root=str(tmp_path / "farm"), workers=2,
+                    poll_interval=0.05)
+    assert farm.lease_ttl == 30.0
+    start = time.monotonic()
+    result = run_matrix(("gcc",), ("base", _PRI), 4, _SPEC, farm=farm,
+                        on_error="record", cell_fn=_crash_pri)
+    assert time.monotonic() - start < 10
+    assert isinstance(result["gcc"]["base"], SimStats)
+    err = result["gcc"][_PRI]
+    assert isinstance(err, CellError)
+    assert err.kind == "crash"
+    assert "worker process died with exit code 9" in err.message
+    assert 0.0 < err.elapsed < farm.lease_ttl
+    journal = SweepJournal(os.path.join(farm.root, "journal.json"))
+    assert any(e["state"] == "abandoned" and e.get("reason") == "crash"
+               for e in journal.lease_events)
+
+
+def test_timed_out_cell_frees_its_worker(tmp_path):
+    """The worker running a timed-out cell is replaced at once, so the
+    only worker does not sit on the abandoned cell until drain."""
+    marker = tmp_path / "first"
+
+    def hang_first(benchmark, scheme, width, spec, traces=None):
+        if not marker.exists():
+            marker.write_text(scheme)
+            time.sleep(60)
+        return run_one(benchmark, scheme, width, spec, traces)
+
+    farm = FarmSpec(root=str(tmp_path / "farm"), workers=1,
+                    poll_interval=0.05)
+    start = time.monotonic()
+    result = run_matrix(("gcc",), ("base", _PRI), 4, _SPEC, farm=farm,
+                        on_error="record", cell_timeout=2.0,
+                        cell_fn=hang_first)
+    assert time.monotonic() - start < 30
+    hung = marker.read_text()
+    other = _PRI if hung == "base" else "base"
+    assert result["gcc"][hung].kind == "timeout"
+    assert isinstance(result["gcc"][other], SimStats)
+    assert farm.report.respawns >= 1
+
+
 # ===================================================== aggregator units
 
 

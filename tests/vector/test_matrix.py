@@ -63,15 +63,43 @@ def test_cell_fn_rejected_on_vector():
 # ========================================================= error parity
 
 
-def test_watchdog_cell_error_matches_scalar_message():
+def test_watchdog_cell_error_matches_scalar_message(tmp_path):
+    """Every execution path fails a cycle-limited cell with the serial
+    scalar run's watchdog error: the in-process vector column, a farm
+    cell and a farm column, and both in-process serve backends."""
+    from repro.farm import FarmSpec
+    from repro.serve import BatchExecutor, JobSpec
+
     spec = RunSpec(length=300, warmup=600, seed=2, max_cycles=50)
     scalar = run_matrix(("gzip",), ("base",), 4, spec, on_error="record")
-    vector = run_matrix(("gzip",), ("base",), 4, spec, on_error="record",
-                        backend="vector")
-    a, b = scalar["gzip"]["base"], vector["gzip"]["base"]
-    assert isinstance(a, CellError) and isinstance(b, CellError)
-    assert (a.kind, a.error_type, a.message) == (b.kind, b.error_type,
-                                                 b.message)
+    a = scalar["gzip"]["base"]
+    assert isinstance(a, CellError)
+    assert a.message.startswith("cycle-limit watchdog: gzip/base ")
+    want = (a.kind, a.error_type, a.message)
+
+    def farm(name):
+        return FarmSpec(root=str(tmp_path / name), workers=1,
+                        poll_interval=0.05)
+
+    paths = {
+        "vector": {"backend": "vector"},
+        "farm cell": {"farm": farm("cells")},
+        "farm column": {"backend": "vector", "farm": farm("columns")},
+    }
+    for name, options in paths.items():
+        result = run_matrix(("gzip",), ("base",), 4, spec, on_error="record",
+                            **options)
+        b = result["gzip"]["base"]
+        assert isinstance(b, CellError), name
+        assert (b.kind, b.error_type, b.message) == want, name
+
+    job = JobSpec("gzip", "base", 4, spec.length, spec.warmup, spec.seed,
+                  max_cycles=spec.max_cycles)
+    for backend in ("scalar", "vector"):
+        served = BatchExecutor(backend).run_batch([job])[job.job_id()]
+        assert served.status == "error", backend
+        assert (served.error["error_type"], served.error["message"]) \
+            == want[1:], backend
 
 
 # ========================================= journal: per-cell, resumable
