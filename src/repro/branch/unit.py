@@ -4,6 +4,7 @@ BTB, and RAS."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Dict
 
 from repro.branch.btb import BranchTargetBuffer
 from repro.branch.combined import CombinedPredictor
@@ -87,6 +88,49 @@ class BranchUnit:
             self.predictor.update(op.pc, prediction.history_before, op.taken)
         if op.taken:
             self.btb.install(op.pc, op.target)
+
+    def _counter_tables(self):
+        """(state key, counter table) of the direction predictor, in
+        :meth:`state` order."""
+        predictor = self.predictor
+        return (("bimodal", predictor.bimodal.table),
+                ("gshare", predictor.gshare.table),
+                ("selector", predictor.selector))
+
+    def state(self) -> Dict:
+        """Plain-data copy of the history, accuracy counters, predictor
+        tables, BTB and RAS: the ``branch`` section of a machine
+        snapshot (:mod:`repro.core.snapshot`) and the branch half of a
+        trace's warm-state memo (:meth:`repro.core.machine.Machine.warmup`).
+        Shares no list with the unit."""
+        data = {
+            "history": self.history,
+            "predictions": self.predictions,
+            "direction_mispredicts": self.direction_mispredicts,
+            "target_mispredicts": self.target_mispredicts,
+        }
+        for name, table in self._counter_tables():
+            data[name] = list(table.entries)
+        data["btb"] = [[[tag, target] for tag, target in entries]
+                       for entries in self.btb._sets]
+        data["ras"] = list(self.ras._stack)
+        return data
+
+    def load_state(self, data: Dict) -> None:
+        """Copy a :meth:`state` image into this unit's own lists (filled
+        in place, so the image stays unaliased and no list is
+        reallocated); raises ValueError when the BTB geometry differs."""
+        if len(data["btb"]) != self.btb.num_sets:
+            raise ValueError("BTB geometry does not match the machine")
+        self.history = data["history"]
+        self.predictions = data["predictions"]
+        self.direction_mispredicts = data["direction_mispredicts"]
+        self.target_mispredicts = data["target_mispredicts"]
+        for name, table in self._counter_tables():
+            table.entries[:] = data[name]
+        for entries, dumped in zip(self.btb._sets, data["btb"]):
+            entries[:] = map(tuple, dumped)
+        self.ras._stack[:] = data["ras"]
 
     @property
     def mispredict_rate(self) -> float:

@@ -372,7 +372,30 @@ class Machine:
 
     def warmup(self, trace: Trace) -> None:
         """Train predictors and warm caches on the trace's untimed prefix
-        (the stand-in for the paper's 400M-instruction fast-forward)."""
+        (the stand-in for the paper's 400M-instruction fast-forward).
+
+        The result depends only on the prefix and on the branch and
+        memory geometry, so it is computed once per trace object and
+        geometry: the first machine runs :meth:`_functional_warmup` and
+        stores a copy of the resulting state in ``trace.warm_states``;
+        every later machine installs its own copy of that state, which
+        equals what the loop would compute."""
+        key = (self.cfg.branch, self.cfg.memory)
+        warm = trace.warm_states.get(key)
+        if warm is not None:
+            self.branch_unit.load_state(warm["branch"])
+            self.memory.load_state(warm["memory"])
+            return
+        self._functional_warmup(trace)
+        # No lock: two threads sharing a trace (the serve executor) may
+        # both miss and both run the loop, but they compute equal state
+        # and a dict store is atomic, so either store is correct and a
+        # reader never sees a partial entry.
+        trace.warm_states[key] = {"branch": self.branch_unit.state(),
+                                  "memory": self.memory.state()}
+
+    def _functional_warmup(self, trace: Trace) -> None:
+        """The warmup loop itself; counters are zeroed at the end."""
         unit = self.branch_unit
         mem = self.memory
         fetch = mem.il1.access_latency

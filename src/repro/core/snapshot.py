@@ -152,14 +152,6 @@ def _dump_regfile(rf) -> Dict:
     }
 
 
-def _dump_cache(cache) -> Dict:
-    return {
-        "sets": [list(tags) for tags in cache._sets],
-        "hits": cache.hits,
-        "misses": cache.misses,
-    }
-
-
 # Event kinds (mirrors machine.py; imported lazily there to avoid cycles).
 _EV_WAKE = 0
 _EV_TIMER = 4
@@ -221,7 +213,6 @@ def take_snapshot(machine) -> Dict:
         if entries
     ]
 
-    unit = machine.branch_unit
     data = {
         "version": SNAPSHOT_VERSION,
         "config_digest": config_digest(machine.cfg),
@@ -255,23 +246,8 @@ def take_snapshot(machine) -> Dict:
             "taken": machine.ckpts.taken,
             "patches_applied": machine.ckpts.patches_applied,
         },
-        "branch": {
-            "history": unit.history,
-            "predictions": unit.predictions,
-            "direction_mispredicts": unit.direction_mispredicts,
-            "target_mispredicts": unit.target_mispredicts,
-            "bimodal": list(unit.predictor.bimodal.table.entries),
-            "gshare": list(unit.predictor.gshare.table.entries),
-            "selector": list(unit.predictor.selector.entries),
-            "btb": [[[tag, target] for tag, target in entries]
-                    for entries in unit.btb._sets],
-            "ras": list(unit.ras._stack),
-        },
-        "memory": {
-            "il1": _dump_cache(machine.memory.il1),
-            "dl1": _dump_cache(machine.memory.dl1),
-            "l2": _dump_cache(machine.memory.l2),
-        },
+        "branch": machine.branch_unit.state(),
+        "memory": machine.memory.state(),
         "rob": [_dump_instr(instr) for instr in machine.rob],
         "vregs": [
             [vid, None if v.owner is None else v.owner.seq, int(v.reg_class),
@@ -388,16 +364,6 @@ def _load_regfile(rf, data: Dict) -> None:
     rf.allocated_count = data["allocated_count"]
     rf.free_list.restore(data["free_queue"])
     rf.free_list.duplicate_releases = data["duplicate_releases"]
-
-
-def _load_cache(cache, data: Dict) -> None:
-    if len(data["sets"]) != cache.num_sets:
-        raise SnapshotError(
-            f"{cache.name}: snapshot geometry does not match the machine"
-        )
-    cache._sets = [list(tags) for tags in data["sets"]]
-    cache.hits = data["hits"]
-    cache.misses = data["misses"]
 
 
 def restore_snapshot(machine, data: Dict, trace: Trace) -> None:
@@ -566,25 +532,13 @@ def restore_snapshot(machine, data: Dict, trace: Trace) -> None:
         for idx, fetch_cycle in data["fetch_buffer"]
     )
 
-    unit = machine.branch_unit
-    branch = data["branch"]
-    unit.history = branch["history"]
-    unit.predictions = branch["predictions"]
-    unit.direction_mispredicts = branch["direction_mispredicts"]
-    unit.target_mispredicts = branch["target_mispredicts"]
-    unit.predictor.bimodal.table.entries = list(branch["bimodal"])
-    unit.predictor.gshare.table.entries = list(branch["gshare"])
-    unit.predictor.selector.entries = list(branch["selector"])
-    if len(branch["btb"]) != unit.btb.num_sets:
-        raise SnapshotError("BTB geometry does not match the machine")
-    unit.btb._sets = [
-        [(tag, target) for tag, target in entries] for entries in branch["btb"]
-    ]
-    unit.ras._stack = list(branch["ras"])
-
-    _load_cache(machine.memory.il1, data["memory"]["il1"])
-    _load_cache(machine.memory.dl1, data["memory"]["dl1"])
-    _load_cache(machine.memory.l2, data["memory"]["l2"])
+    # The components own the branch/memory section format (shared with
+    # the warm-state memo, see Machine.warmup).
+    try:
+        machine.branch_unit.load_state(data["branch"])
+        machine.memory.load_state(data["memory"])
+    except ValueError as err:
+        raise SnapshotError(str(err)) from None
 
     if machine.auditor is not None and data["auditor"] is not None:
         machine.auditor.audits_run = data["auditor"]["audits_run"]

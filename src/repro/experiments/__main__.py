@@ -8,6 +8,7 @@ import signal
 import sys
 import time
 
+from repro.core.machine import SimulationError
 from repro.experiments import (
     MatrixError,
     RunSpec,
@@ -249,6 +250,11 @@ def main(argv=None) -> int:
                     print(f"(completed cells are journaled in "
                           f"{journal_path}; re-run to resume)",
                           file=sys.stderr)
+                return 1
+            except SimulationError as err:
+                # Figure 9 simulates in process, outside run_matrix's
+                # per-cell error records.
+                print(f"figure {number} failed: {err}", file=sys.stderr)
                 return 1
             if args.farm:
                 print(file=sys.stderr)  # end the live progress line

@@ -20,6 +20,7 @@ from repro.analysis.significance import (
 )
 from repro.config import PRF_SWEEP_SIZES
 from repro.core.machine import simulate
+from repro.experiments import runner
 from repro.experiments.report import (
     bar_chart,
     format_table,
@@ -32,9 +33,11 @@ from repro.experiments.runner import (
     INT_BENCHMARKS,
     RunSpec,
     TraceCache,
+    resolve_config,
+    run_lanes,
     run_matrix,
     speedups_over_base,
-    width_config,
+    watchdog_error,
 )
 
 _DEFAULT_WIDTHS: Tuple[int, ...] = (4, 8)
@@ -237,6 +240,14 @@ def figure9(
     """Base-machine speedup vs physical register count, normalized to the
     smallest size (Figure 9).
 
+    Traces come from ``traces``, by default the run's shared trace cache
+    (``runner._GLOBAL_TRACES``, looked up per call), so a ``--all`` run
+    reuses the traces — and their warm state — of the figures before it.
+    Each size's config is the ``base`` scheme under ``spec``'s audit and
+    oracle overlays, and every simulation runs under ``spec.max_cycles``:
+    a cell that stops at the limit raises the runner's cycle-limit
+    watchdog :class:`~repro.core.machine.SimulationError`.
+
     ``backend='vector'`` runs each benchmark's whole size sweep as one
     column on :mod:`repro.vector` — the canonical coherence-group shape:
     every size lane shares the trace and differs only in PRF capacity,
@@ -244,35 +255,38 @@ def figure9(
     register-exhaustion stall.  IPCs are bit-identical to the scalar
     path."""
     spec = spec or RunSpec()
-    traces = traces or TraceCache()
+    traces = traces or runner._GLOBAL_TRACES
     result = FigureResult(
         f"Figure 9: register file sensitivity (speedup over PR={sizes[0]})"
     )
     for width in widths:
+        base = resolve_config("base", width, spec)
         rows = []
         data: Dict[str, Dict[int, float]] = {}
         for benchmark in benchmarks:
             trace = traces.get(benchmark, spec)
+            labels = {size: f"{benchmark}/base@PR={size}" for size in sizes}
             ipcs = {}
             if backend == "vector":
-                from repro.vector import Lane, run_column
-
-                lanes = [
-                    Lane(key=str(size),
-                         config=width_config(width).with_phys_regs(size),
-                         trace=trace)
-                    for size in sizes
-                ]
-                outcome = run_column(lanes)
+                _, cells = run_lanes(
+                    [(str(size), labels[size], base.with_phys_regs(size),
+                      trace) for size in sizes],
+                    spec.max_cycles,
+                )
                 for size in sizes:
-                    lane_result = outcome.results[str(size)]
-                    if lane_result.error is not None:
-                        raise lane_result.error
-                    ipcs[size] = lane_result.stats.ipc
+                    cell = cells[str(size)]
+                    if isinstance(cell, Exception):
+                        raise cell
+                    ipcs[size] = cell.ipc
             else:
                 for size in sizes:
-                    config = width_config(width).with_phys_regs(size)
-                    ipcs[size] = simulate(config, trace).ipc
+                    stats = simulate(base.with_phys_regs(size), trace,
+                                     max_cycles=spec.max_cycles)
+                    error = watchdog_error(labels[size], stats.committed,
+                                           len(trace), spec.max_cycles)
+                    if error is not None:
+                        raise error
+                    ipcs[size] = stats.ipc
             norm = ipcs[sizes[0]]
             data[benchmark] = {s: (ipcs[s] / norm if norm else 0.0) for s in sizes}
             rows.append([benchmark] + [data[benchmark][s] for s in sizes])

@@ -8,6 +8,7 @@ latency contributed by this level; the hierarchy composes levels.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Dict
 
 from repro.config import CacheConfig
 
@@ -104,6 +105,29 @@ class Cache:
     def miss_rate(self) -> float:
         total = self.accesses
         return self.misses / total if total else 0.0
+
+    def state(self) -> Dict:
+        """Plain-data copy of the LRU-ordered sets and the hit/miss
+        counters (one cache of a machine snapshot's ``memory``
+        section).  Shares no list with the cache."""
+        return {
+            "sets": [list(tags) for tags in self._sets],
+            "hits": self.hits,
+            "misses": self.misses,
+        }
+
+    def load_state(self, data: Dict) -> None:
+        """Copy a :meth:`state` image into this cache's own set lists
+        (filled in place: the image stays unaliased, and a full cache's
+        worth of list allocations is saved); raises ValueError when the
+        set count differs."""
+        if len(data["sets"]) != self.num_sets:
+            raise ValueError(f"{self.name}: snapshot geometry does not match "
+                             f"the machine")
+        for entries, tags in zip(self._sets, data["sets"]):
+            entries[:] = tags
+        self.hits = data["hits"]
+        self.misses = data["misses"]
 
     def flush(self) -> None:
         """Empty the cache (used between experiment runs)."""

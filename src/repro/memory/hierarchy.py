@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Dict
+
 from repro.config import MemoryConfig
 from repro.memory.cache import Cache
 
@@ -36,6 +38,18 @@ class MemoryHierarchy:
     def dl1_hit_latency(self) -> int:
         """The latency speculative scheduling assumes for every load."""
         return self.config.dl1.latency
+
+    def state(self) -> Dict:
+        """Every level's :meth:`Cache.state`, by level name: the
+        ``memory`` section of a machine snapshot."""
+        return {"il1": self.il1.state(), "dl1": self.dl1.state(),
+                "l2": self.l2.state()}
+
+    def load_state(self, data: Dict) -> None:
+        """Install a :meth:`state` image (see :meth:`Cache.load_state`)."""
+        self.il1.load_state(data["il1"])
+        self.dl1.load_state(data["dl1"])
+        self.l2.load_state(data["l2"])
 
     def flush(self) -> None:
         self.il1.flush()

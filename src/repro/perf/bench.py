@@ -6,7 +6,10 @@ and the PRI machine, on the same gzip trace.  Timing uses
 best-of-``rounds`` wall clock including :class:`~repro.core.machine.Machine`
 construction — exactly the shape the pytest benchmark times — so a
 bench artifact and the benchmark suite agree on what "throughput"
-means.
+means.  Every timed run gets its own :meth:`~repro.workloads.Trace.fresh_copy`
+of the trace, made outside the timed region, so each still pays one
+full functional warmup instead of installing the warm state an earlier
+round left on a shared trace.
 
 Schema 2 adds a **backend dimension** per config: alongside the scalar
 single-run timing, each config's Figure-9-style PRF sweep column
@@ -124,15 +127,17 @@ def _bench_column(cfg, trace, rounds: int,
     scalar_best = None
     lane_cycles = 0
     for _ in range(max(1, rounds)):
+        runs = [(c, trace.fresh_copy()) for c in configs]
         t0 = time.perf_counter()
-        lane_cycles = sum(Machine(c).run(trace).cycles for c in configs)
+        lane_cycles = sum(Machine(c).run(t).cycles for c, t in runs)
         elapsed = time.perf_counter() - t0
         if scalar_best is None or elapsed < scalar_best:
             scalar_best = elapsed
     vector_best = None
     outcome = None
     for _ in range(max(1, rounds)):
-        lanes = [Lane(key=str(size), config=c, trace=trace)
+        fresh = trace.fresh_copy()
+        lanes = [Lane(key=str(size), config=c, trace=fresh)
                  for size, c in zip(sizes, configs)]
         t0 = time.perf_counter()
         outcome = run_column(lanes)
@@ -184,8 +189,9 @@ def run_bench(
         best = None
         stats = None
         for _ in range(max(1, rounds)):
+            fresh = trace.fresh_copy()
             t0 = time.perf_counter()
-            stats = Machine(cfg).run(trace)
+            stats = Machine(cfg).run(fresh)
             elapsed = time.perf_counter() - t0
             if best is None or elapsed < best:
                 best = elapsed

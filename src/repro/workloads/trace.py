@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.isa.instruction import MicroOp
 
@@ -29,8 +29,15 @@ class TraceStats:
 class Trace:
     """An ordered sequence of :class:`MicroOp` with consistent dataflow.
 
-    Traces are immutable once built.  ``name`` and ``seed`` identify the
-    generating profile for reporting.
+    The ops, initial register values and warmup prefix are immutable
+    once built.  ``name`` and ``seed`` identify the generating profile
+    for reporting.  A trace also carries one piece of *derived* state,
+    :attr:`warm_states`: the post-warmup branch and cache state that
+    :meth:`repro.core.machine.Machine.warmup` computes once per
+    geometry and then copies into every later machine run on this
+    trace object.  It lives and dies with the trace (so a trace cache's
+    bound also bounds it), and :meth:`fresh_copy` gives a trace over the
+    same ops without it.
     """
 
     def __init__(
@@ -52,6 +59,18 @@ class Trace:
         #: Untimed prefix used to warm predictors and caches — the stand-in
         #: for the paper's 400M-instruction fast-forward.
         self.warmup_ops: List[MicroOp] = list(warmup_ops)
+        #: Derived warm-state memo, keyed by (BranchConfig, MemoryConfig):
+        #: ``{"branch": BranchUnit.state(), "memory":
+        #: MemoryHierarchy.state()}`` right after the functional warmup.
+        #: Filled and read only by Machine.warmup; never aliased by a
+        #: running machine.
+        self.warm_states: Dict[Tuple, Dict] = {}
+
+    def fresh_copy(self) -> "Trace":
+        """The same trace as a new object with an empty warm-state memo:
+        the first machine run on it does the full functional warmup."""
+        return Trace(self.name, self._ops, self.seed, self.initial_int,
+                     self.initial_fp, self.warmup_ops)
 
     def __len__(self) -> int:
         return len(self._ops)

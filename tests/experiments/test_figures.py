@@ -3,6 +3,8 @@ produce the paper's rows and series and render cleanly."""
 
 import pytest
 
+from repro.core.machine import SimulationError
+from repro.experiments import figures, runner
 from repro.experiments import (
     RunSpec,
     TraceCache,
@@ -85,3 +87,53 @@ class TestFigureDrivers:
     def test_figure12_runs_fp(self, cache):
         result = figure12(_SPEC, widths=(4,), benchmarks=_FP_BENCH, traces=cache)
         assert "ammp" in result.render()
+
+
+class TestFigure9Spec:
+    """Figure 9 honours the run spec like every other driver: audit and
+    oracle overlays on each size's config, and the cycle-limit watchdog."""
+
+    @pytest.mark.parametrize("backend", ["scalar", "vector"])
+    def test_watchdog_fires(self, cache, backend):
+        if backend == "vector":
+            pytest.importorskip("numpy")
+        spec = RunSpec(length=350, warmup=700, seed=2, max_cycles=30)
+        with pytest.raises(SimulationError, match="cycle-limit watchdog:"):
+            figure9(spec, widths=(4,), benchmarks=("gzip",), sizes=(40, 64),
+                    traces=cache, backend=backend)
+
+    @pytest.mark.parametrize("backend", ["scalar", "vector"])
+    def test_audit_and_oracle_reach_every_config(self, cache, monkeypatch,
+                                                 backend):
+        configs = []
+        if backend == "vector":
+            pytest.importorskip("numpy")
+            import repro.vector as vector
+
+            run_column = vector.run_column
+
+            def recording(lanes, *args, **kwargs):
+                configs.extend(lane.config for lane in lanes)
+                return run_column(lanes, *args, **kwargs)
+
+            monkeypatch.setattr(vector, "run_column", recording)
+        else:
+            simulate = figures.simulate
+
+            def recording(config, trace, **kwargs):
+                configs.append(config)
+                return simulate(config, trace, **kwargs)
+
+            monkeypatch.setattr(figures, "simulate", recording)
+        spec = RunSpec(length=350, warmup=700, seed=2, audit=True,
+                       oracle=True)
+        figure9(spec, widths=(4,), benchmarks=("gzip",), sizes=(40, 64),
+                traces=cache, backend=backend)
+        assert [c.int_phys_regs for c in configs] == [40, 64]
+        assert all(c.audit.enabled and c.oracle.enabled for c in configs)
+
+    def test_uses_the_runs_shared_trace_cache(self, monkeypatch):
+        shared = TraceCache()
+        monkeypatch.setattr(runner, "_GLOBAL_TRACES", shared)
+        figure9(_SPEC, widths=(4,), benchmarks=("gzip",), sizes=(40, 64))
+        assert shared.get("gzip", _SPEC).warm_states
