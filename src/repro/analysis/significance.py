@@ -11,7 +11,8 @@ Figure 2 plots, per benchmark, the dynamic cumulative distribution of
 We measure *dynamic register operands*: every source register value an
 instruction reads plus every result it writes, matching the paper's
 "dynamic cumulative distribution of the number of bits needed to
-represent integer operands".
+represent integer operands".  Each CDF takes an op stream: a
+:class:`Trace` (its timed ops) or a plain list of ops.
 """
 
 from __future__ import annotations
@@ -52,28 +53,28 @@ def _cdf(counts: Dict[int, int], max_bits: int) -> List[float]:
     return cdf
 
 
-def int_width_cdf(trace: Trace) -> List[float]:
+def int_width_cdf(ops: Iterable[MicroOp]) -> List[float]:
     """CDF over [0..64] of integer operand two's-complement widths."""
     counts: Dict[int, int] = {}
-    for value in _dynamic_operands(trace.ops, RegClass.INT):
+    for value in _dynamic_operands(ops, RegClass.INT):
         bits = significant_bits(value)
         counts[bits] = counts.get(bits, 0) + 1
     return _cdf(counts, 64)
 
 
-def fp_exponent_cdf(trace: Trace) -> List[float]:
+def fp_exponent_cdf(ops: Iterable[MicroOp]) -> List[float]:
     """CDF over [0..11] of FP exponent significant bits (0 = all 0s/1s)."""
     counts: Dict[int, int] = {}
-    for value in _dynamic_operands(trace.ops, RegClass.FP):
+    for value in _dynamic_operands(ops, RegClass.FP):
         bits = fp_exponent_bits(value)
         counts[bits] = counts.get(bits, 0) + 1
     return _cdf(counts, 11)
 
 
-def fp_significand_cdf(trace: Trace) -> List[float]:
+def fp_significand_cdf(ops: Iterable[MicroOp]) -> List[float]:
     """CDF over [0..52] of FP significand significant bits."""
     counts: Dict[int, int] = {}
-    for value in _dynamic_operands(trace.ops, RegClass.FP):
+    for value in _dynamic_operands(ops, RegClass.FP):
         bits = fp_significand_bits(value)
         counts[bits] = counts.get(bits, 0) + 1
     return _cdf(counts, 52)

@@ -299,6 +299,19 @@ EFFECTIVELY_INFINITE_REGS = 4096
 
 # ===================================================== serialization
 
+def _to_plain(value):
+    # Module level, not nested in config_to_dict: a recursive closure is
+    # a reference cycle, left for the cyclic collector on every call.
+    if isinstance(value, enum.Enum):
+        return value.value
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {
+            f.name: _to_plain(getattr(value, f.name))
+            for f in dataclasses.fields(value)
+        }
+    return value
+
+
 def config_to_dict(config: MachineConfig) -> Dict:
     """Canonical JSON-serializable form of a :class:`MachineConfig`.
 
@@ -307,18 +320,7 @@ def config_to_dict(config: MachineConfig) -> Dict:
     is what :func:`config_digest` hashes, so two configs digest equal iff
     every simulation-relevant field matches.
     """
-
-    def convert(value):
-        if isinstance(value, enum.Enum):
-            return value.value
-        if dataclasses.is_dataclass(value) and not isinstance(value, type):
-            return {
-                f.name: convert(getattr(value, f.name))
-                for f in dataclasses.fields(value)
-            }
-        return value
-
-    return convert(config)
+    return _to_plain(config)
 
 
 def config_from_dict(data: Dict) -> MachineConfig:

@@ -158,12 +158,8 @@ class Machine:
             # Generation stamps exist solely for the auditor's
             # stale-checkpoint proof; skip the per-take stamping pass in
             # unaudited runs.
-            gen_source=(
-                None if self._vp or not config.audit.enabled
-                else lambda cls: self.rf[cls].gen
-            ),
+            regfiles=None if self._vp or not config.audit.enabled else self.rf,
         )
-        self.ckpts.on_unref = self._after_unref
         # Virtual-physical state: vtag table, id counter, and per-class
         # queues of issued instructions waiting for a physical register.
         self._vregs: Dict[int, _VReg] = {}
@@ -1191,7 +1187,7 @@ class Machine:
                 self._recover(instr)
             # Resolved branches can never be recovery targets again, so
             # their shadow maps free immediately (out of order).
-            self.ckpts.release(instr.checkpoint)
+            self.ckpts.release(instr.checkpoint, self._after_unref)
         if self._pri_enabled and instr.dest_preg >= 0:
             self._schedule(
                 now + self._retire_offset, _EV_RETIRE, (instr, instr.issue_token)
@@ -1374,7 +1370,7 @@ class Machine:
                 self.stats.branches += 1
                 # ER's unmap condition is commit-scoped: the shadow-copy
                 # references fall away only now (see rename/checkpoints).
-                self.ckpts.commit_retire(head.checkpoint)
+                self.ckpts.commit_retire(head.checkpoint, self._after_unref)
             if head.prev_vid >= 0:
                 cls = op.dest_class
                 v = self._vregs.pop(head.prev_vid - _VID_FLAG, None)
@@ -1413,7 +1409,7 @@ class Machine:
         while self.rob and self.rob[-1].seq > branch.seq:
             self._squash(self.rob.pop())
         self._fetch_buffer.clear()
-        self.ckpts.recover(branch.checkpoint)
+        self.ckpts.recover(branch.checkpoint, self._after_unref)
         self.branch_unit.ras.restore(branch.checkpoint.ras)
         self.branch_unit.history = branch.checkpoint.history
         self._fetch_idx = branch.trace_idx + 1
@@ -1428,7 +1424,7 @@ class Machine:
         if instr.checkpoint is not None:
             # Covers branches that resolved (stack-released) but still
             # hold commit-scoped ER references; idempotent otherwise.
-            self.ckpts.discard(instr.checkpoint)
+            self.ckpts.discard(instr.checkpoint, self._after_unref)
         for rec in instr.sources:
             if rec.counted:
                 rec.counted = False

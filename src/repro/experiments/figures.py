@@ -127,17 +127,23 @@ def figure2(
     seed: int = 1,
     int_benchmarks: Sequence[str] = INT_BENCHMARKS,
     fp_benchmarks: Sequence[str] = FP_BENCHMARKS,
+    traces: Optional[TraceCache] = None,
 ) -> FigureResult:
-    """Dynamic cumulative operand-width distributions (Figure 2)."""
-    from repro.workloads import generate_trace
+    """Dynamic cumulative operand-width distributions (Figure 2), over
+    the first ``length`` ops of each benchmark's stream at ``seed``.
 
+    The ops come from ``traces``, by default the run's shared trace
+    cache (``runner._GLOBAL_TRACES``, looked up per call): once Table 2
+    or a sweep has cached a trace whose warmup prefix plus timed ops
+    cover ``length``, its ops are reused instead of regenerated (see
+    :meth:`~repro.experiments.runner.TraceCache.stream_prefix`)."""
+    traces = traces or runner._GLOBAL_TRACES
     result = FigureResult("Figure 2: operand significance")
     int_points = (1, 4, 7, 10, 16, 24, 32, 48, 64)
     rows = []
     cdfs: Dict[str, List[float]] = {}
     for name in int_benchmarks:
-        trace = generate_trace(name, length, seed=seed, warmup=0)
-        cdf = int_width_cdf(trace)
+        cdf = int_width_cdf(traces.stream_prefix(name, seed, length))
         cdfs[name] = cdf
         rows.append([name] + [cdf[b] for b in int_points])
     rows.append(["mean"] + [mean([cdfs[n][b] for n in int_benchmarks])
@@ -151,9 +157,9 @@ def figure2(
     )
     exp_rows, fp_data = [], {}
     for name in fp_benchmarks:
-        trace = generate_trace(name, length, seed=seed, warmup=0)
-        exp_cdf = fp_exponent_cdf(trace)
-        sig_cdf = fp_significand_cdf(trace)
+        ops = traces.stream_prefix(name, seed, length)
+        exp_cdf = fp_exponent_cdf(ops)
+        sig_cdf = fp_significand_cdf(ops)
         fp_data[name] = (exp_cdf, sig_cdf)
         exp_rows.append((name, exp_cdf[0], exp_cdf[4], exp_cdf[8],
                          sig_cdf[0], sig_cdf[16], sig_cdf[32]))

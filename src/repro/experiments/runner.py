@@ -38,6 +38,7 @@ from repro.core.machine import Machine, SimulationError, simulate
 from repro.core.stats import SimStats
 from repro.experiments.journal import SweepJournal, cell_key
 from repro.farm.lease import FarmSpec
+from repro.isa.instruction import MicroOp
 from repro.workloads import SPEC_FP, SPEC_INT, Trace, generate_trace
 
 #: Traces one :class:`TraceCache` holds before evicting the oldest.
@@ -230,7 +231,8 @@ class TraceCache:
     """Per-process FIFO cache: one trace per (benchmark, length, warmup,
     seed), at most :data:`TRACE_CACHE_LIMIT` of them.  ``spec`` is any
     object with those three workload fields (a :class:`RunSpec`, or a
-    serve job spec)."""
+    serve job spec).  Derived results (warm state, cell stats) live on
+    the cached traces, so the same bound and eviction cover them."""
 
     def __init__(self) -> None:
         self._cache: Dict[Tuple[str, int, int, int], Trace] = {}
@@ -246,6 +248,23 @@ class TraceCache:
             )
             self._cache[key] = trace
         return trace
+
+    def stream_prefix(self, benchmark: str, seed: int, n: int) -> List[MicroOp]:
+        """The first ``n`` ops of ``benchmark``'s op stream at ``seed``:
+        the ops of ``generate_trace(benchmark, n, seed=seed, warmup=0)``.
+
+        A trace's warmup prefix is the start of that same stream and its
+        timed ops continue it, so any cached trace of (benchmark, seed)
+        whose warmup plus length covers ``n`` already holds them.
+        Otherwise they are generated and not cached.  Only the ops are
+        returned: a cached trace's ``initial_int``/``initial_fp`` are the
+        registers after its warmup, not at the start of the stream.
+        """
+        for (name, length, warmup, trace_seed), trace in self._cache.items():
+            if name == benchmark and trace_seed == seed and warmup + length >= n:
+                ops = trace.warmup_ops[:n]
+                return ops + trace.ops[:n - len(ops)]
+        return generate_trace(benchmark, n, seed=seed, warmup=0).ops
 
 
 _GLOBAL_TRACES = TraceCache()
@@ -279,7 +298,15 @@ def _simulate_cell(
 ) -> SimStats:
     """:func:`run_one`'s body.  A farm worker calls it directly to add
     its heartbeat/eviction ``cycle_hook`` and learn the cycle it resumed
-    from (see :func:`_run_checkpointed`)."""
+    from (see :func:`_run_checkpointed`).
+
+    A plain cell (no checkpointing, no hook) is a pure function of its
+    resolved config, trace and cycle limit, so its result is memoized on
+    the trace (:attr:`Trace.cell_stats`): a repeat of the cell — ``--all``
+    asks for many across figures — copies the stored stats instead of
+    simulating.  A hit that stopped at the cycle limit fails with the
+    same watchdog error a fresh run would.  Checkpointed and hooked
+    cells always simulate."""
     config = resolve_config(scheme, width, spec)
     trace = traces.get(benchmark, spec)
     if spec.checkpoint_every or cycle_hook is not None:
@@ -287,7 +314,13 @@ def _simulate_cell(
         stats = _run_checkpointed(config, trace, path, spec, cycle_hook,
                                   on_resume)
     else:
-        stats = simulate(config, trace, max_cycles=spec.max_cycles)
+        key = (config, spec.max_cycles)
+        stored = trace.cell_stats.get(key)
+        if stored is None:
+            stats = simulate(config, trace, max_cycles=spec.max_cycles)
+            trace.cell_stats[key] = stats.copy()
+        else:
+            stats = stored.copy()
     error = watchdog_error(f"{benchmark}/{scheme}", stats.committed,
                            len(trace), spec.max_cycles)
     if error is not None:

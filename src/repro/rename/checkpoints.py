@@ -31,11 +31,17 @@ be two C-level list copies, not per-entry object construction.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.isa.opcodes import RegClass
 from repro.rename.map_table import MODE_POINTER, RenameMapTable
 from repro.rename.refcount import RefCountTable
+
+if TYPE_CHECKING:
+    from repro.core.regfile import PhysRegFile
+
+#: A reference-drop handler: ``on_unref(reg_class, preg)``.
+Unref = Callable[[RegClass, int], None]
 
 
 class Checkpoint:
@@ -64,7 +70,7 @@ class Checkpoint:
         self.pins: Optional[Dict[RegClass, List[int]]] = None
         #: Mapping RegClass -> list[int], parallel to ``snapshots``: the
         #: allocation generation of each POINTER entry at snapshot time
-        #: (-1 for immediates, or when the manager has no ``gen_source``).
+        #: (-1 for immediates, or when the manager has no ``regfiles``).
         #: The auditor uses this to prove a checkpointed pointer still
         #: names the same allocation it was taken against.
         self.gens: Optional[Dict[RegClass, List[int]]] = gens
@@ -93,11 +99,15 @@ class Checkpoint:
 class CheckpointManager:
     """Bounded stack of checkpoints, oldest first.
 
-    ``on_unref(reg_class, preg)`` — if set — is invoked when a reference
-    drop brings that scope's count on ``preg`` to zero, so the machine
-    can re-check pending early frees.  (Drops that leave the count
-    positive cannot unblock a free: both PRI and ER freeing require the
-    relevant count to reach zero, so non-zero drops are not reported.)
+    The methods that drop references take an optional ``on_unref``
+    handler, called as ``on_unref(reg_class, preg)`` when a drop brings
+    that scope's count on ``preg`` to zero, so the machine can re-check
+    pending early frees.  (Drops that leave the count positive cannot
+    unblock a free: both PRI and ER freeing require the relevant count
+    to reach zero, so non-zero drops are not reported.)  The handler is
+    passed per call, never stored: a manager holding a bound method of
+    its machine would make every machine a reference cycle that only
+    the cyclic garbage collector can free.
     """
 
     def __init__(
@@ -107,7 +117,7 @@ class CheckpointManager:
         refcounts: Dict[RegClass, RefCountTable],
         track_er_refs: bool = False,
         track_refs: bool = True,
-        gen_source: Optional[Callable[[RegClass], List[int]]] = None,
+        regfiles: Optional[Dict[RegClass, "PhysRegFile"]] = None,
     ) -> None:
         self.capacity = capacity
         self.maps = maps
@@ -118,10 +128,10 @@ class CheckpointManager:
         #: plain baseline machines, where nothing ever consults the
         #: counts (no PRI, no ER, no auditor).
         self.track_refs = track_refs
-        #: Returns the live allocation-generation list of a class's
-        #: register file, read once per take for snapshot stamping.
-        self.gen_source = gen_source
-        self.on_unref: Optional[Callable[[RegClass, int], None]] = None
+        #: The machine's register files, whose live allocation
+        #: generations each take stamps into the snapshot; None skips
+        #: stamping.
+        self.regfiles = regfiles
         self._stack: List[Checkpoint] = []
         #: Checkpoints released from the stack (branch resolved) that
         #: still pin commit-scoped ER references.  The auditor walks this
@@ -154,10 +164,10 @@ class CheckpointManager:
             return None
         snapshots = {cls: table.snapshot() for cls, table in self.maps.items()}
         gens = None
-        if self.gen_source is not None:
+        if self.regfiles is not None:
             gens = {}
             for cls, (modes, values) in snapshots.items():
-                gen_table = self.gen_source(cls)
+                gen_table = self.regfiles[cls].gen
                 gens[cls] = [
                     gen_table[v] if m == MODE_POINTER and v >= 0 else -1
                     for m, v in zip(modes, values)
@@ -185,13 +195,13 @@ class CheckpointManager:
 
     # ----------------------------------------------------------- release
 
-    def _drop_resolve_refs(self, ckpt: Checkpoint) -> None:
+    def _drop_resolve_refs(self, ckpt: Checkpoint,
+                           on_unref: Optional[Unref] = None) -> None:
         if ckpt.resolve_released:
             return
         ckpt.resolve_released = True
         if not self.track_refs:
             return
-        on_unref = self.on_unref
         for cls in ckpt.snapshots:
             pinned = (
                 ckpt.pins[cls] if ckpt.pins is not None
@@ -202,7 +212,8 @@ class CheckpointManager:
                 for preg in zeroed:
                     on_unref(cls, preg)
 
-    def _drop_commit_refs(self, ckpt: Checkpoint) -> None:
+    def _drop_commit_refs(self, ckpt: Checkpoint,
+                          on_unref: Optional[Unref] = None) -> None:
         if ckpt.commit_released or not self.track_er_refs or not self.track_refs:
             ckpt.commit_released = True
             return
@@ -211,7 +222,6 @@ class CheckpointManager:
             self._er_pending.remove(ckpt)
         except ValueError:
             pass
-        on_unref = self.on_unref
         for cls in ckpt.snapshots:
             pinned = (
                 ckpt.pins[cls] if ckpt.pins is not None
@@ -222,7 +232,7 @@ class CheckpointManager:
                 for preg in zeroed:
                     on_unref(cls, preg)
 
-    def release(self, ckpt: Checkpoint) -> None:
+    def release(self, ckpt: Checkpoint, on_unref: Optional[Unref] = None) -> None:
         """The branch resolved: the shadow map can never be a recovery
         target again.  Drops resolve-scoped references and removes the
         checkpoint from the stack; commit-scoped (ER) references persist
@@ -231,18 +241,18 @@ class CheckpointManager:
             self._stack.remove(ckpt)
         except ValueError:
             pass
-        self._drop_resolve_refs(ckpt)
+        self._drop_resolve_refs(ckpt, on_unref)
 
-    def commit_retire(self, ckpt: Checkpoint) -> None:
+    def commit_retire(self, ckpt: Checkpoint, on_unref: Optional[Unref] = None) -> None:
         """The branch committed: drop the ER (commit-scoped) references."""
-        self._drop_commit_refs(ckpt)
+        self._drop_commit_refs(ckpt, on_unref)
 
-    def discard(self, ckpt: Checkpoint) -> None:
+    def discard(self, ckpt: Checkpoint, on_unref: Optional[Unref] = None) -> None:
         """The branch was squashed: drop everything."""
-        self._drop_resolve_refs(ckpt)
-        self._drop_commit_refs(ckpt)
+        self._drop_resolve_refs(ckpt, on_unref)
+        self._drop_commit_refs(ckpt, on_unref)
 
-    def recover(self, ckpt: Checkpoint) -> None:
+    def recover(self, ckpt: Checkpoint, on_unref: Optional[Unref] = None) -> None:
         """Misprediction recovery to ``ckpt``: restore the maps from its
         shadow copies and discard every *younger* checkpoint.  ``ckpt``
         itself stays in the stack — the machine releases it right after
@@ -251,8 +261,8 @@ class CheckpointManager:
         for cls, table in self.maps.items():
             table.restore(ckpt.snapshots[cls])
         for discarded in self._stack[index + 1:]:
-            self._drop_resolve_refs(discarded)
-            self._drop_commit_refs(discarded)
+            self._drop_resolve_refs(discarded, on_unref)
+            self._drop_commit_refs(discarded, on_unref)
         del self._stack[index + 1:]
 
     # ----------------------------------------------------- lazy patching

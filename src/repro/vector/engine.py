@@ -294,12 +294,6 @@ class ColumnEngine:
         next_lo = run.lo + 1
         int_regs, fp_regs = run.caps[next_lo]
         cm._extend_capacity(int_regs, fp_regs)
-        # deepcopy shares plain functions, so the audit generation-source
-        # closure still reads the *donor's* register files; rebind it.
-        cm.ckpts.gen_source = (
-            None if cm._vp or not cm.cfg.audit.enabled
-            else lambda cls: cm.rf[cls].gen
-        )
 
         clone = _GroupRun(
             machine=cm, caps=run.caps, lanes=run.lanes,

@@ -1,0 +1,81 @@
+"""Machines are freed by reference counting.
+
+No component of a :class:`Machine` may hold a bound method or closure of
+the machine: that makes the machine (and the cache-set lists its warm
+state copied in) a reference cycle, which only the cyclic garbage
+collector can free.  In a ``--all`` run of several hundred machines,
+those full collections cost seconds.  Each test drops a finished
+machine and asserts that a collection under ``gc.DEBUG_SAVEALL`` finds
+nothing to collect.
+"""
+
+import gc
+import json
+
+import pytest
+
+from repro.config import four_wide
+from repro.core.machine import Machine
+from repro.experiments.runner import SCHEMES
+from repro.workloads import generate_trace
+
+
+@pytest.fixture(scope="module")
+def trace():
+    return generate_trace("gzip", 300, seed=1, warmup=500)
+
+
+def _cyclic_garbage(make_and_drop) -> int:
+    """Objects the cyclic collector finds after ``make_and_drop()``
+    returns (every machine it built is unreachable by then)."""
+    debug = gc.get_debug()
+    gc.collect()
+    try:
+        gc.set_debug(debug | gc.DEBUG_SAVEALL)
+        make_and_drop()
+        found = gc.collect()
+    finally:
+        gc.set_debug(debug)
+        gc.garbage.clear()
+    return found
+
+
+@pytest.mark.parametrize("checked", [False, True], ids=["plain", "audit+oracle"])
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+def test_scheme_machine_is_acyclic(trace, scheme, checked):
+    config = SCHEMES[scheme](four_wide())
+    if checked:
+        config = config.with_audit().with_oracle()
+
+    def run():
+        assert Machine(config).run(trace).committed == len(trace)
+
+    assert _cyclic_garbage(run) == 0
+
+
+def test_virtual_physical_machine_is_acyclic(trace):
+    config = four_wide().with_pri().with_virtual_physical().with_audit()
+
+    def run():
+        assert Machine(config).run(trace).committed == len(trace)
+
+    assert _cyclic_garbage(run) == 0
+
+
+def test_restored_and_resumed_machine_is_acyclic(trace):
+    config = SCHEMES["PRI+ER"](four_wide()).with_audit()
+    captured = {}
+
+    def hook(m):
+        if m.now == 100 and not captured:
+            captured["image"] = json.loads(json.dumps(m.snapshot()))
+
+    def run():
+        machine = Machine(config)
+        machine.add_cycle_hook(hook)
+        machine.run(trace)
+        resumed = Machine(config).restore(captured["image"], trace).resume()
+        assert resumed.committed == len(trace)
+
+    assert _cyclic_garbage(run) == 0
+    assert captured

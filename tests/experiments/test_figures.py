@@ -3,6 +3,7 @@ produce the paper's rows and series and render cleanly."""
 
 import pytest
 
+from repro.analysis import fp_exponent_cdf, fp_significand_cdf, int_width_cdf
 from repro.core.machine import SimulationError
 from repro.experiments import figures, runner
 from repro.experiments import (
@@ -18,6 +19,9 @@ from repro.experiments import (
     table1,
     table2,
 )
+from repro.experiments.runner import FP_BENCHMARKS, INT_BENCHMARKS
+from repro.isa.instruction import MicroOp
+from repro.workloads import generate_trace
 
 _SPEC = RunSpec(length=350, warmup=700, seed=2)
 _BENCH = ("gzip", "mcf")
@@ -137,3 +141,67 @@ class TestFigure9Spec:
         monkeypatch.setattr(runner, "_GLOBAL_TRACES", shared)
         figure9(_SPEC, widths=(4,), benchmarks=("gzip",), sizes=(40, 64))
         assert shared.get("gzip", _SPEC).warm_states
+
+
+def _op_fields(ops):
+    return [tuple(repr(getattr(op, name)) for name in MicroOp.__slots__)
+            for op in ops]
+
+
+class TestFigure2Streams:
+    """Figure 2 analyses the first ``length`` ops of each benchmark's
+    stream, which a cached trace already holds when its warmup prefix
+    plus timed ops cover them."""
+
+    @pytest.fixture
+    def generated(self, monkeypatch):
+        """Benchmarks whose op stream the trace cache generated."""
+        names = []
+        original = runner.generate_trace
+
+        def counted(name, *args, **kwargs):
+            names.append(name)
+            return original(name, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "generate_trace", counted)
+        return names
+
+    @pytest.mark.parametrize("n", [0, 1, 600, 699, 700, 701, 1050])
+    def test_stream_prefix_equals_a_warmup_free_trace(self, n):
+        cache = TraceCache()
+        cache.get("gzip", _SPEC)  # 700 warmup + 350 timed ops
+        expected = generate_trace("gzip", n, seed=_SPEC.seed, warmup=0)
+        assert _op_fields(cache.stream_prefix("gzip", _SPEC.seed, n)) == \
+            _op_fields(expected)
+
+    def test_reuses_the_traces_table2_cached(self, monkeypatch, generated):
+        spec = RunSpec(length=100, warmup=1900, seed=4)
+        shared = TraceCache()
+        monkeypatch.setattr(runner, "_GLOBAL_TRACES", shared)
+        table2(spec, widths=(4,))
+        names = list(INT_BENCHMARKS + FP_BENCHMARKS)
+        assert sorted(generated) == sorted(names)
+        reused = figure2(length=2000, seed=4)
+        assert sorted(generated) == sorted(names)  # nothing regenerated
+        fresh = figure2(length=2000, seed=4, traces=TraceCache())
+        assert sorted(generated) == sorted(names * 2)
+        assert reused.render() == fresh.render()
+        assert reused.data == fresh.data
+
+    def test_short_cached_traces_fall_back_to_generating(self, generated):
+        cache = TraceCache()
+        for name in ("gzip", "swim"):
+            cache.get(name, _SPEC)  # 1050 ops: too short for 1200
+        result = figure2(length=1200, seed=_SPEC.seed,
+                         int_benchmarks=("gzip",), fp_benchmarks=("swim",),
+                         traces=cache)
+        assert generated == ["gzip", "swim", "gzip", "swim"]
+        gzip = generate_trace("gzip", 1200, seed=_SPEC.seed, warmup=0)
+        swim = generate_trace("swim", 1200, seed=_SPEC.seed, warmup=0)
+        assert result.data["int"]["gzip"] == int_width_cdf(gzip)
+        assert result.data["fp"]["swim"] == (fp_exponent_cdf(swim),
+                                             fp_significand_cdf(swim))
+        # Fallback streams are not cached.
+        figure2(length=1200, seed=_SPEC.seed, int_benchmarks=("gzip",),
+                fp_benchmarks=("swim",), traces=cache)
+        assert len(generated) == 6

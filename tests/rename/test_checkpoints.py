@@ -77,11 +77,11 @@ class TestReleaseScopes:
         mgr, maps, _ = _manager()
         maps[RegClass.INT].set_pointer(0, 5)
         seen = []
-        mgr.on_unref = lambda cls, preg: seen.append((cls, preg))
         ckpt = mgr.take(1, [], 0)
-        mgr.release(ckpt)
-        mgr.commit_retire(ckpt)
+        mgr.release(ckpt, lambda cls, preg: seen.append((cls, preg)))
+        mgr.commit_retire(ckpt, lambda cls, preg: seen.append((cls, preg)))
         assert seen == [(RegClass.INT, 5), (RegClass.INT, 5)]
+        assert not hasattr(mgr, "on_unref")  # handlers are never stored
 
 
 class TestRecovery:

@@ -98,14 +98,48 @@ def test_sharing_actually_happened(gzip_small):
 
 
 def test_audit_enabled_column_bit_identical(gzip_small):
-    """The invariant auditor reads register-file generation counters
-    through a closure the fork must rebind; run it on a forking column."""
+    """The invariant auditor proves checkpointed pointers against the
+    generation stamps each checkpoint took from its machine's register
+    files; run it on a forking column."""
     cfg = SCHEMES["PRI-refcount+ckptcount"](four_wide()).with_audit(
         interval=64)
     lanes = [Lane(key=str(size), config=cfg.with_phys_regs(size),
                   trace=gzip_small) for size in SIZES]
     outcome = run_column(lanes)
     assert outcome.forks >= 1
+    _assert_lanes_match_scalar(lanes, outcome)
+
+
+def test_fork_stamps_checkpoints_from_its_own_register_files(gzip_small):
+    """A fork is a deep copy of its donor: the copy's checkpoint manager
+    must stamp generations from the copy's register files, never the
+    donor's."""
+    cfg = SCHEMES["PRI+ER"](four_wide()).with_audit(interval=64)
+    lanes = [Lane(key=str(size), config=cfg.with_phys_regs(size),
+                  trace=gzip_small) for size in SIZES]
+    machines = {}
+    seen = set()
+    stamped = []
+
+    def hook(m):
+        machines[id(m)] = m
+        assert m.ckpts.regfiles is m.rf
+        for ckpt in m.ckpts.checkpoints():
+            if ckpt in seen:
+                continue
+            # Taken this cycle: its pinned registers cannot have been
+            # reallocated since, so the stamps equal the live generations.
+            seen.add(ckpt)
+            for cls, rf in m.rf.items():
+                for _, preg, gen in ckpt.pointer_items(cls):
+                    assert gen == rf.gen[preg]
+                    stamped.append(gen)
+
+    outcome = run_column(lanes, cycle_hook=hook)
+    assert outcome.forks >= 1 and len(machines) == outcome.forks + 1
+    assert stamped
+    regfiles = {id(rf) for m in machines.values() for rf in m.rf.values()}
+    assert len(regfiles) == 2 * len(machines)
     _assert_lanes_match_scalar(lanes, outcome)
 
 

@@ -8,12 +8,18 @@ The paper-smoke CI job, runnable locally::
 
 First runs ``python -m repro.experiments --all`` in one process, where
 every table and figure shares the run's trace cache and each trace's
-warm state.  Then runs each table and figure alone, each in a fresh
-process.  Every run must exit 0, and the ``--all`` output must equal
-the standalone outputs in the same order, ignoring the
-``[table N: ...s]`` / ``[figure N: ...s]`` timing lines: sharing traces
-and warm state across figures must change no number.  Exit status 0
-when all of that holds, 1 otherwise.
+warm state and cell results.  Then runs each table and figure alone,
+each in a fresh process.  Every run must exit 0, and the ``--all``
+output must equal the standalone outputs in the same order, ignoring
+the ``[table N: ...s]`` / ``[figure N: ...s]`` timing lines: sharing
+traces, warm state and cell results across figures must change no
+number.
+
+A second pass does the same for ``--table 2 --figure 2`` at
+``--warmup 10000``: Table 2's traces then cover Figure 2's 10,000-op
+streams, so Figure 2 reads its ops from them instead of generating its
+own, and must render exactly as it does alone.  Exit status 0 when all
+of that holds, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -46,6 +52,34 @@ def _numbers(text: str) -> List[str]:
             if not line.startswith(("[table ", "[figure "))]
 
 
+#: Table 2's streams (``--warmup`` plus ``--length`` ops) cover Figure
+#: 2's 10,000 ops at this scale, so Figure 2 reuses them.
+FIGURE2_REUSE_SCALE = ["--width", "4", "--length", "200", "--warmup", "10000"]
+
+
+def _compare(together: List[str], parts: List[Tuple[str, int]],
+             scale: List[str]) -> List[str]:
+    """Run ``together`` in one process and each (flag, number) of
+    ``parts`` alone; the failures (bad exit codes, differing output)."""
+    label = " ".join(together)
+    failures = []
+    rc, text = _run(together + scale)
+    if rc != 0:
+        failures.append(f"{label} exited {rc}")
+    alone = []
+    for flag, number in parts:
+        rc, part = _run([flag, str(number)] + scale)
+        if rc != 0:
+            failures.append(f"{flag} {number} exited {rc}")
+        alone.extend(_numbers(part))
+    diff = list(difflib.unified_diff(
+        alone, _numbers(text), "standalone runs", label, lineterm=""))
+    if diff:
+        failures.append(f"{label} output differs from the standalone runs:")
+        failures.extend(diff[:200])
+    return failures
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--length", type=int, default=200)
@@ -55,27 +89,18 @@ def main(argv=None) -> int:
     from repro.experiments.__main__ import _FIGURES, _TABLES
 
     scale = ["--length", str(args.length), "--warmup", str(args.warmup)]
-    failures = []
-    rc, together = _run(["--all"] + scale)
-    if rc != 0:
-        failures.append(f"--all exited {rc}")
-    alone = []
-    for flag, numbers in (("--table", _TABLES), ("--figure", _FIGURES)):
-        for number in sorted(numbers):
-            rc, text = _run([flag, str(number)] + scale)
-            if rc != 0:
-                failures.append(f"{flag} {number} exited {rc}")
-            alone.extend(_numbers(text))
-    diff = list(difflib.unified_diff(
-        alone, _numbers(together), "standalone runs", "--all", lineterm=""))
-    if diff:
-        failures.append("--all output differs from the standalone runs:")
-        failures.extend(diff[:200])
+    everything = [("--table", n) for n in sorted(_TABLES)] + [
+        ("--figure", n) for n in sorted(_FIGURES)]
+    failures = _compare(["--all"], everything, scale)
+    failures += _compare(
+        ["--table", "2", "--figure", "2"], [("--table", 2), ("--figure", 2)],
+        FIGURE2_REUSE_SCALE)
     for line in failures:
         print(line)
     if not failures:
         print(f"paper smoke ok: --all matches {len(_TABLES)} tables and "
-              f"{len(_FIGURES)} figures run alone")
+              f"{len(_FIGURES)} figures run alone, and --table 2 --figure 2 "
+              "at --warmup 10000 matches both run alone")
     return 1 if failures else 0
 
 
