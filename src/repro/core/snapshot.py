@@ -572,8 +572,8 @@ def save_snapshot(data: Dict, path) -> None:
 def load_snapshot(path) -> Dict:
     """Read a snapshot image written by :func:`save_snapshot`.
 
-    Reads both the checksummed envelope and legacy plain-JSON images;
-    damage raises a typed :class:`~repro.store.errors.ArtifactError`
+    Only the checksummed envelope is read; damage (or an unframed
+    file) raises a typed :class:`~repro.store.errors.ArtifactError`
     (the schema-version check itself stays in :func:`restore_snapshot`,
     which also validates config and trace identity)."""
     from repro.store import read_json_artifact  # lazy: optional machinery

@@ -1,8 +1,8 @@
 """Deterministic crash-consistency harness (ALICE/CrashMonkey style).
 
 Every durability layer in this repo — the checksummed envelope store,
-the checked-line sweep journals, the farm lease protocol, the HTTP
-lease service — funnels its disk traffic through the handful of
+the checked-line sweep journals, the farm lease protocol, the serve
+job journal — funnels its disk traffic through the handful of
 primitives in :mod:`repro.store.atomic` and
 :mod:`repro.store.integrity`.  That narrow waist is what makes
 crash-consistency *checkable* rather than argued about:

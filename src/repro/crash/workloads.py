@@ -24,9 +24,6 @@ farm-lease          the cell spec's attempt number (the fence) never
                     regresses below an acked value; acked results stay
                     readable; lease files may vanish (liveness) but
                     never poison recovery
-server-fence        the service's fencing-token counter never
-                    regresses below an issued token; acked completions
-                    survive restart
 journal-archive     once an incompatible journal is archived (the
                     caller told where), the backup exists with the
                     original bytes and the old journal cannot resurrect
@@ -127,8 +124,7 @@ class _StoreEnvelope:
                 problems.append(f"acked artifact {rel} lost")
                 continue
             try:
-                data, _ = read_json_artifact(path, _DEMO_KIND,
-                                             allow_legacy=False)
+                data, _ = read_json_artifact(path, _DEMO_KIND)
             except ArtifactError as exc:
                 problems.append(f"acked artifact {rel} unreadable: {exc}")
                 continue
@@ -240,8 +236,7 @@ class _SnapshotCheckpoint:
                        if op.label.startswith("ckpt-")]
         if _acked(acked, "completed"):
             try:
-                data, _ = read_json_artifact(result, "farm-result",
-                                             allow_legacy=False)
+                data, _ = read_json_artifact(result, "farm-result")
                 if data.get("cycles") != 200:
                     problems.append("acked result holds wrong payload")
             except (OSError, ArtifactError) as exc:
@@ -357,65 +352,6 @@ class _FarmLease:
                 problems.append(f"acked result {op.label} lost: {exc}")
         # Acked claims carry no durability promise (a lost lease file is
         # re-claimed: liveness, not safety) — nothing to check for them.
-        return problems
-
-
-# =========================================================== server-fence
-
-@_register("server-fence",
-           "HTTP lease service state: publish, claim (token issue), "
-           "heartbeat, complete, second claim; recovery is _recover()")
-class _ServerFence:
-    @staticmethod
-    def run(root: str, ack: Callable) -> None:
-        from repro.farm.server import FarmState
-
-        state = FarmState(root)
-        c1 = CellSpec(cid=cid_of("s1"), key="s1", benchmark="gcc",
-                      scheme="base", width=4, spec=dict(_FARM_SPEC))
-        state.rpc_publish(c1.to_dict())
-        ack("publish-1", cid=c1.cid)
-        grant = state.rpc_claim(c1.cid, "w0", 30.0, 1)
-        ack("token-1", token=grant["lease"]["token"])
-        state.rpc_heartbeat(c1.cid, grant["lease"]["token"], 10, 5, None)
-        done = state.rpc_complete(CellResult(
-            cid=c1.cid, key="s1", worker="w0", attempt=1, status="ok",
-            stats={"cycles": 100}).to_dict(), grant["lease"]["token"])
-        assert done.get("ok") == 1
-        ack("complete-1", cid=c1.cid, attempt=1, worker="w0")
-        c2 = CellSpec(cid=cid_of("s2"), key="s2", benchmark="mesa",
-                      scheme="ER", width=4, spec=dict(_FARM_SPEC))
-        state.rpc_publish(c2.to_dict())
-        ack("publish-2", cid=c2.cid)
-        grant2 = state.rpc_claim(c2.cid, "w1", 30.0, 1)
-        ack("token-2", token=grant2["lease"]["token"])
-
-    @staticmethod
-    def recover(root: str) -> None:
-        from repro.farm.server import FarmState
-
-        FarmState(root)  # must rebuild from any crash image
-        _store_repair(root)
-
-    @staticmethod
-    def check(root: str, acked: List[Op]) -> List[str]:
-        from repro.farm.server import FarmState
-
-        problems: List[str] = []
-        state = FarmState(root)
-        tokens = [op.info["token"] for op in acked
-                  if op.label.startswith("token-")]
-        if tokens and state.fence < max(tokens):
-            problems.append(
-                f"fence counter recovered to {state.fence}, below issued "
-                f"token {max(tokens)} — a restart could reuse it")
-        for op in acked:
-            if op.label.startswith("publish-") and op.info["cid"] not in state.cells:
-                problems.append(f"acked cell {op.info['cid']} lost")
-            if op.label.startswith("complete-"):
-                key = (op.info["cid"], op.info["attempt"], op.info["worker"])
-                if key not in state._result_keys:
-                    problems.append(f"acked completion {key} lost")
         return problems
 
 

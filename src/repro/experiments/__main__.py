@@ -107,20 +107,19 @@ def main(argv=None) -> int:
     parser.add_argument("--grace", type=float, default=5.0, metavar="SEC",
                         help="seconds an evicted/drained farm worker "
                              "gets to checkpoint and release (default 5)")
-    parser.add_argument("--farm-endpoint", default=None, metavar="URL",
-                        help="HTTP lease-service URL (python -m repro.farm "
-                             "serve): the broker and its workers speak the "
-                             "lease protocol to this service instead of "
-                             "the shared directory — DIR then holds only "
-                             "the broker-local sweep journal")
     parser.add_argument("--farm-inject", action="append", default=[],
                         metavar="FAULT[:worker=N][:cell=N][:cycles=N]",
                         help="deterministically inject a farm fault "
-                             "(process: kill, stall, orphan, evict, "
-                             "double-lease; wire: net-drop, net-delay, "
-                             "net-disconnect, net-duplicate, net-stale); "
+                             "(kill, stall, orphan, evict, double-lease); "
                              "repeatable — used by the chaos suites")
     args = parser.parse_args(argv)
+    for flag, value, low in (
+            ("--length", args.length, 1), ("--warmup", args.warmup, 0),
+            ("--jobs", args.jobs, 1), ("--retries", args.retries, 0),
+            ("--max-cycles", args.max_cycles, 1),
+            ("--checkpoint-every", args.checkpoint_every, 1)):
+        if value is not None and value < low:
+            parser.error(f"{flag} must be >= {low}, got {value}")
 
     figures = sorted(set(args.figure))
     tables = sorted(set(args.table))
@@ -170,9 +169,6 @@ def main(argv=None) -> int:
         matrix_opts["cell_timeout"] = args.cell_timeout
     if args.retries:
         matrix_opts["retries"] = args.retries
-    if args.farm_endpoint and not args.farm:
-        parser.error("--farm-endpoint needs --farm DIR for the "
-                     "broker-local sweep journal")
     if args.farm:
         from repro.farm import FarmSpec
 
@@ -181,7 +177,6 @@ def main(argv=None) -> int:
             farm_kwargs["checkpoint_every"] = args.checkpoint_every
         matrix_opts["farm"] = FarmSpec(
             root=args.farm, workers=args.farm_workers,
-            endpoint=args.farm_endpoint,
             lease_ttl=args.lease_ttl, heartbeat_interval=args.heartbeat,
             grace=args.grace, inject=tuple(args.farm_inject),
             **farm_kwargs,

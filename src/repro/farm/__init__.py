@@ -13,31 +13,19 @@ notice with a checkpoint-and-release grace budget; and a deterministic
 fault-injection registry (:mod:`repro.farm.inject`) lets the chaos
 suite kill, stall, orphan, evict, and double-lease workers on purpose.
 
-Every protocol step goes through a pluggable **transport**
-(:mod:`repro.farm.transport`): the shared-filesystem backend above, or
-an HTTP/JSON lease service (``python -m repro.farm serve``,
-:mod:`repro.farm.server`) for hosts that share nothing but a network —
-with idempotent request ids, monotonic fencing tokens, and one shared
-retry policy (:mod:`repro.retry`) on the wire.
+Every protocol step is an operation on the shared directory, grouped
+as :class:`~repro.farm.transport.FsTransport`: ``O_EXCL`` claims, atomic
+envelope rewrites, and the cell's attempt number as the fencing token.
 
 Entry points: ``run_matrix(..., farm=FarmSpec(root))`` drives any
-existing sweep through the farm (``FarmSpec(root, endpoint=URL)`` for
-the HTTP transport); ``python -m repro.farm worker <root>`` (or
-``--endpoint URL``) attaches an extra worker from another shell or
-host; ``python -m repro.farm status <root>`` reports live progress
-without touching any farm state.
+existing sweep through the farm; ``python -m repro.farm worker <root>``
+attaches an extra worker from another shell (or another host sharing
+the directory); ``python -m repro.farm status <root>`` reports live
+progress without touching any farm state.
 """
 
 from repro.farm.aggregate import Aggregator, FarmReport
-from repro.farm.inject import (
-    FAULTS,
-    NET_FAULTS,
-    FarmFault,
-    InjectPlan,
-    NetPlan,
-    NetworkChaos,
-    WorkerChaos,
-)
+from repro.farm.inject import FAULTS, FarmFault, InjectPlan, WorkerChaos
 from repro.farm.lease import (
     CellResult,
     CellSpec,
@@ -48,24 +36,15 @@ from repro.farm.lease import (
     backoff_delay,
     cid_of,
 )
-from repro.farm.transport import (
-    Fenced,
-    Transport,
-    TransportError,
-    TransportUnavailable,
-    make_transport,
-)
+from repro.farm.transport import FsTransport
 from repro.farm.worker import WorkerOptions, worker_loop
 
 __all__ = [
     "Aggregator",
     "FarmReport",
     "FAULTS",
-    "NET_FAULTS",
     "FarmFault",
     "InjectPlan",
-    "NetPlan",
-    "NetworkChaos",
     "WorkerChaos",
     "CellResult",
     "CellSpec",
@@ -75,11 +54,7 @@ __all__ = [
     "LeaseLost",
     "backoff_delay",
     "cid_of",
-    "Fenced",
-    "Transport",
-    "TransportError",
-    "TransportUnavailable",
-    "make_transport",
+    "FsTransport",
     "WorkerOptions",
     "worker_loop",
     "run_cells_farm",

@@ -1,19 +1,10 @@
-"""CLI for the sweep farm: serve leases, attach workers, inspect farms.
+"""CLI for the sweep farm: attach workers, inspect farms.
 
-``python -m repro.farm serve <root>``
-    Run the HTTP/JSON lease service on ``<root>`` — the multi-host
-    farm's arbiter.  Brokers and workers on other hosts point
-    ``--endpoint`` at the printed URL; hosts share nothing but the
-    network.
-
-``python -m repro.farm worker <root>`` /
-``python -m repro.farm worker --endpoint URL``
+``python -m repro.farm worker <root>``
     Attach one stateless worker — from another shell, or another host
-    (sharing the directory, or reaching the lease service).  The worker
-    leases cells, heartbeats, checkpoints, and exits when every
-    published cell has a result (or on SIGTERM, after checkpointing).
-    Exit status 2: the transport was unreachable with nothing in
-    flight; 3: unreachable mid-cell (a checkpoint was parked first).
+    sharing the directory.  The worker leases cells, heartbeats,
+    checkpoints, and exits when every published cell has a result (or
+    on SIGTERM, after checkpointing).
 
 ``python -m repro.farm status <root>``
     Read-only progress report: published/leased/completed cells, live
@@ -22,8 +13,7 @@
     Never writes — safe to run against a farm mid-sweep.
 
 ``python -m repro.farm faults``
-    List the registered chaos faults (:mod:`repro.farm.inject`),
-    process and network.
+    List the registered chaos faults (:mod:`repro.farm.inject`).
 """
 
 from __future__ import annotations
@@ -34,7 +24,7 @@ import os
 import sys
 import time
 
-from repro.farm.inject import FAULTS, NET_FAULTS
+from repro.farm.inject import FAULTS
 from repro.farm.lease import (
     FarmPaths,
     list_cells,
@@ -47,38 +37,15 @@ from repro.store import ArtifactError
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:
-    if not args.root and not args.endpoint:
-        print("worker needs a farm root or --endpoint URL", file=sys.stderr)
-        return 2
     options = WorkerOptions(
         lease_ttl=args.lease_ttl,
         heartbeat_interval=args.heartbeat,
         poll_interval=args.poll,
         checkpoint_every=args.checkpoint_every,
         oneshot=args.oneshot,
-        endpoint=args.endpoint,
-        rpc_timeout=args.rpc_timeout,
-        rpc_deadline=args.rpc_deadline,
     )
     worker_id = args.name or f"w{os.getpid()}"
     return worker_loop(args.root, worker_id, options)
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.farm.server import FarmServer
-
-    server = FarmServer(args.root, host=args.host, port=args.port,
-                        verbose=args.verbose)
-    print(f"farm lease service on {server.url} (root {args.root})")
-    print(f"attach workers with: python -m repro.farm worker "
-          f"--endpoint {server.url}")
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.stop()
-    return 0
 
 
 def _journal_tail(path: str):
@@ -163,14 +130,9 @@ def _cmd_status(args: argparse.Namespace) -> int:
 
 
 def _cmd_faults(_args: argparse.Namespace) -> int:
-    print("process faults (fire inside a worker's cycle hook):")
+    print("faults (fire inside a worker's cycle hook):")
     for name in sorted(FAULTS):
         fault = FAULTS[name]
-        print(f"  {name:<15} {fault.description}")
-        print(f"  {'':<15} expect: {fault.expect}")
-    print("network faults (fire on the HTTP transport's wire attempts):")
-    for name in sorted(NET_FAULTS):
-        fault = NET_FAULTS[name]
         print(f"  {name:<15} {fault.description}")
         print(f"  {'':<15} expect: {fault.expect}")
     return 0
@@ -179,16 +141,13 @@ def _cmd_faults(_args: argparse.Namespace) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.farm",
-        description="Fault-tolerant sweep farm: serve leases, attach "
-        "workers, inspect live farms, list injectable faults.",
+        description="Fault-tolerant sweep farm: attach workers, inspect "
+        "live farms, list injectable faults.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     worker = sub.add_parser("worker", help="attach a worker to a farm")
-    worker.add_argument("root", nargs="?", default=None,
-                        help="shared farm directory (or use --endpoint)")
-    worker.add_argument("--endpoint", default=None, metavar="URL",
-                        help="HTTP lease-service URL instead of a root")
+    worker.add_argument("root", help="shared farm directory")
     worker.add_argument("--name", default=None,
                         help="worker id (default: w<pid>)")
     worker.add_argument("--lease-ttl", type=float, default=30.0)
@@ -196,23 +155,9 @@ def main(argv=None) -> int:
     worker.add_argument("--poll", type=float, default=0.2)
     worker.add_argument("--checkpoint-every", type=int, default=2000,
                         metavar="CYCLES")
-    worker.add_argument("--rpc-timeout", type=float, default=10.0,
-                        help="per-RPC timeout, seconds (HTTP transport)")
-    worker.add_argument("--rpc-deadline", type=float, default=60.0,
-                        help="total retry budget per RPC before the "
-                        "worker parks and exits (HTTP transport)")
     worker.add_argument("--oneshot", action="store_true",
                         help="exit after completing one cell")
     worker.set_defaults(func=_cmd_worker)
-
-    serve = sub.add_parser("serve", help="run the HTTP lease service")
-    serve.add_argument("root", help="farm root the service owns")
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=0,
-                       help="0 picks a free port (printed on start)")
-    serve.add_argument("--verbose", action="store_true",
-                       help="log each request to stderr")
-    serve.set_defaults(func=_cmd_serve)
 
     status = sub.add_parser("status", help="read-only farm progress")
     status.add_argument("root")

@@ -41,11 +41,10 @@ concurrency story auditable:
   next run reclaims them instantly instead of waiting out the TTL.
 
 Local workers are fork-spawned processes; *attached* workers (other
-shells or hosts — ``python -m repro.farm worker <root>`` on a shared
-mount, or ``--endpoint URL`` against the HTTP lease service)
-participate identically, because every protocol step above is a
-:class:`~repro.farm.transport.Transport` operation, never an
-in-process one.
+shells, or other hosts on a shared mount — ``python -m repro.farm
+worker <root>``) participate identically, because every protocol step
+above is a :class:`~repro.farm.transport.FsTransport` operation on the
+shared directory, never an in-process one.
 """
 
 from __future__ import annotations
@@ -58,13 +57,9 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.stats import SimStats
 from repro.farm.aggregate import Aggregator, FarmReport
-from repro.farm.inject import (
-    chaos_for_worker,
-    net_plans_for_worker,
-    normalize_plans,
-)
+from repro.farm.inject import chaos_for_worker, normalize_plans
 from repro.farm.lease import CellResult, CellSpec, FarmSpec, cid_of
-from repro.farm.transport import make_transport
+from repro.farm.transport import FsTransport
 from repro.farm.worker import WorkerOptions, _worker_entry
 from repro.retry import backoff_delay
 
@@ -109,16 +104,8 @@ def run_cells_farm(
 
     if backend == "vector" and cell_fn is not None:
         raise ValueError("cell_fn applies to the scalar backend only")
-    farm.paths.ensure()
     plans = normalize_plans(farm.inject)
-    # The broker's RPCs are never chaos-injected: fault plans target
-    # workers by index, and a broker that lied to itself about the
-    # lease state would make every invariant unfalsifiable.
-    transport = make_transport(
-        root=farm.root, endpoint=farm.endpoint,
-        timeout=farm.rpc_timeout, deadline=farm.rpc_deadline,
-        client_id="broker",
-    )
+    transport = FsTransport(farm.root)
     ckpt_spec = dataclasses.replace(
         spec, checkpoint_dir=transport.checkpoint_dir)
 
@@ -177,9 +164,6 @@ def run_cells_farm(
         heartbeat_interval=farm.heartbeat_interval,
         poll_interval=farm.poll_interval,
         checkpoint_every=farm.checkpoint_every,
-        endpoint=farm.endpoint,
-        rpc_timeout=farm.rpc_timeout,
-        rpc_deadline=farm.rpc_deadline,
     )
     procs: Dict[str, object] = {}
     spawned: Set[str] = set()
@@ -193,10 +177,9 @@ def run_cells_farm(
         worker_id = f"w{next_index}.{os.getpid()}"
         spawned.add(worker_id)
         chaos = chaos_for_worker(plans, next_index)
-        net = net_plans_for_worker(plans, next_index)
         proc = ctx.Process(
             target=_worker_entry,
-            args=(farm.root, worker_id, options, chaos, cell_fn, net),
+            args=(farm.root, worker_id, options, chaos, cell_fn),
             daemon=True,
         )
         proc.start()
@@ -272,7 +255,7 @@ def run_cells_farm(
             # condition still converges.
             kind = "timeout" if reason == "timeout" else "crash"
             error_type = "TimeoutError" if kind == "timeout" else "LeaseExpired"
-            transport.reclaim(cell, lease, terminal=CellResult(
+            transport.reclaim(cell, terminal=CellResult(
                 cid=cid, key=cell.key, worker="broker",
                 attempt=lease.attempt, status="error", kind=kind,
                 error_type=error_type,
@@ -282,10 +265,8 @@ def run_cells_farm(
                 elapsed=held,
             ))
         else:
-            if cell.backend == "scalar" and transport.has_checkpoint(
-                cell, checkpoint_path(cell.benchmark, cell.scheme, width,
-                                      ckpt_spec)
-            ):
+            if cell.backend == "scalar" and os.path.exists(checkpoint_path(
+                    cell.benchmark, cell.scheme, width, ckpt_spec)):
                 # A checkpoint survives this attempt: the next one MUST
                 # resume from it, never restart from cycle 0.
                 agg.expect_resume.add((cid, new_attempt))
@@ -299,7 +280,7 @@ def run_cells_farm(
             # The transport publishes the bumped spec (the fence) before
             # the lease becomes claimable again: no worker can claim the
             # stale attempt in the gap, in-flight heartbeats lose.
-            transport.reclaim(cell, lease)
+            transport.reclaim(cell)
         known_leases.pop(cid, None)
 
     # ------------------------------------------------------------ watch
@@ -471,7 +452,6 @@ def run_cells_farm(
                 time.sleep(farm.poll_interval)
     finally:
         drain()
-        transport.close()
         farm.report = report
     if on_progress is not None:
         on_progress(report, 0)

@@ -14,15 +14,6 @@ its :class:`InjectPlan` matches (worker index, cell index within that
 worker's lifetime, simulation cycle) — keyed to the deterministic
 simulation clock, never to wall time, so a red chaos run is a real
 finding, not flake.
-
-The **network** faults (:class:`NetPlan`, ``net-*``) break the wire
-instead of the process: they drop, delay, disconnect, duplicate, and
-stale-replay individual RPCs on the HTTP lease transport, keyed to the
-client's deterministic RPC *sequence number* — the distributed-clock
-analogue of the simulation cycle.  They exercise the other half of the
-farm's contract: idempotent request ids, fencing tokens, and the shared
-retry policy must together keep folded results bit-identical to a
-fault-free run.
 """
 
 from __future__ import annotations
@@ -31,7 +22,7 @@ import os
 import signal
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -173,165 +164,27 @@ FAULTS: Dict[str, FarmFault] = {
 }
 
 
-# ======================================================== network faults
-
-
-@dataclass(frozen=True)
-class NetPlan:
-    """One scheduled *wire* fault on the HTTP lease transport.
-
-    Fires when the target worker's RPC sequence counter reaches ``seq``
-    (its ``op``-specific counter when ``op`` is set, the client-global
-    one otherwise), for ``count`` consecutive wire attempts.  Sequence
-    numbers advance per wire *attempt* — a retry of a dropped request is
-    a new number — so a plan's window is deterministic for a given
-    request pattern, never a function of wall time.
-    """
-
-    #: Registry name: net-drop | net-delay | net-disconnect |
-    #: net-duplicate | net-stale.
-    fault: str
-    #: Index of the spawned worker whose transport the plan binds to.
-    worker: int = 0
-    #: RPC operation to count ("" = every operation, global counter).
-    op: str = ""
-    #: First matching sequence number (0-based) the fault fires at.
-    seq: int = 0
-    #: How many consecutive matching wire attempts are affected.
-    count: int = 1
-    #: Added latency in seconds (``net-delay`` only).
-    delay: float = 0.05
-
-    def to_dict(self) -> Dict:
-        return {"fault": self.fault, "worker": self.worker, "op": self.op,
-                "seq": self.seq, "count": self.count, "delay": self.delay}
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "NetPlan":
-        return cls(**data)
-
-    @classmethod
-    def parse(cls, text: str) -> "NetPlan":
-        """Parse ``net-fault[:worker=N][:op=NAME][:seq=N][:count=N]
-        [:delay=F]``."""
-        parts = text.split(":")
-        plan: Dict = {"fault": parts[0]}
-        for part in parts[1:]:
-            name, _, value = part.partition("=")
-            if not value or name not in ("worker", "op", "seq", "count",
-                                         "delay"):
-                raise ValueError(f"bad inject spec {text!r}")
-            if name == "op":
-                plan[name] = value
-            elif name == "delay":
-                plan[name] = float(value)
-            else:
-                plan[name] = int(value)
-        if plan["fault"] not in NET_FAULTS:
-            raise ValueError(
-                f"unknown network fault {plan['fault']!r} "
-                f"(known: {', '.join(sorted(NET_FAULTS))})"
-            )
-        return cls(**plan)
-
-
-@dataclass
-class NetworkChaos:
-    """Per-client wire-fault state, consulted by the HTTP transport on
-    every wire attempt.  Purely counter-driven: the same request
-    pattern always meets the same faults."""
-
-    plans: Sequence[NetPlan] = ()
-    seq: int = 0
-    op_seq: Dict[str, int] = field(default_factory=dict)
-
-    def intercept(self, op: str) -> Optional[NetPlan]:
-        """Advance the sequence counters for one wire attempt of ``op``
-        and return the first matching plan (or None)."""
-        global_n = self.seq
-        self.seq += 1
-        op_n = self.op_seq.get(op, 0)
-        self.op_seq[op] = op_n + 1
-        for plan in self.plans:
-            if plan.op and plan.op != op:
-                continue
-            n = op_n if plan.op else global_n
-            if plan.seq <= n < plan.seq + plan.count:
-                return plan
-        return None
-
-
-NET_FAULTS: Dict[str, FarmFault] = {
-    f.name: f
-    for f in (
-        FarmFault("net-drop", "the request never reaches the service",
-                  "retried under the shared retry policy; the "
-                  "idempotent request id makes the retry safe", None),
-        FarmFault("net-delay", "the round-trip is slowed by `delay` "
-                  "seconds", "the per-RPC timeout bounds the wait; the "
-                  "sweep's folded stats are unchanged", None),
-        FarmFault("net-disconnect", "the request executes server-side "
-                  "but the connection dies before the response",
-                  "the retry replays the same request id and is "
-                  "answered from the server's response cache — "
-                  "exactly-once, no double-claim, no double-fold", None),
-        FarmFault("net-duplicate", "the request is transmitted twice",
-                  "the second transmission is deduplicated by request "
-                  "id server-side", None),
-        FarmFault("net-stale", "a previous response for this operation "
-                  "is replayed (misbehaving proxy)", "the client "
-                  "detects the request-id mismatch and retries", None),
-    )
-}
-
-
 # ============================================================ plan wiring
 
 
-def parse_plan(text: str):
-    """Parse one CLI fault spec into the right plan class (process
-    faults vs ``net-*`` wire faults)."""
-    if text.partition(":")[0].startswith("net-"):
-        return NetPlan.parse(text)
-    return InjectPlan.parse(text)
-
-
-def normalize_plans(inject) -> Tuple[object, ...]:
+def normalize_plans(inject) -> Tuple[InjectPlan, ...]:
     """Coerce a mixed sequence of plan objects / CLI strings / dicts
-    into plan instances (both process and network kinds)."""
+    into :class:`InjectPlan` instances."""
     plans = []
     for entry in inject or ():
-        if isinstance(entry, (InjectPlan, NetPlan)):
+        if isinstance(entry, InjectPlan):
             plans.append(entry)
         elif isinstance(entry, str):
-            plans.append(parse_plan(entry))
+            plans.append(InjectPlan.parse(entry))
         elif isinstance(entry, dict):
-            if str(entry.get("fault", "")).startswith("net-"):
-                plans.append(NetPlan.from_dict(entry))
-            else:
-                plans.append(InjectPlan.from_dict(entry))
+            plans.append(InjectPlan.from_dict(entry))
         else:
             raise TypeError(f"bad inject entry {entry!r}")
     return tuple(plans)
 
 
-def plans_for_worker(
-    plans: Sequence, worker_index: int
-) -> Tuple[InjectPlan, ...]:
-    return tuple(p for p in plans
-                 if isinstance(p, InjectPlan) and p.worker == worker_index)
-
-
-def net_plans_for_worker(
-    plans: Sequence, worker_index: int
-) -> Tuple[NetPlan, ...]:
-    return tuple(p for p in plans
-                 if isinstance(p, NetPlan) and p.worker == worker_index)
-
-
 def chaos_for_worker(
-    plans: Sequence, worker_index: Optional[int]
+    plans: Sequence[InjectPlan], worker_index: int
 ) -> WorkerChaos:
-    if worker_index is None:
-        return WorkerChaos(())
-    return WorkerChaos(plans_for_worker(plans, worker_index))
+    """The fault state of the ``worker_index``-th spawned worker."""
+    return WorkerChaos(tuple(p for p in plans if p.worker == worker_index))

@@ -164,7 +164,7 @@ def write_cell(paths: FarmPaths, cell: CellSpec) -> None:
 
 
 def read_cell(path: str) -> CellSpec:
-    data, _meta = read_json_artifact(path, CELL_KIND, allow_legacy=False)
+    data, _meta = read_json_artifact(path, CELL_KIND)
     return CellSpec.from_dict(data)
 
 
@@ -195,11 +195,9 @@ class Lease:
     state: str = "leased"      # leased | released (eviction)
     cycle: int = 0             # live progress, piggybacked on heartbeats
     committed: int = 0
-    #: Monotonic fencing token.  On the filesystem backend the attempt
-    #: number *is* the fence (the broker bumps it before deleting the
-    #: lease file); the HTTP lease service issues a globally monotonic
-    #: token per claim and rejects any write carrying a stale one
-    #: server-side.  0 on filesystem leases (attempt carries the fence).
+    #: Always 0: the attempt number is the fence (the broker bumps it
+    #: before deleting the lease file).  Kept so the lease envelope
+    #: stays byte-identical and existing farm roots keep loading.
     token: int = 0
 
     def to_dict(self) -> Dict:
@@ -236,7 +234,7 @@ def claim(paths: FarmPaths, cell: CellSpec, worker: str, ttl: float) -> Optional
 
 
 def read_lease(path: str) -> Lease:
-    data, _meta = read_json_artifact(path, LEASE_KIND, allow_legacy=False)
+    data, _meta = read_json_artifact(path, LEASE_KIND)
     return Lease.from_dict(data)
 
 
@@ -376,7 +374,7 @@ def write_result(paths: FarmPaths, result: CellResult) -> None:
 
 
 def read_result(path: str) -> CellResult:
-    data, _meta = read_json_artifact(path, RESULT_KIND, allow_legacy=False)
+    data, _meta = read_json_artifact(path, RESULT_KIND)
     return CellResult.from_dict(data)
 
 
@@ -410,23 +408,10 @@ def iter_results(paths: FarmPaths) -> List[tuple]:
 class FarmSpec:
     """How to run a farm: topology, liveness budgets, and fault plans."""
 
-    #: Shared journal directory (created on demand).  With an
-    #: ``endpoint`` this is broker-local: it holds only the sweep
-    #: journal, while cells/leases/results/checkpoints live on the
-    #: lease server's own root.
+    #: Shared journal directory (created on demand).
     root: str
     #: Locally spawned worker processes (0 = rely on attached workers).
     workers: int = 2
-    #: HTTP lease-service URL (``python -m repro.farm serve``).  When
-    #: set, the broker and every spawned worker speak the transport
-    #: protocol to this endpoint instead of the shared filesystem —
-    #: hosts need share nothing but a network.
-    endpoint: Optional[str] = None
-    #: Per-RPC timeout (seconds) on the HTTP transport.
-    rpc_timeout: float = 10.0
-    #: Total wall-clock budget for retrying one failing RPC before the
-    #: caller gives up (parks its cell and exits, for a worker).
-    rpc_deadline: float = 60.0
     #: Seconds without a heartbeat before a lease is reclaimed.
     lease_ttl: float = 30.0
     #: How often workers refresh their lease (<< lease_ttl).

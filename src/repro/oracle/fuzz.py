@@ -328,8 +328,8 @@ def write_reproducer(spec: FuzzSpec, result: Dict, path: str) -> str:
 
 
 def load_reproducer(path: str) -> Dict:
-    """Read a reproducer spec (enveloped, or legacy plain JSON).
-    Corruption raises a typed
+    """Read an enveloped reproducer spec.  Corruption (or an unframed
+    file) raises a typed
     :class:`~repro.store.errors.ArtifactError`; a reproducer from a
     different schema version raises :class:`ValueError`."""
     from repro.store import read_json_artifact  # lazy: keeps import light

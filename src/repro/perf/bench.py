@@ -265,10 +265,9 @@ def write_bench(path: str, payload: Dict[str, Any]) -> None:
 def read_bench(path: str) -> Tuple[Dict[str, Any], ArtifactMeta]:
     """Load and verify a bench artifact; raises the typed
     :class:`~repro.store.ArtifactError` family on damage or schema
-    drift (no legacy plain-JSON fallback — bench files postdate the
-    store).  Accepts every schema in :data:`READABLE_SCHEMAS` — a
+    drift.  Accepts every schema in :data:`READABLE_SCHEMAS` — a
     schema-1 baseline simply has no per-config ``vector`` dimension."""
-    payload, meta = read_json_artifact(path, BENCH_KIND, allow_legacy=False)
+    payload, meta = read_json_artifact(path, BENCH_KIND)
     if meta.schema not in READABLE_SCHEMAS:
         raise SchemaMismatch(
             f"bench artifact {path} has schema {meta.schema}; this reader "

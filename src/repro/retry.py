@@ -3,8 +3,8 @@
 Every place that waits and tries again shares it: the farm broker
 fences reclaimed cells with a backoff (which is also how a
 ``run_matrix(jobs=N)`` sweep retries crashed or timed-out cells, since
-those run on the farm's local workers), the HTTP lease client retries
-failed RPCs, and the serve client retries failed requests.  There is
+those run on the farm's local workers), and the serve client retries
+failed requests.  There is
 exactly one implementation of each half of the problem:
 
 :func:`backoff_delay`
@@ -24,7 +24,7 @@ exactly one implementation of each half of the problem:
 
 Classification is the caller's: pass ``retryable`` to say which
 exceptions are transient (a refused connection, a 503) and which are
-verdicts (a fencing rejection, a malformed request).  A fatal error is
+verdicts (a rejected or malformed request).  A fatal error is
 re-raised immediately, attempt one included.
 """
 

@@ -94,8 +94,7 @@ class ResultCache:
             return None
         try:
             data, _ = read_json_artifact(path, CACHE_KIND,
-                                         expected_schema=CACHE_SCHEMA,
-                                         allow_legacy=False)
+                                         expected_schema=CACHE_SCHEMA)
         except (ArtifactError, OSError):
             try:
                 quarantine_path(path)
@@ -137,8 +136,7 @@ class ResultCache:
             path = os.path.join(self.root, name)
             try:
                 data, _ = read_json_artifact(path, CACHE_KIND,
-                                             expected_schema=CACHE_SCHEMA,
-                                             allow_legacy=False)
+                                             expected_schema=CACHE_SCHEMA)
             except (ArtifactError, OSError):
                 try:
                     quarantine_path(path)

@@ -87,7 +87,6 @@ class FarmOptions:
 
     root: str
     workers: int = 2
-    endpoint: Optional[str] = None
     retries: int = 2
     lease_ttl: float = 30.0
     heartbeat_interval: float = 1.0
@@ -178,7 +177,7 @@ class BatchExecutor:
         by_cell = {(s.benchmark, s.scheme): s for s in specs}
         farm = FarmSpec(
             root=options.root, workers=options.workers,
-            endpoint=options.endpoint, lease_ttl=options.lease_ttl,
+            lease_ttl=options.lease_ttl,
             heartbeat_interval=options.heartbeat_interval,
             poll_interval=options.poll_interval, grace=options.grace,
         )

@@ -30,10 +30,9 @@ instant and restart it: every acked job is re-enqueued (or already
 answered), nothing acked is lost, and nothing is simulated twice whose
 result survived.
 
-The wire idioms — rid replay cache for idempotent POSTs, one lock,
-compute-under-lock / transmit-outside — are the farm lease service's
-(:mod:`repro.farm.server`); long-polling (``/wait``) rides the same
-lock's condition variable.
+The wire idioms: an rid replay cache for idempotent POSTs, one lock,
+and compute-under-lock / transmit-outside; long-polling (``/wait``)
+rides the same lock's condition variable.
 """
 
 from __future__ import annotations

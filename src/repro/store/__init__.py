@@ -1,8 +1,8 @@
 """Checksummed artifact store: crash-safe I/O for persistent state.
 
-Every artifact the simulator persists — trace files, machine
-snapshots, sweep journals, fuzz reproducer specs — goes through this
-layer, which provides:
+Every artifact the simulator persists — machine snapshots, sweep
+journals, fuzz reproducer specs, farm and serve records — goes through
+this layer, which provides:
 
 * **atomic, durable writes** (:mod:`repro.store.atomic`) — one shared
   write-to-temp + fsync + :func:`os.replace` + directory-fsync

@@ -1,7 +1,7 @@
 """Typed artifact-integrity errors.
 
-Every persistent artifact reader in the tree (traces, machine
-snapshots, sweep journals, fuzz reproducers) raises exactly one
+Every persistent artifact reader in the tree (machine snapshots,
+sweep journals, fuzz reproducers, farm and serve records) raises exactly one
 hierarchy on bad input, so callers can tell *corrupt* (quarantine the
 file, keep the sweep alive) from *incompatible* (a schema migration —
 archive or regenerate) without string-matching messages, and no bare
@@ -50,7 +50,7 @@ class ArtifactError(ValueError):
 class TruncatedArtifact(ArtifactError):
     """The file ends before its own framing says it should: a missing
     trailer sentinel, fewer payload bytes than the declared length,
-    fewer trace lines than the declared op counts, an empty file."""
+    an empty file."""
 
 
 class DigestMismatch(ArtifactError):
@@ -93,6 +93,5 @@ class SchemaMismatch(ArtifactError):
 
 
 class MalformedRecord(ArtifactError):
-    """One record inside the artifact does not parse: a trace op line
-    with the wrong field count, an unframed journal line, JSON that does
-    not decode.  ``line``/``offset`` point at the record."""
+    """One record inside the artifact does not parse: an unframed
+    journal line, JSON that does not decode.  ``line``/``offset`` point at the record."""

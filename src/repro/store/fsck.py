@@ -1,9 +1,9 @@
 """``fsck`` for the artifact store: scan, verify, repair.
 
 Walks a results/checkpoint/journal tree, recognizes every artifact kind
-the simulator persists (traces v1/v2, machine snapshots, sweep
-journals, fuzz reproducers — plus abandoned ``*.tmp`` files from
-interrupted atomic writers), verifies each one's integrity framing, and
+the simulator persists (machine snapshots, sweep journals, fuzz
+reproducers, farm and serve records — plus abandoned ``*.tmp`` files
+from interrupted atomic writers), verifies each one's integrity framing, and
 reports structured findings.  In repair mode it
 
 * deletes concurrent-writer leftovers (``*.tmp``),
@@ -22,7 +22,6 @@ does not recognize are never touched.  CLI in
 
 from __future__ import annotations
 
-import json
 import os
 import re
 from dataclasses import dataclass, field
@@ -54,8 +53,8 @@ class Finding:
     """One scanned file: what it is, what is wrong, what was done."""
 
     path: str
-    kind: str          # trace | snapshot-or-reproducer envelope kind |
-                       # sweep-journal | legacy-* | tmp | unknown
+    kind: str          # envelope kind | sweep-journal |
+                       # serve-job-journal | tmp | unknown
     status: str        # OK / CORRUPT / SALVAGEABLE / LEFTOVER / SKIPPED
     error: Optional[str] = None   # message of the integrity failure
     error_type: Optional[str] = None  # ArtifactError subclass name
@@ -124,44 +123,14 @@ def _sniff(path: str) -> str:
             head = fh.read(4096)
     except OSError:
         return "unreadable"
-    if head.startswith(b"trace-v1") or head.startswith(b"trace-v2"):
-        return "trace"
     if head.startswith(ENVELOPE_MAGIC.encode("ascii")):
         return "envelope"
     if _CHECKED_LINE_RE.match(head):
         return "checked-lines"
-    stripped = head.lstrip()
-    if stripped.startswith(b"{"):
-        return "legacy-json"
-    return "unknown"
-
-
-def _legacy_json_kind(doc) -> str:
-    if not isinstance(doc, dict):
-        return "unknown"
-    if "cells" in doc and "version" in doc:
-        return "legacy-journal"
-    if "spec" in doc and "result" in doc:
-        return "legacy-reproducer"
-    if "config_digest" in doc and "rob" in doc:
-        return "legacy-snapshot"
     return "unknown"
 
 
 # ============================================================== verifiers
-
-
-def _verify_trace(path: str, finding: Finding) -> None:
-    # Lazy import: repro.workloads.serialize imports repro.store.
-    from repro.workloads.serialize import load_trace, verify_trace
-
-    with open(path, "rb") as fh:
-        v2 = fh.read(8) == b"trace-v2"
-    finding.kind = "trace"
-    if v2:
-        verify_trace(path)  # digest + counts: detects any byte of damage
-    else:
-        load_trace(path)    # v1 has no digest: deep-parse every op line
 
 
 def _verify_envelope(path: str, finding: Finding) -> None:
@@ -270,22 +239,6 @@ def _verify_checked_lines(path: str, finding: Finding) -> None:
     )
 
 
-def _verify_legacy_json(path: str, finding: Finding) -> None:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        doc = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        finding.kind = "legacy-json"
-        raise ArtifactError(
-            f"legacy JSON artifact does not parse ({exc})", path=path
-        ) from exc
-    finding.kind = _legacy_json_kind(doc)
-    if finding.kind == "unknown":
-        # Parseable JSON that is none of our artifacts: not ours to judge.
-        finding.status = SKIPPED
-
-
 # ================================================================ repair
 
 
@@ -339,10 +292,8 @@ def _walk(root: str):
 
 
 _VERIFIERS = {
-    "trace": _verify_trace,
     "envelope": _verify_envelope,
     "checked-lines": _verify_checked_lines,
-    "legacy-json": _verify_legacy_json,
 }
 
 
@@ -357,7 +308,7 @@ def _check_file(path: str) -> Finding:
             # An empty file carries nothing to sniff; flag it only when
             # its name claims to be one of our artifacts (.gitkeep-style
             # markers stay untouched).
-            if path.endswith((".json", ".trace", ".ckpt")):
+            if path.endswith((".json", ".ckpt")):
                 return Finding(
                     path=path, kind="unknown", status=CORRUPT,
                     error="empty artifact file (truncated to zero bytes)",

@@ -24,18 +24,11 @@ from typing import Callable, Dict, Optional, Tuple
 
 @dataclass(frozen=True)
 class Corruption:
-    """One injectable on-disk corruption.
-
-    ``detectable_without_digest`` marks damage that pre-checksum
-    formats (trace-v1, legacy JSON) are still guaranteed to notice via
-    structural validation alone; the rest *require* the v2 framing, which
-    is the reason the framing exists.
-    """
+    """One injectable on-disk corruption."""
 
     name: str
     description: str
     apply: Callable[[str], Optional[str]]
-    detectable_without_digest: bool = False
 
 
 def _size(path: str) -> int:
@@ -124,11 +117,10 @@ CORRUPTIONS: Dict[str, Corruption] = {
     c.name: c
     for c in (
         Corruption("truncate-half", "file cut to half its length",
-                   _truncate_half, detectable_without_digest=True),
+                   _truncate_half),
         Corruption("truncate-tail", "final bytes chopped (short write)",
-                   _truncate_tail, detectable_without_digest=True),
-        Corruption("empty", "file truncated to zero bytes",
-                   _empty, detectable_without_digest=True),
+                   _truncate_tail),
+        Corruption("empty", "file truncated to zero bytes", _empty),
         Corruption("bit-flip", "one bit flipped mid-file (bit rot)",
                    _bit_flip),
         Corruption("zero-fill", "a 16-byte span overwritten with NULs",
@@ -136,8 +128,7 @@ CORRUPTIONS: Dict[str, Corruption] = {
         Corruption("torn-tail", "unterminated partial record appended",
                    _torn_tail),
         Corruption("tmp-leftover", "abandoned .tmp sibling from a "
-                   "concurrent writer", _tmp_leftover,
-                   detectable_without_digest=True),
+                   "concurrent writer", _tmp_leftover),
     )
 }
 

@@ -27,9 +27,8 @@ line is independently framed as ``<sha256-hex16> <json>``, so a crash
 mid-append damages only the final line and the valid prefix is
 salvageable (:func:`read_checked_lines`).
 
-Readers fall back transparently to the legacy formats (plain JSON for
-envelope kinds, whole-document JSON for journals, ``trace-v1`` for
-traces) so artifacts written before this layer still load.
+An unframed file is never guessed at: it fails as a typed
+:class:`SchemaMismatch` (or :class:`TruncatedArtifact` when empty).
 """
 
 from __future__ import annotations
@@ -67,10 +66,9 @@ class ArtifactMeta:
     """What the reader learned about an artifact's framing."""
 
     kind: str
-    schema: Optional[int]
-    legacy: bool
+    schema: int
     payload_len: int
-    digest: Optional[str]
+    digest: str
 
 
 # ============================================================= envelope
@@ -136,7 +134,6 @@ def read_json_artifact(
     kind: str,
     *,
     expected_schema: Optional[int] = None,
-    allow_legacy: bool = True,
 ) -> Tuple[Any, ArtifactMeta]:
     """Read and verify a framed JSON artifact; returns ``(payload,
     meta)``.
@@ -146,19 +143,18 @@ def read_json_artifact(
     :class:`SchemaMismatch` on a wrong kind (or, when
     ``expected_schema`` is given, a wrong schema version), and
     :class:`MalformedRecord` on framing/JSON that does not parse.  A
-    file that does not start with the envelope magic is read as legacy
-    plain JSON when ``allow_legacy`` (the pre-store on-disk format);
-    its meta has ``legacy=True`` and no digest.
+    non-empty file that does not start with the envelope magic (plain
+    JSON included) is a :class:`SchemaMismatch`.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
+    if not raw:
+        raise TruncatedArtifact("empty artifact file", path=path, kind=kind)
     if not raw.startswith(ENVELOPE_MAGIC.encode("ascii")):
-        if not allow_legacy:
-            raise SchemaMismatch(
-                f"not a {ENVELOPE_MAGIC} envelope", path=path, kind=kind,
-                found=None, expected=ENVELOPE_VERSION,
-            )
-        return _read_legacy_json(path, raw, kind)
+        raise SchemaMismatch(
+            f"not a {ENVELOPE_MAGIC} envelope", path=path, kind=kind,
+            found=None, expected=ENVELOPE_VERSION,
+        )
     newline = raw.find(b"\n")
     if newline < 0:
         raise TruncatedArtifact(
@@ -219,24 +215,8 @@ def read_json_artifact(
             found=header["schema"], expected=expected_schema,
         )
     meta = ArtifactMeta(
-        kind=header["kind"], schema=header["schema"], legacy=False,
+        kind=header["kind"], schema=header["schema"],
         payload_len=header["len"], digest=header["sha256"],
-    )
-    return value, meta
-
-
-def _read_legacy_json(path: str, raw: bytes, kind: str) -> Tuple[Any, ArtifactMeta]:
-    if not raw.strip():
-        raise TruncatedArtifact("empty artifact file", path=path, kind=kind)
-    try:
-        value = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise MalformedRecord(
-            f"legacy (unframed) artifact is not valid JSON ({exc})",
-            path=path, kind=kind,
-        ) from exc
-    meta = ArtifactMeta(
-        kind=kind, schema=None, legacy=True, payload_len=len(raw), digest=None
     )
     return value, meta
 
@@ -253,7 +233,7 @@ def verify_envelope(path: str) -> ArtifactMeta:
             expected=ENVELOPE_VERSION,
         )
     header = _parse_header_of(path)
-    _, meta = read_json_artifact(path, header["kind"], allow_legacy=False)
+    _, meta = read_json_artifact(path, header["kind"])
     return meta
 
 

@@ -25,7 +25,6 @@ from repro.workloads.profiles import (
 from repro.workloads.generator import TraceGenerator, generate_trace
 from repro.workloads.trace import Trace, TraceStats
 from repro.workloads.builder import TraceBuilder
-from repro.workloads.serialize import save_trace, load_trace
 
 __all__ = [
     "IntValueModel",
@@ -41,6 +40,4 @@ __all__ = [
     "Trace",
     "TraceStats",
     "TraceBuilder",
-    "save_trace",
-    "load_trace",
 ]

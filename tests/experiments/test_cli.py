@@ -27,6 +27,18 @@ def test_single_figure_tiny(capsys):
     assert "width 8" not in out  # restricted to one width
 
 
+@pytest.mark.parametrize(("flag", "value"), [
+    ("--length", "0"), ("--warmup", "-1"), ("--jobs", "-2"),
+    ("--retries", "-1"), ("--max-cycles", "0"),
+    ("--checkpoint-every", "0"),
+])
+def test_rejects_out_of_range_numbers(flag, value, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--figure", "1", "--width", "4", flag, value])
+    assert excinfo.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
 def test_rejects_unknown_figure():
     with pytest.raises(SystemExit):
         main(["--figure", "3"])  # Figure 3 is a structural diagram

@@ -506,6 +506,15 @@ def test_farm_faults_cli_lists_registry(capsys):
     out = capsys.readouterr().out
     for name in ("kill", "stall", "orphan", "evict", "double-lease"):
         assert name in out
-    for name in ("net-drop", "net-delay", "net-disconnect",
-                 "net-duplicate", "net-stale"):
-        assert name in out
+
+
+def test_normalize_plans_accepts_strings_dicts_and_plans():
+    from repro.farm.inject import InjectPlan, normalize_plans
+
+    plan = InjectPlan(fault="evict", worker=1)
+    plans = normalize_plans(["stall:worker=0:cycles=200",
+                             {"fault": "kill", "cell_index": 2}, plan])
+    assert plans == (InjectPlan("stall", after_cycles=200),
+                     InjectPlan("kill", cell_index=2), plan)
+    with pytest.raises(ValueError, match="unknown fault"):
+        normalize_plans(["net-drop:worker=0"])

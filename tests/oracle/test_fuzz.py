@@ -18,6 +18,7 @@ from repro.oracle.fuzz import (
     shrink_spec,
     write_reproducer,
 )
+from repro.store import SchemaMismatch
 
 # A small, fast, healthy case used across the tests below.
 _CLEAN = FuzzSpec(
@@ -136,10 +137,10 @@ def test_reproducer_version_enforced(tmp_path):
         load_reproducer(path)
 
 
-def test_reproducer_legacy_plain_json_loads(tmp_path):
-    """Reproducers written before the checksummed envelope (plain JSON)
-    still load transparently."""
-    path = str(tmp_path / "legacy.json")
+def test_reproducer_plain_json_is_rejected(tmp_path):
+    """A reproducer outside the checksummed envelope (plain JSON) fails
+    as a typed artifact error."""
+    path = str(tmp_path / "plain.json")
     payload = {
         "version": REPRODUCER_VERSION,
         "spec": _CLEAN.to_dict(),
@@ -147,8 +148,8 @@ def test_reproducer_legacy_plain_json_loads(tmp_path):
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2)
-    loaded = load_reproducer(path)
-    assert FuzzSpec.from_dict(loaded["spec"]) == _CLEAN
+    with pytest.raises(SchemaMismatch):
+        load_reproducer(path)
 
 
 def test_fuzz_campaign_writes_reproducers(tmp_path, monkeypatch):

@@ -68,7 +68,6 @@ class TestRoundTrip:
         assert loaded == payload
         assert meta.kind == BENCH_KIND
         assert meta.schema == BENCH_SCHEMA
-        assert not meta.legacy
 
     def test_payload_fields(self):
         payload = run_bench(rounds=1, trace_spec=TINY_TRACE)

@@ -25,29 +25,8 @@ from repro.store import (
     corrupt,
     fsck_tree,
 )
-from repro.workloads.generator import generate_trace
-from repro.workloads.serialize import load_trace, save_trace
 
 # ======================================================= fixture builders
-
-
-def _build_trace_v2(root):
-    path = os.path.join(root, "t2.trace")
-    save_trace(generate_trace("gzip", 40, seed=3, warmup=10), path)
-    return path
-
-
-def _build_trace_v1(root):
-    """A legacy trace: the v2 layout minus the footer, under the v1
-    magic — what pre-store builds wrote."""
-    v2 = _build_trace_v2(root)
-    lines = open(v2).read().splitlines(keepends=True)
-    path = os.path.join(root, "t1.trace")
-    with open(path, "w") as fh:
-        fh.write(lines[0].replace("trace-v2", "trace-v1", 1))
-        fh.writelines(lines[1:-1])  # drop the footer
-    os.unlink(v2)
-    return path
 
 
 def _build_snapshot(root):
@@ -80,16 +59,12 @@ def _build_journal(root):
 
 
 _BUILDERS = {
-    "trace-v2": _build_trace_v2,
-    "trace-v1": _build_trace_v1,
     "snapshot": _build_snapshot,
     "reproducer": _build_reproducer,
     "journal": _build_journal,
 }
 
 _LOADERS = {
-    "trace-v2": load_trace,
-    "trace-v1": load_trace,
     "snapshot": load_snapshot,
     "reproducer": load_reproducer,
     "journal": SweepJournal,
@@ -102,22 +77,8 @@ _LOADERS = {
 #   "salvage"                  journal loads; valid prefix kept; .salvaged set
 #   "fresh"                    journal loads empty (zero-byte file)
 #   "intact"                   artifact unharmed (damage hit a sibling)
-#
-# trace-v1 appears only under the corruptions its structural checks can
-# see — it has no digest; that blindness (bit-flips pass!) is exactly
-# why trace-v2 exists, and test_trace_v1_blind_spot pins it below.
 
 MATRIX = {
-    ("trace-v2", "truncate-half"): TruncatedArtifact,
-    ("trace-v2", "truncate-tail"): DigestMismatch,
-    ("trace-v2", "empty"): TruncatedArtifact,
-    ("trace-v2", "bit-flip"): DigestMismatch,
-    ("trace-v2", "zero-fill"): DigestMismatch,
-    ("trace-v2", "torn-tail"): TruncatedArtifact,
-    ("trace-v2", "tmp-leftover"): "intact",
-    ("trace-v1", "truncate-half"): TruncatedArtifact,
-    ("trace-v1", "empty"): TruncatedArtifact,
-    ("trace-v1", "tmp-leftover"): "intact",
     ("snapshot", "truncate-half"): TruncatedArtifact,
     ("snapshot", "truncate-tail"): TruncatedArtifact,
     ("snapshot", "empty"): TruncatedArtifact,
@@ -184,42 +145,16 @@ def test_fsck_detects_every_injection(tmp_path, artifact, corruption):
     assert report.unrepaired  # report-only pass: nothing was fixed
 
 
-def test_trace_v1_blind_spot(tmp_path):
-    """A mid-file bit flip in a digest-less trace-v1 file parses into a
-    *wrong but legal* trace — the silent-corruption mode trace-v2's
-    footer digest closes.  If this test ever fails, v1 grew detection
-    and the matrix above should be extended instead."""
-    path = _build_trace_v1(str(tmp_path))
-    lines = open(path).read().splitlines(keepends=True)
-    fields = lines[10].split(" ")
-    fields[4] = format(int(fields[4], 16) ^ 0x1, "x")  # flip a result bit
-    lines[10] = " ".join(fields)
-    open(path, "w").writelines(lines)
-    load_trace(path)  # no error: that is the point
-
-    v2 = os.path.join(str(tmp_path), "same.trace")
-    save_trace(generate_trace("gzip", 40, seed=3, warmup=10), v2)
-    lines = open(v2).read().splitlines(keepends=True)
-    fields = lines[10].split(" ")
-    fields[4] = format(int(fields[4], 16) ^ 0x1, "x")
-    lines[10] = " ".join(fields)
-    open(v2, "w").writelines(lines)
-    with pytest.raises(DigestMismatch):  # v2 closes the blind spot
-        load_trace(v2)
-
-
 def test_fsck_repair_leaves_loadable_tree(tmp_path):
     """Acceptance: after ``fsck --repair`` every surviving artifact
     loads; unrecoverable ones are quarantined, leftovers deleted."""
     root = str(tmp_path)
-    trace = _build_trace_v2(root)
     snapshot = _build_snapshot(root)
     reproducer = _build_reproducer(root)
     journal = _build_journal(root)
     healthy = os.path.join(root, "healthy.ckpt")
     save_snapshot({"config_digest": "c" * 16, "rob": []}, healthy)
 
-    corrupt(trace, "bit-flip")        # unrecoverable -> quarantine
     corrupt(snapshot, "truncate-half")  # unrecoverable -> quarantine
     corrupt(reproducer, "tmp-leftover")  # sibling debris -> delete
     corrupt(journal, "zero-fill")     # append-style -> salvage prefix
@@ -227,14 +162,13 @@ def test_fsck_repair_leaves_loadable_tree(tmp_path):
     report = fsck_tree(root, repair=True)
     assert not report.unrepaired, report.summary()
     actions = {f.path: f.action for f in report.findings if f.action}
-    assert actions[trace].startswith("quarantined:")
     assert actions[snapshot].startswith("quarantined:")
     assert actions[reproducer + ".partial.tmp"] == "deleted"
     assert actions[journal].startswith("salvaged:")
 
     # The quarantined bytes are preserved, not destroyed.
-    assert os.path.isdir(trace + ".quarantine")
-    assert not os.path.exists(trace)
+    assert os.path.isdir(snapshot + ".quarantine")
+    assert not os.path.exists(snapshot)
 
     # Everything still on disk loads cleanly; a second fsck is quiet.
     assert load_reproducer(reproducer)["result"]["outcome"] == "clean"

@@ -55,15 +55,17 @@ def test_quarantine_dirs_are_not_rescanned(tmp_path):
     assert not any(".quarantine" in f.path for f in again.findings)
 
 
-def test_legacy_plain_json_snapshot_passes(tmp_path):
-    """Pre-envelope artifacts are verified as legacy JSON, not flagged."""
+def test_unframed_json_snapshot_is_skipped(tmp_path):
+    """A plain-JSON file is none of the store's formats: skipped and
+    left alone, like any foreign file."""
     path = os.path.join(str(tmp_path), "old.ckpt")
     atomic_write_text(
         path, '{"config_digest": "abc", "rob": [], "cycle": 7}'
     )
-    report = fsck_tree(str(tmp_path))
-    assert report.ok == 1
-    assert report.findings[0].kind == "legacy-snapshot"
+    report = fsck_tree(str(tmp_path), repair=True)
+    assert not report.corrupt
+    assert report.findings[0].status == "skipped"
+    assert os.path.exists(path)
 
 
 def test_nested_dirs_are_walked(tmp_path):

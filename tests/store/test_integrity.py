@@ -34,7 +34,6 @@ def test_envelope_roundtrip(tmp_path):
     path = _write(tmp_path)
     value, meta = read_json_artifact(path, "unit-test")
     assert value == _PAYLOAD
-    assert not meta.legacy
     assert meta.kind == "unit-test" and meta.schema == 1
     assert verify_envelope(path).digest == meta.digest
 
@@ -93,18 +92,21 @@ def test_envelope_trailing_garbage_detected(tmp_path):
 
 
 def test_legacy_plain_json_reads_transparently(tmp_path):
+    """The pre-envelope plain-JSON format is no longer read: a
+    well-formed unframed file is a typed SchemaMismatch, not a payload."""
     path = str(tmp_path / "legacy.json")
     with open(path, "w") as fh:
         json.dump(_PAYLOAD, fh)
-    value, meta = read_json_artifact(path, "unit-test")
-    assert value == _PAYLOAD
-    assert meta.legacy and meta.digest is None
+    with pytest.raises(SchemaMismatch):
+        read_json_artifact(path, "unit-test")
 
 
 def test_legacy_corrupt_json_is_malformed_not_jsondecodeerror(tmp_path):
+    """Torn unframed JSON fails typed (SchemaMismatch, an ArtifactError),
+    never as a bare JSONDecodeError."""
     path = str(tmp_path / "legacy.json")
     open(path, "w").write('{"truncated": [1, 2,')
-    with pytest.raises(MalformedRecord):
+    with pytest.raises(SchemaMismatch):
         read_json_artifact(path, "unit-test")
 
 

@@ -65,12 +65,8 @@ def main(argv=None) -> int:
     report = farm.report
 
     failures: list = []
-    compare_matrix("", BENCHMARKS, SCHEMES, plain, farmed, failures)
-    # On the filesystem backend a zombie's bit-identical duplicate is
-    # allowed on disk (the broker verifies and drops it at fold time),
-    # but a cold restart past an existing checkpoint is not.
-    check_report("", report, failures, duplicates_allowed=True,
-                 cold_restarts_allowed=False)
+    compare_matrix(BENCHMARKS, SCHEMES, plain, farmed, failures)
+    check_report(report, failures)
     if report.reclaims + report.evictions < 2:
         failures.append(
             "chaos did not bite: expected at least two reclaims/evictions, "

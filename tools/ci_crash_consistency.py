@@ -7,8 +7,8 @@ Runnable locally::
 
 For every registered workload in :mod:`repro.crash.workloads` — the
 envelope store, the sweep journal's append stream, checkpoint
-write/retire, the farm lease protocol, the HTTP lease service's
-fence/result state, and the incompatible-journal archive path — the
+write/retire, the farm lease protocol, the serve job journal and
+result cache, and the incompatible-journal archive path — the
 harness records the workload's op log, enumerates **all** reachable
 crash states (no ``--limit`` smoke mode here), runs the owning layer's
 recovery against each one, and applies the oracle: recovery terminates,

@@ -6,8 +6,9 @@ inline workflow heredoc so it is lintable and runnable locally::
 
     PYTHONPATH=src python tools/ci_fsck_roundtrip.py [DIR]
 
-Builds a fresh tree containing a trace, a machine snapshot, and a sweep
-journal (every store-framed artifact family), then runs the fsck engine
+Builds a fresh tree containing a machine snapshot (an envelope) and a
+sweep journal (checksummed lines), one of each store-framed artifact
+family, then runs the fsck engine
 over it.  Exit status 0 when the tree verifies clean, 1 otherwise.
 """
 
@@ -22,14 +23,8 @@ def build_tree(root: str) -> None:
     from repro.core.snapshot import save_snapshot
     from repro.core.stats import SimStats
     from repro.experiments.journal import SweepJournal
-    from repro.workloads.generator import generate_trace
-    from repro.workloads.serialize import save_trace
 
     os.makedirs(root, exist_ok=True)
-    save_trace(
-        generate_trace("gzip", 200, seed=1, warmup=50),
-        os.path.join(root, "gzip.trace"),
-    )
     save_snapshot(
         {"config_digest": "ci", "rob": []}, os.path.join(root, "machine.ckpt")
     )
