@@ -17,9 +17,16 @@ import argparse
 import sys
 import time
 
-from repro.core.machine import SimulationError, simulate
-from repro.experiments.runner import SCHEMES, width_config
-from repro.workloads import ALL_BENCHMARKS, generate_trace
+from repro.core.machine import SimulationError
+from repro.experiments.runner import (
+    SCHEMES,
+    RunSpec,
+    TraceCache,
+    resolve_config,
+    run_lanes,
+    run_one,
+)
+from repro.workloads import ALL_BENCHMARKS
 
 
 def main(argv=None) -> int:
@@ -87,44 +94,25 @@ def main(argv=None) -> int:
     if len(reg_sizes) > 1 and args.backend != "vector":
         parser.error("multiple --regs sizes need --backend vector")
 
-    config = SCHEMES[args.scheme](width_config(args.width))
+    scheme = args.scheme
     if len(reg_sizes) == 1:
-        config = config.with_phys_regs(reg_sizes[0])
-    if args.audit:
-        config = config.with_audit()
-    if args.oracle:
-        config = config.with_oracle()
+        scheme += f"@PR={reg_sizes[0]}"
+    spec = RunSpec(length=args.length, warmup=args.warmup, seed=args.seed,
+                   max_cycles=args.max_cycles, audit=args.audit,
+                   oracle=args.oracle, checkpoint_every=args.checkpoint_every,
+                   checkpoint_dir=args.checkpoint_dir)
+    config = resolve_config(scheme, args.width, spec)
 
     print(f"generating {args.benchmark!r}: {args.length} timed + "
           f"{args.warmup} warmup instructions (seed {args.seed})")
-    trace = generate_trace(args.benchmark, args.length, seed=args.seed,
-                           warmup=args.warmup)
+    traces = TraceCache()
+    trace = traces.get(args.benchmark, spec)
 
     if args.backend == "vector":
         return _run_vector(args, config, trace, reg_sizes)
     start = time.time()
     try:
-        if args.checkpoint_every:
-            from repro.config import config_digest
-            from repro.experiments.runner import RunSpec, _run_checkpointed
-
-            spec = RunSpec(
-                length=args.length, warmup=args.warmup, seed=args.seed,
-                max_cycles=args.max_cycles,
-                checkpoint_every=args.checkpoint_every,
-                checkpoint_dir=args.checkpoint_dir,
-            )
-            import os
-
-            path = os.path.join(
-                args.checkpoint_dir or ".repro-checkpoints",
-                f"{args.benchmark}-{args.scheme}-w{args.width}"
-                f"-n{args.length}-s{args.seed}"
-                f"-{config_digest(config)}.ckpt.json",
-            )
-            stats = _run_checkpointed(config, trace, path, spec)
-        else:
-            stats = simulate(config, trace, max_cycles=args.max_cycles)
+        stats = run_one(args.benchmark, scheme, args.width, spec, traces)
     except SimulationError as err:
         print(f"simulation failed: {err}", file=sys.stderr)
         diagnostic = getattr(err, "diagnostic", None)
@@ -133,11 +121,6 @@ def main(argv=None) -> int:
                 print(f"  {key}: {value}", file=sys.stderr)
         return 1
     elapsed = time.time() - start
-    if args.max_cycles is not None and stats.committed < len(trace):
-        print(f"simulation failed: cycle watchdog: committed only "
-              f"{stats.committed}/{len(trace)} instructions in "
-              f"{args.max_cycles} cycles", file=sys.stderr)
-        return 1
 
     print(f"scheme {args.scheme!r} on the {config.name} machine "
           f"({config.int_phys_regs} INT + {config.fp_phys_regs} FP regs)")
@@ -169,40 +152,28 @@ def main(argv=None) -> int:
 
 def _run_vector(args, config, trace, reg_sizes) -> int:
     """Run a PRF size sweep (or a single config) as one batched column."""
+    sized = [(str(size), config.with_phys_regs(size)) for size in reg_sizes]
+    lanes = [(key, f"{args.benchmark}/{args.scheme}@PR={key}", lane, trace)
+             for key, lane in sized or [(str(config.int_phys_regs), config)]]
     try:
-        from repro.vector import Lane, run_column
+        import repro.vector  # noqa: F401 — fail early, with the gate's message
     except ImportError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-
-    if reg_sizes:
-        lanes = [Lane(key=str(size), config=config.with_phys_regs(size),
-                      trace=trace)
-                 for size in reg_sizes]
-    else:
-        lanes = [Lane(key=str(config.int_phys_regs), config=config,
-                      trace=trace)]
     start = time.time()
-    outcome = run_column(lanes, max_cycles=args.max_cycles)
+    outcome, cells = run_lanes(lanes, args.max_cycles)
     elapsed = time.time() - start
     print(f"scheme {args.scheme!r}, {len(lanes)} lane(s) in "
           f"{outcome.groups} coherence group(s), {outcome.forks} fork(s)")
     failures = 0
     print(f"{'PR':>6s} {'cycles':>9s} {'IPC':>6s} {'committed':>9s}")
-    for lane in lanes:
-        result = outcome.results[lane.key]
-        if result.error is not None:
+    for key, *_ in lanes:
+        stats = cells[key]
+        if isinstance(stats, Exception):
             failures += 1
-            print(f"{lane.key:>6s} failed: {result.error}", file=sys.stderr)
+            print(f"{key:>6s} failed: {stats}", file=sys.stderr)
             continue
-        stats = result.stats
-        if args.max_cycles is not None and stats.committed < len(trace):
-            failures += 1
-            print(f"{lane.key:>6s} cycle watchdog: committed only "
-                  f"{stats.committed}/{len(trace)} instructions",
-                  file=sys.stderr)
-            continue
-        print(f"{lane.key:>6s} {stats.cycles:>9d} {stats.ipc:>6.3f} "
+        print(f"{key:>6s} {stats.cycles:>9d} {stats.ipc:>6.3f} "
               f"{stats.committed:>9d}")
     print(f"[{elapsed:.1f}s, {outcome.cycles_simulated} machine-cycles "
           f"simulated for {len(lanes)} lane(s)]")

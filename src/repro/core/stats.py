@@ -202,11 +202,6 @@ class SimStats:
             f"ipc={self.ipc:.3f})"
         )
 
-    def copy(self) -> "SimStats":
-        """An equal, fully independent copy (nested dicts and lifetime
-        records included)."""
-        return SimStats.from_dict(self.to_dict())
-
     @classmethod
     def from_dict(cls, data: Dict) -> "SimStats":
         """Inverse of :meth:`to_dict`."""

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import argparse
+import os
 import shlex
 import signal
 import sys
 import time
 
-from repro.core.machine import SimulationError
 from repro.experiments import (
     MatrixError,
     RunSpec,
@@ -22,6 +22,8 @@ from repro.experiments import (
     table1,
     table2,
 )
+from repro.experiments.figures import CELLS, plan
+from repro.experiments.runner import run_cells
 
 _FIGURES = {1: figure1, 2: figure2, 8: figure8, 9: figure9,
             10: figure10, 11: figure11, 12: figure12}
@@ -49,8 +51,9 @@ def main(argv=None) -> int:
     parser.add_argument("--output", default=None, metavar="DIR",
                         help="also write each result to DIR/<name>.txt")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="local sweep-farm worker processes for sweep "
-                             "figures (results are identical to --jobs 1)")
+                        help="local sweep-farm worker processes that run "
+                             "the cells of every table and figure "
+                             "(results are identical to --jobs 1)")
     parser.add_argument("--backend", choices=("scalar", "vector"),
                         default="scalar",
                         help="simulation backend: 'vector' batches each "
@@ -117,9 +120,16 @@ def main(argv=None) -> int:
             ("--length", args.length, 1), ("--warmup", args.warmup, 0),
             ("--jobs", args.jobs, 1), ("--retries", args.retries, 0),
             ("--max-cycles", args.max_cycles, 1),
-            ("--checkpoint-every", args.checkpoint_every, 1)):
+            ("--checkpoint-every", args.checkpoint_every, 1),
+            ("--farm-workers", args.farm_workers, 0),
+            ("--grace", args.grace, 0)):
         if value is not None and value < low:
             parser.error(f"{flag} must be >= {low}, got {value}")
+    for flag, value in (("--cell-timeout", args.cell_timeout),
+                        ("--lease-ttl", args.lease_ttl),
+                        ("--heartbeat", args.heartbeat)):
+        if value is not None and not value > 0:
+            parser.error(f"{flag} must be > 0, got {value}")
 
     figures = sorted(set(args.figure))
     tables = sorted(set(args.table))
@@ -149,19 +159,19 @@ def main(argv=None) -> int:
                          "to the scalar backend (use --farm to "
                          "distribute columns)")
         matrix_opts["backend"] = args.backend
-    if args.journal or args.farm:
+    journal_path = args.journal or (
+        f"{args.farm}/journal.json" if args.farm else None
+    )
+    if journal_path:
         from repro.experiments import SweepJournal
 
         if args.farm and not args.journal:
             # The farm keeps its journal inside its root; open it here
             # so a damaged one is the same clean error --journal gets,
             # not a traceback from deep inside the broker.
-            import os
-
             os.makedirs(args.farm, exist_ok=True)
-        journal_file = args.journal or f"{args.farm}/journal.json"
         try:
-            matrix_opts["journal"] = SweepJournal(journal_file)
+            matrix_opts["journal"] = SweepJournal(journal_path)
         except ValueError as err:
             print(f"error: {err}", file=sys.stderr)
             return 1
@@ -188,24 +198,10 @@ def main(argv=None) -> int:
 
         matrix_opts["farm_progress"] = farm_progress
 
-    def emit(name: str, result) -> None:
-        text = result.render()
-        print(text)
-        if args.output:
-            import os
-
-            os.makedirs(args.output, exist_ok=True)
-            path = os.path.join(args.output, f"{name}.txt")
-            with open(path, "w") as handle:
-                handle.write(text + "\n")
-
     # A drained sweep must be resumable with the exact same invocation:
     # completed cells are journaled, so re-running skips them.
     resume_command = "python -m repro.experiments " + " ".join(
         shlex.quote(a) for a in (argv if argv is not None else sys.argv[1:])
-    )
-    journal_path = args.journal or (
-        f"{args.farm}/journal.json" if args.farm else None
     )
 
     def _sigterm(signum, frame):
@@ -213,48 +209,52 @@ def main(argv=None) -> int:
         # same drain path as Ctrl-C.
         raise KeyboardInterrupt
 
+    drivers = [("table", n, _TABLES[n]) for n in tables]
+    drivers += [("figure", n, _FIGURES[n]) for n in figures]
+    cells = [cell for kind, n, _ in drivers if f"{kind}{n}" in CELLS
+             for cell in plan(f"{kind}{n}", widths)]
     previous_sigterm = signal.signal(signal.SIGTERM, _sigterm)
     try:
-        for number in tables:
-            start = time.time()
-            if number == 1:
-                result = table1()
-            else:
-                result = table2(spec, widths=widths)
-            emit(f"table{number}", result)
-            print(f"[table {number}: {time.time() - start:.1f}s]\n")
-        for number in figures:
+        # Plan, execute, render: every distinct cell of every requested
+        # table and figure runs once, then each renders from the table.
+        start = time.time()
+        results = run_cells(cells, spec, jobs=args.jobs, **matrix_opts)
+        if args.farm:
+            print(file=sys.stderr)  # end the live progress line
+        if results:
+            print(f"[simulate: {len(results)} cells, "
+                  f"{time.time() - start:.1f}s]", file=sys.stderr)
+        failed = False
+        for kind, number, driver in drivers:
             start = time.time()
             try:
-                if number == 2:
-                    result = figure2(length=max(args.length, 10000),
-                                     seed=args.seed)
-                elif number == 9:
-                    result = _FIGURES[number](spec, widths=widths,
-                                              backend=args.backend)
+                if (kind, number) == ("table", 1):
+                    result = driver()
+                elif (kind, number) == ("figure", 2):
+                    result = driver(length=max(args.length, 10000),
+                                    seed=args.seed)
                 else:
-                    result = _FIGURES[number](spec, widths=widths,
-                                              jobs=args.jobs,
-                                              matrix_opts=matrix_opts)
+                    result = driver(spec, widths=widths, results=results)
             except MatrixError as err:
-                print(f"figure {number} failed: {len(err.errors)} sweep "
+                print(f"{kind} {number} failed: {len(err.errors)} sweep "
                       "cell(s) did not complete:", file=sys.stderr)
                 for record in err.errors:
                     print(f"  {record}", file=sys.stderr)
-                if journal_path:
-                    print(f"(completed cells are journaled in "
-                          f"{journal_path}; re-run to resume)",
-                          file=sys.stderr)
-                return 1
-            except SimulationError as err:
-                # Figure 9 simulates in process, outside run_matrix's
-                # per-cell error records.
-                print(f"figure {number} failed: {err}", file=sys.stderr)
-                return 1
-            if args.farm:
-                print(file=sys.stderr)  # end the live progress line
-            emit(f"figure{number}", result)
-            print(f"[figure {number}: {time.time() - start:.1f}s]\n")
+                failed = True
+                continue
+            text = result.render()
+            print(text)
+            if args.output:
+                os.makedirs(args.output, exist_ok=True)
+                path = os.path.join(args.output, f"{kind}{number}.txt")
+                with open(path, "w") as handle:
+                    handle.write(text + "\n")
+            print(f"[{kind} {number}: {time.time() - start:.1f}s]\n")
+        if failed:
+            if journal_path:
+                print(f"(completed cells are journaled in {journal_path}; "
+                      "re-run to resume)", file=sys.stderr)
+            return 1
     except KeyboardInterrupt:
         # In-flight cells were drained (the farm broker handles that on
         # the way out) and every finished cell is already

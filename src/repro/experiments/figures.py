@@ -5,6 +5,9 @@ N — the same rows and series the paper plots — and returns a result
 object whose ``render()`` produces a plain-text table.  Absolute numbers
 come from the synthetic-trace substrate (see DESIGN.md §4); the shape is
 what is being reproduced.
+
+:data:`CELLS` declares the cells each table and figure reads; its
+driver renders them from a results table.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from repro.analysis.significance import (
     int_width_cdf,
 )
 from repro.config import PRF_SWEEP_SIZES
-from repro.core.machine import simulate
+# Re-exported: the benchmark harness (perfbench/layers.py) wraps this name.
+from repro.core.machine import simulate as simulate
 from repro.experiments import runner
 from repro.experiments.report import (
     bar_chart,
@@ -31,16 +35,56 @@ from repro.experiments.runner import (
     FIGURE10_SCHEMES,
     FP_BENCHMARKS,
     INT_BENCHMARKS,
+    Cell,
+    Results,
     RunSpec,
     TraceCache,
-    resolve_config,
-    run_lanes,
-    run_matrix,
+    matrix_view,
+    run_cells,
     speedups_over_base,
-    watchdog_error,
+    width_config,
 )
 
 _DEFAULT_WIDTHS: Tuple[int, ...] = (4, 8)
+
+#: Figures 10 and 12's schemes: the baseline, then the plotted series.
+_SPEEDUP_SCHEMES = ("base",) + FIGURE10_SCHEMES
+#: Short column labels for long scheme names.
+_LABELS = {"PRI-refcount+ckptcount": "PRI"}
+
+
+def _sized_schemes(width: int, sizes: Sequence[int] = PRF_SWEEP_SIZES):
+    """Figure 9's schemes: the base machine at each register file size,
+    ``base@PR=<n>``, but plain ``base`` at the Table 1 size (64 at both
+    widths), so that column is Table 2's cell and not a copy."""
+    base = width_config(width)
+    return ["base" if base.with_phys_regs(n) == base else f"base@PR={n}"
+            for n in sizes]
+
+
+#: The cells each simulating table and figure reads: its default
+#: benchmarks, and its schemes (a tuple, or a function of the width).
+CELLS = {
+    "table2": (INT_BENCHMARKS + FP_BENCHMARKS, ("base",)),
+    "figure1": (INT_BENCHMARKS, ("base",)),
+    "figure8": (INT_BENCHMARKS, ("base", "PRI-refcount+ckptcount", "PRI+ER")),
+    "figure9": (INT_BENCHMARKS, _sized_schemes),
+    "figure10": (INT_BENCHMARKS, _SPEEDUP_SCHEMES),
+    "figure11": (INT_BENCHMARKS,
+                 ("base", "ER", "PRI-refcount+ckptcount", "PRI+ER")),
+    "figure12": (FP_BENCHMARKS, _SPEEDUP_SCHEMES),
+}
+
+
+def plan(name: str, widths: Sequence[int],
+         benchmarks: Optional[Sequence[str]] = None,
+         schemes=None) -> List[Cell]:
+    """The (benchmark, scheme, width) cells driver ``name`` reads: its
+    :data:`CELLS` entry, unless ``benchmarks`` or ``schemes`` replace it."""
+    default_benchmarks, default_schemes = CELLS[name]
+    schemes = schemes or default_schemes
+    return [(b, s, w) for w in widths for b in benchmarks or default_benchmarks
+            for s in (schemes(w) if callable(schemes) else schemes)]
 
 
 @dataclass
@@ -66,23 +110,26 @@ def figure1(
     traces: Optional[TraceCache] = None,
     jobs: int = 1,
     matrix_opts: Optional[Dict] = None,
+    results: Optional[Results] = None,
 ) -> FigureResult:
     """Average physical register lifetime, split into alloc→write,
     write→last-read, last-read→release (stacked bars of Figure 1).
 
-    ``matrix_opts`` forwards extra keyword arguments (``journal``,
-    ``cell_timeout``, ``retries``, ``on_error``, ...) to
-    :func:`~repro.experiments.runner.run_matrix`; the same applies to
-    every other matrix-backed figure driver."""
-    spec = spec or RunSpec()
+    Renders ``results``, or else simulates its own cells with ``jobs``
+    and ``matrix_opts`` (``journal``, ``retries``, ...) forwarded to
+    :func:`~repro.experiments.runner.run_matrix`; a failed cell raises
+    :class:`~repro.experiments.runner.MatrixError`.  The same applies to
+    every other simulating driver."""
+    if results is None:
+        results = run_cells(plan("figure1", widths, benchmarks), spec,
+                            traces, jobs=jobs, **(matrix_opts or {}))
     result = FigureResult(
         "Figure 1: average integer register lifetime (cycles), base machine"
     )
     for width in widths:
         rows = []
         breakdowns: List[LifetimeBreakdown] = []
-        matrix = run_matrix(benchmarks, ["base"], width, spec, traces, jobs=jobs,
-                            **(matrix_opts or {}))
+        matrix = matrix_view(results, benchmarks, ("base",), width)
         for benchmark in benchmarks:
             b = breakdown_from_stats(matrix[benchmark]["base"], benchmark)
             breakdowns.append(b)
@@ -195,17 +242,19 @@ def figure8(
     traces: Optional[TraceCache] = None,
     jobs: int = 1,
     matrix_opts: Optional[Dict] = None,
+    results: Optional[Results] = None,
 ) -> FigureResult:
     """Register lifetime for base vs PRI vs PRI+ER (Figure 8)."""
-    spec = spec or RunSpec()
-    schemes = ("base", "PRI-refcount+ckptcount", "PRI+ER")
-    labels = {"base": "base", "PRI-refcount+ckptcount": "PRI", "PRI+ER": "PRI+ER"}
+    if results is None:
+        results = run_cells(plan("figure8", widths, benchmarks), spec,
+                            traces, jobs=jobs, **(matrix_opts or {}))
+    schemes = CELLS["figure8"][1]
+    labels = {s: _LABELS.get(s, s) for s in schemes}
     result = FigureResult(
         "Figure 8: average integer register lifetime (cycles) with PRI / PRI+ER"
     )
     for width in widths:
-        matrix = run_matrix(benchmarks, schemes, width, spec, traces, jobs=jobs,
-                            **(matrix_opts or {}))
+        matrix = matrix_view(results, benchmarks, schemes, width)
         rows = []
         data = {}
         for benchmark in benchmarks:
@@ -242,59 +291,32 @@ def figure9(
     sizes: Sequence[int] = PRF_SWEEP_SIZES,
     traces: Optional[TraceCache] = None,
     backend: str = "scalar",
+    results: Optional[Results] = None,
 ) -> FigureResult:
     """Base-machine speedup vs physical register count, normalized to the
     smallest size (Figure 9).
 
-    Traces come from ``traces``, by default the run's shared trace cache
-    (``runner._GLOBAL_TRACES``, looked up per call), so a ``--all`` run
-    reuses the traces — and their warm state — of the figures before it.
-    Each size's config is the ``base`` scheme under ``spec``'s audit and
-    oracle overlays, and every simulation runs under ``spec.max_cycles``:
-    a cell that stops at the limit raises the runner's cycle-limit
-    watchdog :class:`~repro.core.machine.SimulationError`.
-
-    ``backend='vector'`` runs each benchmark's whole size sweep as one
-    column on :mod:`repro.vector` — the canonical coherence-group shape:
-    every size lane shares the trace and differs only in PRF capacity,
-    so one machine carries the sweep and forks at each size's first
-    register-exhaustion stall.  IPCs are bit-identical to the scalar
-    path."""
-    spec = spec or RunSpec()
-    traces = traces or runner._GLOBAL_TRACES
+    Each size is a scheme (``base@PR=<n>``).  On ``backend='vector'`` a
+    benchmark's sizes share one lockstep machine, forked at each size's
+    first register-exhaustion stall, with bit-identical IPCs."""
+    if results is None:
+        results = run_cells(
+            plan("figure9", widths, benchmarks,
+                 lambda width: _sized_schemes(width, sizes)),
+            spec, traces, backend=backend)
     result = FigureResult(
         f"Figure 9: register file sensitivity (speedup over PR={sizes[0]})"
     )
     for width in widths:
-        base = resolve_config("base", width, spec)
+        schemes = _sized_schemes(width, sizes)
+        matrix = matrix_view(results, benchmarks, schemes, width)
         rows = []
         data: Dict[str, Dict[int, float]] = {}
         for benchmark in benchmarks:
-            trace = traces.get(benchmark, spec)
-            labels = {size: f"{benchmark}/base@PR={size}" for size in sizes}
-            ipcs = {}
-            if backend == "vector":
-                _, cells = run_lanes(
-                    [(str(size), labels[size], base.with_phys_regs(size),
-                      trace) for size in sizes],
-                    spec.max_cycles,
-                )
-                for size in sizes:
-                    cell = cells[str(size)]
-                    if isinstance(cell, Exception):
-                        raise cell
-                    ipcs[size] = cell.ipc
-            else:
-                for size in sizes:
-                    stats = simulate(base.with_phys_regs(size), trace,
-                                     max_cycles=spec.max_cycles)
-                    error = watchdog_error(labels[size], stats.committed,
-                                           len(trace), spec.max_cycles)
-                    if error is not None:
-                        raise error
-                    ipcs[size] = stats.ipc
-            norm = ipcs[sizes[0]]
-            data[benchmark] = {s: (ipcs[s] / norm if norm else 0.0) for s in sizes}
+            ipcs = [matrix[benchmark][scheme].ipc for scheme in schemes]
+            norm = ipcs[0]
+            data[benchmark] = {size: (ipc / norm if norm else 0.0)
+                               for size, ipc in zip(sizes, ipcs)}
             rows.append([benchmark] + [data[benchmark][s] for s in sizes])
         rows.append(
             ["mean"] + [mean([data[b][s] for b in benchmarks]) for s in sizes]
@@ -317,18 +339,12 @@ def figure9(
 def _scheme_speedup_figure(
     title: str,
     benchmarks: Sequence[str],
-    spec: Optional[RunSpec],
     widths: Sequence[int],
-    traces: Optional[TraceCache],
-    jobs: int = 1,
-    matrix_opts: Optional[Dict] = None,
+    results: Results,
 ) -> FigureResult:
-    spec = spec or RunSpec()
-    schemes = ("base",) + FIGURE10_SCHEMES
     result = FigureResult(title)
     for width in widths:
-        matrix = run_matrix(benchmarks, schemes, width, spec, traces, jobs=jobs,
-                            **(matrix_opts or {}))
+        matrix = matrix_view(results, benchmarks, _SPEEDUP_SCHEMES, width)
         speedups = speedups_over_base(matrix)
         rows = []
         for benchmark in benchmarks:
@@ -366,12 +382,15 @@ def figure10(
     traces: Optional[TraceCache] = None,
     jobs: int = 1,
     matrix_opts: Optional[Dict] = None,
+    results: Optional[Results] = None,
 ) -> FigureResult:
     """PRI speedups for the SPECint suite (Figure 10)."""
+    if results is None:
+        results = run_cells(plan("figure10", widths, benchmarks), spec,
+                            traces, jobs=jobs, **(matrix_opts or {}))
     return _scheme_speedup_figure(
-        "Figure 10: PRI speed-up, SPEC2000 integer", benchmarks, spec, widths,
-        traces, jobs=jobs, matrix_opts=matrix_opts,
-    )
+        "Figure 10: PRI speed-up, SPEC2000 integer", benchmarks, widths,
+        results)
 
 
 def figure12(
@@ -381,12 +400,15 @@ def figure12(
     traces: Optional[TraceCache] = None,
     jobs: int = 1,
     matrix_opts: Optional[Dict] = None,
+    results: Optional[Results] = None,
 ) -> FigureResult:
     """PRI speedups for the SPECfp suite (Figure 12)."""
+    if results is None:
+        results = run_cells(plan("figure12", widths, benchmarks), spec,
+                            traces, jobs=jobs, **(matrix_opts or {}))
     return _scheme_speedup_figure(
-        "Figure 12: PRI speed-up, SPEC2000 floating point", benchmarks, spec,
-        widths, traces, jobs=jobs, matrix_opts=matrix_opts,
-    )
+        "Figure 12: PRI speed-up, SPEC2000 floating point", benchmarks,
+        widths, results)
 
 
 # ===================================================================
@@ -400,15 +422,17 @@ def figure11(
     traces: Optional[TraceCache] = None,
     jobs: int = 1,
     matrix_opts: Optional[Dict] = None,
+    results: Optional[Results] = None,
 ) -> FigureResult:
     """Average integer PRF occupancy for base / ER / PRI / PRI+ER."""
-    spec = spec or RunSpec()
-    schemes = ("base", "ER", "PRI-refcount+ckptcount", "PRI+ER")
-    labels = ("base", "ER", "PRI", "PRI+ER")
+    if results is None:
+        results = run_cells(plan("figure11", widths, benchmarks), spec,
+                            traces, jobs=jobs, **(matrix_opts or {}))
+    schemes = CELLS["figure11"][1]
+    labels = [_LABELS.get(s, s) for s in schemes]
     result = FigureResult("Figure 11: average integer PRF occupancy (registers)")
     for width in widths:
-        matrix = run_matrix(benchmarks, schemes, width, spec, traces, jobs=jobs,
-                            **(matrix_opts or {}))
+        matrix = matrix_view(results, benchmarks, schemes, width)
         rows = []
         data = {}
         for benchmark in benchmarks:

@@ -132,11 +132,15 @@ class RunSpec:
 
 def resolve_config(scheme: str, width: int, spec: "RunSpec") -> MachineConfig:
     """The fully resolved machine config one cell simulates: the Table 1
-    machine for ``width``, the scheme transformer, and the spec's audit /
+    machine for ``width``, the scheme transformer, the register file
+    size of a ``@PR=<n>`` suffix (``base@PR=40``), and the spec's audit /
     oracle overlays.  This single resolution path feeds both
     :func:`run_one` and the journal's cell keys, so a config change can
     never reuse a stale journal entry."""
-    config = SCHEMES[scheme](width_config(width))
+    name, sized, regs = scheme.partition("@PR=")
+    config = SCHEMES[name](width_config(width))
+    if sized:
+        config = config.with_phys_regs(int(regs))
     if spec.audit:
         config = config.with_audit()
     if spec.oracle:
@@ -231,8 +235,8 @@ class TraceCache:
     """Per-process FIFO cache: one trace per (benchmark, length, warmup,
     seed), at most :data:`TRACE_CACHE_LIMIT` of them.  ``spec`` is any
     object with those three workload fields (a :class:`RunSpec`, or a
-    serve job spec).  Derived results (warm state, cell stats) live on
-    the cached traces, so the same bound and eviction cover them."""
+    serve job spec).  Each trace's warm state lives on the trace, so the
+    same bound and eviction cover it."""
 
     def __init__(self) -> None:
         self._cache: Dict[Tuple[str, int, int, int], Trace] = {}
@@ -298,15 +302,7 @@ def _simulate_cell(
 ) -> SimStats:
     """:func:`run_one`'s body.  A farm worker calls it directly to add
     its heartbeat/eviction ``cycle_hook`` and learn the cycle it resumed
-    from (see :func:`_run_checkpointed`).
-
-    A plain cell (no checkpointing, no hook) is a pure function of its
-    resolved config, trace and cycle limit, so its result is memoized on
-    the trace (:attr:`Trace.cell_stats`): a repeat of the cell — ``--all``
-    asks for many across figures — copies the stored stats instead of
-    simulating.  A hit that stopped at the cycle limit fails with the
-    same watchdog error a fresh run would.  Checkpointed and hooked
-    cells always simulate."""
+    from (see :func:`_run_checkpointed`)."""
     config = resolve_config(scheme, width, spec)
     trace = traces.get(benchmark, spec)
     if spec.checkpoint_every or cycle_hook is not None:
@@ -314,13 +310,7 @@ def _simulate_cell(
         stats = _run_checkpointed(config, trace, path, spec, cycle_hook,
                                   on_resume)
     else:
-        key = (config, spec.max_cycles)
-        stored = trace.cell_stats.get(key)
-        if stored is None:
-            stats = simulate(config, trace, max_cycles=spec.max_cycles)
-            trace.cell_stats[key] = stats.copy()
-        else:
-            stats = stored.copy()
+        stats = simulate(config, trace, max_cycles=spec.max_cycles)
     error = watchdog_error(f"{benchmark}/{scheme}", stats.committed,
                            len(trace), spec.max_cycles)
     if error is not None:
@@ -647,6 +637,48 @@ def run_matrix(
     if errors and on_error == "raise":
         raise MatrixError(errors, results)
     return results
+
+
+# ======================================================= results tables
+
+#: One simulation a table or figure reads: (benchmark, scheme, width).
+Cell = Tuple[str, str, int]
+#: A results table: each cell's stats, or the record of its failure.
+Results = Dict[Cell, MatrixCell]
+
+
+def run_cells(cells: Sequence[Cell], spec: Optional[RunSpec] = None,
+              traces: Optional[TraceCache] = None, **matrix_opts) -> Results:
+    """Simulate each distinct cell of ``cells`` once; the results table.
+
+    At each width, the benchmarks that need the same schemes form one
+    rectangle, run by one :func:`run_matrix` call with ``matrix_opts``
+    (``jobs``, ``journal``, ``farm``, ``backend``, ...).  A failed cell
+    stays in the table as its :class:`CellError`."""
+    rows: Dict[Tuple[int, str], List[str]] = {}
+    for benchmark, scheme, width in dict.fromkeys(cells):
+        rows.setdefault((width, benchmark), []).append(scheme)
+    rectangles: Dict[Tuple[int, Tuple[str, ...]], List[str]] = {}
+    for (width, benchmark), schemes in rows.items():
+        rectangles.setdefault((width, tuple(schemes)), []).append(benchmark)
+    results: Results = {}
+    for (width, schemes), benchmarks in rectangles.items():
+        matrix = run_matrix(benchmarks, schemes, width, spec, traces,
+                            on_error="record", **matrix_opts)
+        results.update(((b, s, width), cell)
+                       for b, row in matrix.items() for s, cell in row.items())
+    return results
+
+
+def matrix_view(results: Results, benchmarks: Sequence[str],
+                schemes: Sequence[str], width: int) -> Dict[str, Dict[str, SimStats]]:
+    """One width's [benchmark][scheme] rectangle of ``results``; raises
+    :class:`MatrixError` when any of its cells failed."""
+    matrix = {b: {s: results[b, s, width] for s in schemes} for b in benchmarks}
+    errors = matrix_errors(matrix)
+    if errors:
+        raise MatrixError(errors, matrix)
+    return matrix
 
 
 def speedups_over_base(

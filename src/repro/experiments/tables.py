@@ -6,14 +6,16 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.config import eight_wide, four_wide
-from repro.experiments.figures import FigureResult
+from repro.experiments.figures import FigureResult, plan
 from repro.experiments.report import format_table
 from repro.experiments.runner import (
     FP_BENCHMARKS,
     INT_BENCHMARKS,
+    Results,
     RunSpec,
     TraceCache,
-    run_one,
+    matrix_view,
+    run_cells,
 )
 from repro.workloads import get_profile
 
@@ -64,19 +66,20 @@ def table2(
     spec: Optional[RunSpec] = None,
     widths: Sequence[int] = _DEFAULT_WIDTHS,
     traces: Optional[TraceCache] = None,
+    results: Optional[Results] = None,
 ) -> FigureResult:
     """Base IPC for every benchmark at each width, next to the paper's
-    reported values (Table 2)."""
-    spec = spec or RunSpec()
+    reported values (Table 2), rendered from ``results`` when given."""
+    if results is None:
+        results = run_cells(plan("table2", widths), spec, traces)
     result = FigureResult("Table 2: benchmark programs simulated (base IPC)")
     for suite, names in (("integer", INT_BENCHMARKS), ("floating point", FP_BENCHMARKS)):
+        matrices = [matrix_view(results, names, ("base",), width)
+                    for width in widths]
         rows = []
         for name in names:
             profile = get_profile(name)
-            cells = [name]
-            for width in widths:
-                stats = run_one(name, "base", width, spec, traces)
-                cells.append(stats.ipc)
+            cells = [name] + [matrix[name]["base"].ipc for matrix in matrices]
             cells.extend([profile.paper_ipc_4w, profile.paper_ipc_8w])
             rows.append(cells)
         headers = (

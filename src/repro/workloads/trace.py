@@ -4,12 +4,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.isa.instruction import MicroOp
-
-if TYPE_CHECKING:
-    from repro.core.stats import SimStats
 
 
 @dataclass
@@ -34,15 +31,13 @@ class Trace:
 
     The ops, initial register values and warmup prefix are immutable
     once built.  ``name`` and ``seed`` identify the generating profile
-    for reporting.  A trace also carries two pieces of *derived* state:
+    for reporting.  A trace also carries *derived* state:
     :attr:`warm_states`, the post-warmup branch and cache state that
     :meth:`repro.core.machine.Machine.warmup` computes once per
     geometry and then copies into every later machine run on this
-    trace object; and :attr:`cell_stats`, the results of the
-    experiment runner's plain cells (see
-    :func:`repro.experiments.runner._simulate_cell`).  Both live and die
-    with the trace (so a trace cache's bound also bounds them), and
-    :meth:`fresh_copy` gives a trace over the same ops without them.
+    trace object.  It lives and dies with the trace (so a trace cache's
+    bound also bounds it), and :meth:`fresh_copy` gives a trace over the
+    same ops without it.
     """
 
     def __init__(
@@ -70,16 +65,10 @@ class Trace:
         #: Filled and read only by Machine.warmup; never aliased by a
         #: running machine.
         self.warm_states: Dict[Tuple, Dict] = {}
-        #: Derived cell-result memo, keyed by (resolved MachineConfig,
-        #: cycle limit): the SimStats a plain run of that machine on
-        #: this trace produced.  Filled and read only by the runner's
-        #: _simulate_cell, which hands out copies, never these objects.
-        self.cell_stats: Dict[Tuple, "SimStats"] = {}
 
     def fresh_copy(self) -> "Trace":
-        """The same trace as a new object with empty derived-state memos:
-        the first machine run on it does the full functional warmup, and
-        every cell simulates."""
+        """The same trace as a new object with an empty warm-state memo:
+        the first machine run on it does the full functional warmup."""
         return Trace(self.name, self._ops, self.seed, self.initial_int,
                      self.initial_fp, self.warmup_ops)
 

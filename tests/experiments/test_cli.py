@@ -2,7 +2,36 @@
 
 import pytest
 
+from repro.config import config_digest
+from repro.core.machine import Machine
+from repro.experiments import SweepJournal
 from repro.experiments.__main__ import main
+
+#: Table 2, Figure 1 (a subset of Table 2's cells) and Figure 9 (whose
+#: PR=64 column is Table 2's base cell) at smoke scale: 105 distinct
+#: cells — 27 base cells plus 13 benchmarks x 6 other register sizes.
+_SHARED_CELLS = ["--table", "2", "--figure", "1", "--figure", "9",
+                 "--width", "4", "--length", "50", "--warmup", "200"]
+
+
+@pytest.fixture
+def runs(monkeypatch):
+    """(benchmark, config digest) of every ``Machine.run`` call."""
+    calls = []
+    original = Machine.run
+
+    def counted(self, trace, *args, **kwargs):
+        calls.append((trace.name, config_digest(self.cfg)))
+        return original(self, trace, *args, **kwargs)
+
+    monkeypatch.setattr(Machine, "run", counted)
+    return calls
+
+
+def _numbers(text):
+    """Rendered output without the per-table/figure timing lines."""
+    return [line for line in text.splitlines()
+            if not line.startswith(("[table ", "[figure "))]
 
 
 def test_requires_a_target(capsys):
@@ -30,7 +59,9 @@ def test_single_figure_tiny(capsys):
 @pytest.mark.parametrize(("flag", "value"), [
     ("--length", "0"), ("--warmup", "-1"), ("--jobs", "-2"),
     ("--retries", "-1"), ("--max-cycles", "0"),
-    ("--checkpoint-every", "0"),
+    ("--checkpoint-every", "0"), ("--cell-timeout", "0"),
+    ("--cell-timeout", "-1"), ("--lease-ttl", "0"), ("--heartbeat", "0"),
+    ("--grace", "-1"), ("--farm-workers", "-1"),
 ])
 def test_rejects_out_of_range_numbers(flag, value, capsys):
     with pytest.raises(SystemExit) as excinfo:
@@ -67,3 +98,42 @@ def test_incompatible_journal_is_reported(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "version" in err
+
+
+def test_simulates_each_distinct_cell_once(runs, capsys):
+    assert main(_SHARED_CELLS) == 0
+    assert len(runs) == len(set(runs)) == 105
+    out = capsys.readouterr().out
+    assert "Table 2" in out and "Figure 1" in out and "Figure 9" in out
+
+
+def test_table2_and_figure9_resume_from_the_journal(runs, tmp_path, capsys):
+    argv = _SHARED_CELLS + ["--journal", str(tmp_path / "sweep.json")]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert len(runs) == 105
+    assert main(argv) == 0
+    assert len(runs) == 105  # every cell restored, none simulated
+    assert _numbers(capsys.readouterr().out) == _numbers(first)
+
+
+def test_failed_cells_fail_their_figure_after_the_rest_ran(tmp_path, capsys):
+    """ammp needs ~4,000 cycles for 50 instructions; every other
+    benchmark fewer than 2,000.  Its cells fail Table 2 and Figure 12,
+    while Figure 1 (rendered between them) renders and every other cell
+    is journaled."""
+    path = str(tmp_path / "sweep.json")
+    code = main(["--table", "2", "--figure", "1", "--figure", "12",
+                 "--width", "4", "--length", "50", "--warmup", "200",
+                 "--max-cycles", "2000", "--journal", path])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "Figure 1" in captured.out
+    assert "Table 2" not in captured.out and "Figure 12" not in captured.out
+    assert "table 2 failed: 1 sweep cell(s) did not complete" in captured.err
+    assert "figure 12 failed: 8 sweep cell(s) did not complete" in captured.err
+    assert "ammp/base: error [SimulationError] cycle-limit watchdog" in \
+        captured.err
+    journal = SweepJournal(path)
+    assert journal.completed == 13 + 13 * 8  # ammp's 8 as errors
+    assert len(journal.errors()) == 8

@@ -4,9 +4,9 @@ produce the paper's rows and series and render cleanly."""
 import pytest
 
 from repro.analysis import fp_exponent_cdf, fp_significand_cdf, int_width_cdf
-from repro.core.machine import SimulationError
-from repro.experiments import figures, runner
+from repro.experiments import runner
 from repro.experiments import (
+    MatrixError,
     RunSpec,
     TraceCache,
     figure1,
@@ -102,9 +102,12 @@ class TestFigure9Spec:
         if backend == "vector":
             pytest.importorskip("numpy")
         spec = RunSpec(length=350, warmup=700, seed=2, max_cycles=30)
-        with pytest.raises(SimulationError, match="cycle-limit watchdog:"):
+        with pytest.raises(MatrixError, match="cycle-limit watchdog:") as err:
             figure9(spec, widths=(4,), benchmarks=("gzip",), sizes=(40, 64),
                     traces=cache, backend=backend)
+        assert [(e.scheme, e.error_type) for e in err.value.errors] == [
+            ("base@PR=40", "SimulationError"), ("base", "SimulationError")]
+        assert "gzip/base@PR=40 committed only" in err.value.errors[0].message
 
     @pytest.mark.parametrize("backend", ["scalar", "vector"])
     def test_audit_and_oracle_reach_every_config(self, cache, monkeypatch,
@@ -122,13 +125,13 @@ class TestFigure9Spec:
 
             monkeypatch.setattr(vector, "run_column", recording)
         else:
-            simulate = figures.simulate
+            simulate = runner.simulate
 
             def recording(config, trace, **kwargs):
                 configs.append(config)
                 return simulate(config, trace, **kwargs)
 
-            monkeypatch.setattr(figures, "simulate", recording)
+            monkeypatch.setattr(runner, "simulate", recording)
         spec = RunSpec(length=350, warmup=700, seed=2, audit=True,
                        oracle=True)
         figure9(spec, widths=(4,), benchmarks=("gzip",), sizes=(40, 64),

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.experiments.figures import plan
 from repro.experiments.runner import (
     FIGURE10_SCHEMES,
     FP_BENCHMARKS,
@@ -9,6 +10,7 @@ from repro.experiments.runner import (
     SCHEMES,
     RunSpec,
     TraceCache,
+    resolve_config,
     run_matrix,
     run_one,
     speedups_over_base,
@@ -40,6 +42,19 @@ class TestRegistry:
         both = SCHEMES["PRI+ER"](base)
         assert both.pri.enabled and both.early_release
         assert SCHEMES["inf"](base).int_phys_regs >= 1024
+
+    @pytest.mark.parametrize("width", [4, 8])
+    def test_sized_schemes(self, width):
+        """Figure 9's sizes are schemes; the Table 1 size is plain base."""
+        schemes = [s for _, s, _ in plan("figure9", (width,), ("gzip",))]
+        assert schemes == ["base@PR=40", "base@PR=48", "base@PR=56", "base",
+                           "base@PR=72", "base@PR=80", "base@PR=96"]
+        spec = RunSpec(audit=True)
+        sized = resolve_config("base@PR=40", width, spec)
+        assert sized == resolve_config("base", width, spec).with_phys_regs(40)
+        assert resolve_config("ER@PR=96", width, spec).early_release
+        with pytest.raises(ValueError):
+            resolve_config("base@PR=", width, spec)
 
 
 class TestRunning:

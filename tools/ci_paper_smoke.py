@@ -6,20 +6,24 @@ The paper-smoke CI job, runnable locally::
 
     PYTHONPATH=src python tools/ci_paper_smoke.py [--length N] [--warmup N]
 
-First runs ``python -m repro.experiments --all`` in one process, where
-every table and figure shares the run's trace cache and each trace's
-warm state and cell results.  Then runs each table and figure alone,
+First runs ``python -m repro.experiments --all`` in one process, which
+simulates each distinct cell of every table and figure once, on the
+run's shared traces and their warm state, and renders every table and
+figure from those results.  Then runs each table and figure alone,
 each in a fresh process.  Every run must exit 0, and the ``--all``
 output must equal the standalone outputs in the same order, ignoring
 the ``[table N: ...s]`` / ``[figure N: ...s]`` timing lines: sharing
-traces, warm state and cell results across figures must change no
-number.
+cells, traces and warm state across figures must change no number.
 
 A second pass does the same for ``--table 2 --figure 2`` at
 ``--warmup 10000``: Table 2's traces then cover Figure 2's 10,000-op
 streams, so Figure 2 reads its ops from them instead of generating its
-own, and must render exactly as it does alone.  Exit status 0 when all
-of that holds, 1 otherwise.
+own, and must render exactly as it does alone.
+
+A third pass runs ``--all --jobs 2``: every cell then runs on the sweep
+farm's local workers, and the output must equal the serial ``--all``
+output, timing lines aside.  Exit status 0 when all of that holds, 1
+otherwise.
 """
 
 from __future__ import annotations
@@ -57,10 +61,22 @@ def _numbers(text: str) -> List[str]:
 FIGURE2_REUSE_SCALE = ["--width", "4", "--length", "200", "--warmup", "10000"]
 
 
+def _diff(expected: List[str], text: str, what: str,
+          label: str) -> List[str]:
+    """The failure lines when ``text``, timing lines aside, differs from
+    ``expected``; ``what`` names where ``expected`` came from."""
+    diff = list(difflib.unified_diff(
+        expected, _numbers(text), what, label, lineterm=""))
+    if not diff:
+        return []
+    return [f"{label} output differs from {what}:"] + diff[:200]
+
+
 def _compare(together: List[str], parts: List[Tuple[str, int]],
-             scale: List[str]) -> List[str]:
+             scale: List[str]) -> Tuple[List[str], str]:
     """Run ``together`` in one process and each (flag, number) of
-    ``parts`` alone; the failures (bad exit codes, differing output)."""
+    ``parts`` alone: the failures (bad exit codes, differing output) and
+    the output of ``together``."""
     label = " ".join(together)
     failures = []
     rc, text = _run(together + scale)
@@ -72,12 +88,7 @@ def _compare(together: List[str], parts: List[Tuple[str, int]],
         if rc != 0:
             failures.append(f"{flag} {number} exited {rc}")
         alone.extend(_numbers(part))
-    diff = list(difflib.unified_diff(
-        alone, _numbers(text), "standalone runs", label, lineterm=""))
-    if diff:
-        failures.append(f"{label} output differs from the standalone runs:")
-        failures.extend(diff[:200])
-    return failures
+    return failures + _diff(alone, text, "the standalone runs", label), text
 
 
 def main(argv=None) -> int:
@@ -91,16 +102,22 @@ def main(argv=None) -> int:
     scale = ["--length", str(args.length), "--warmup", str(args.warmup)]
     everything = [("--table", n) for n in sorted(_TABLES)] + [
         ("--figure", n) for n in sorted(_FIGURES)]
-    failures = _compare(["--all"], everything, scale)
+    failures, serial = _compare(["--all"], everything, scale)
     failures += _compare(
         ["--table", "2", "--figure", "2"], [("--table", 2), ("--figure", 2)],
-        FIGURE2_REUSE_SCALE)
+        FIGURE2_REUSE_SCALE)[0]
+    rc, parallel = _run(["--all", "--jobs", "2"] + scale)
+    if rc != 0:
+        failures.append(f"--all --jobs 2 exited {rc}")
+    failures += _diff(_numbers(serial), parallel, "the serial --all",
+                      "--all --jobs 2")
     for line in failures:
         print(line)
     if not failures:
         print(f"paper smoke ok: --all matches {len(_TABLES)} tables and "
-              f"{len(_FIGURES)} figures run alone, and --table 2 --figure 2 "
-              "at --warmup 10000 matches both run alone")
+              f"{len(_FIGURES)} figures run alone and --all --jobs 2, and "
+              "--table 2 --figure 2 at --warmup 10000 matches both run "
+              "alone")
     return 1 if failures else 0
 
 
