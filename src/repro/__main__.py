@@ -5,7 +5,6 @@ Run one benchmark under one scheme and print the statistics::
     python -m repro gzip                       # base 4-wide machine
     python -m repro gzip --scheme PRI+ER       # any Figure 10 scheme
     python -m repro mcf --width 8 --length 10000 --regs 96
-    python -m repro gzip --backend vector --regs 64,96,128,256
     python -m repro --list                     # available benchmarks
 
 For the full table/figure harness use ``python -m repro.experiments``.
@@ -23,7 +22,6 @@ from repro.experiments.runner import (
     RunSpec,
     TraceCache,
     resolve_config,
-    run_lanes,
     run_one,
 )
 from repro.workloads import ALL_BENCHMARKS
@@ -42,16 +40,9 @@ def main(argv=None) -> int:
                         help="timed instructions (default 6000)")
     parser.add_argument("--warmup", type=int, default=20000)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--regs", default=None,
+    parser.add_argument("--regs", type=int, default=None,
                         help="override the physical register count per "
-                             "class; with --backend vector, a "
-                             "comma-separated list sweeps the sizes as "
-                             "one batched column")
-    parser.add_argument("--backend", choices=("scalar", "vector"),
-                        default="scalar",
-                        help="simulation backend: 'vector' runs the "
-                             "--regs size sweep as one lockstep column "
-                             "(bit-identical stats; needs numpy)")
+                             "class")
     parser.add_argument("--audit", action=argparse.BooleanOptionalAction,
                         default=False,
                         help="attach the machine invariant auditor "
@@ -85,18 +76,9 @@ def main(argv=None) -> int:
     if not args.benchmark:
         parser.error("benchmark name required (or --list)")
 
-    try:
-        reg_sizes = ([int(r) for r in str(args.regs).split(",")]
-                     if args.regs is not None else [])
-    except ValueError:
-        parser.error(f"--regs must be an integer or a comma-separated "
-                     f"list of integers, got {args.regs!r}")
-    if len(reg_sizes) > 1 and args.backend != "vector":
-        parser.error("multiple --regs sizes need --backend vector")
-
     scheme = args.scheme
-    if len(reg_sizes) == 1:
-        scheme += f"@PR={reg_sizes[0]}"
+    if args.regs is not None:
+        scheme += f"@PR={args.regs}"
     spec = RunSpec(length=args.length, warmup=args.warmup, seed=args.seed,
                    max_cycles=args.max_cycles, audit=args.audit,
                    oracle=args.oracle, checkpoint_every=args.checkpoint_every,
@@ -106,10 +88,8 @@ def main(argv=None) -> int:
     print(f"generating {args.benchmark!r}: {args.length} timed + "
           f"{args.warmup} warmup instructions (seed {args.seed})")
     traces = TraceCache()
-    trace = traces.get(args.benchmark, spec)
+    traces.get(args.benchmark, spec)  # generate outside the timed run
 
-    if args.backend == "vector":
-        return _run_vector(args, config, trace, reg_sizes)
     start = time.time()
     try:
         stats = run_one(args.benchmark, scheme, args.width, spec, traces)
@@ -148,36 +128,6 @@ def main(argv=None) -> int:
               f"{stats.oracle_arch_checks} architectural sweeps, all clean")
     print(f"[{elapsed:.1f}s, {stats.cycles / max(elapsed, 1e-9):,.0f} cycles/s]")
     return 0
-
-
-def _run_vector(args, config, trace, reg_sizes) -> int:
-    """Run a PRF size sweep (or a single config) as one batched column."""
-    sized = [(str(size), config.with_phys_regs(size)) for size in reg_sizes]
-    lanes = [(key, f"{args.benchmark}/{args.scheme}@PR={key}", lane, trace)
-             for key, lane in sized or [(str(config.int_phys_regs), config)]]
-    try:
-        import repro.vector  # noqa: F401 — fail early, with the gate's message
-    except ImportError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    start = time.time()
-    outcome, cells = run_lanes(lanes, args.max_cycles)
-    elapsed = time.time() - start
-    print(f"scheme {args.scheme!r}, {len(lanes)} lane(s) in "
-          f"{outcome.groups} coherence group(s), {outcome.forks} fork(s)")
-    failures = 0
-    print(f"{'PR':>6s} {'cycles':>9s} {'IPC':>6s} {'committed':>9s}")
-    for key, *_ in lanes:
-        stats = cells[key]
-        if isinstance(stats, Exception):
-            failures += 1
-            print(f"{key:>6s} failed: {stats}", file=sys.stderr)
-            continue
-        print(f"{key:>6s} {stats.cycles:>9d} {stats.ipc:>6.3f} "
-              f"{stats.committed:>9d}")
-    print(f"[{elapsed:.1f}s, {outcome.cycles_simulated} machine-cycles "
-          f"simulated for {len(lanes)} lane(s)]")
-    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -54,12 +54,6 @@ def main(argv=None) -> int:
                         help="local sweep-farm worker processes that run "
                              "the cells of every table and figure "
                              "(results are identical to --jobs 1)")
-    parser.add_argument("--backend", choices=("scalar", "vector"),
-                        default="scalar",
-                        help="simulation backend: 'vector' batches each "
-                             "sweep column (cells sharing a trace, sizes "
-                             "sharing a machine) into one lockstep job "
-                             "with bit-identical results (needs numpy)")
     parser.add_argument("--audit", action=argparse.BooleanOptionalAction,
                         default=False,
                         help="run every cell with the machine invariant "
@@ -146,19 +140,6 @@ def main(argv=None) -> int:
                    checkpoint_dir=args.checkpoint_dir)
     widths = (args.width,) if args.width else (4, 8)
     matrix_opts = {}
-    if args.backend != "scalar":
-        try:
-            import repro.vector  # noqa: F401 — fail early, with the gate's message
-        except ImportError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 1
-        if not args.farm and (args.jobs > 1 or args.cell_timeout is not None
-                              or args.retries):
-            parser.error("--backend vector runs whole columns in one "
-                         "process; --jobs/--cell-timeout/--retries apply "
-                         "to the scalar backend (use --farm to "
-                         "distribute columns)")
-        matrix_opts["backend"] = args.backend
     journal_path = args.journal or (
         f"{args.farm}/journal.json" if args.farm else None
     )

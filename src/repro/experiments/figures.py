@@ -108,21 +108,17 @@ def figure1(
     widths: Sequence[int] = _DEFAULT_WIDTHS,
     benchmarks: Sequence[str] = INT_BENCHMARKS,
     traces: Optional[TraceCache] = None,
-    jobs: int = 1,
-    matrix_opts: Optional[Dict] = None,
     results: Optional[Results] = None,
 ) -> FigureResult:
     """Average physical register lifetime, split into alloc→write,
     write→last-read, last-read→release (stacked bars of Figure 1).
 
-    Renders ``results``, or else simulates its own cells with ``jobs``
-    and ``matrix_opts`` (``journal``, ``retries``, ...) forwarded to
-    :func:`~repro.experiments.runner.run_matrix`; a failed cell raises
-    :class:`~repro.experiments.runner.MatrixError`.  The same applies to
-    every other simulating driver."""
+    Renders ``results``, or else simulates its own cells in process; a
+    failed cell raises :class:`~repro.experiments.runner.MatrixError`.
+    The same applies to every other simulating driver."""
     if results is None:
         results = run_cells(plan("figure1", widths, benchmarks), spec,
-                            traces, jobs=jobs, **(matrix_opts or {}))
+                            traces)
     result = FigureResult(
         "Figure 1: average integer register lifetime (cycles), base machine"
     )
@@ -240,14 +236,12 @@ def figure8(
     widths: Sequence[int] = _DEFAULT_WIDTHS,
     benchmarks: Sequence[str] = INT_BENCHMARKS,
     traces: Optional[TraceCache] = None,
-    jobs: int = 1,
-    matrix_opts: Optional[Dict] = None,
     results: Optional[Results] = None,
 ) -> FigureResult:
     """Register lifetime for base vs PRI vs PRI+ER (Figure 8)."""
     if results is None:
         results = run_cells(plan("figure8", widths, benchmarks), spec,
-                            traces, jobs=jobs, **(matrix_opts or {}))
+                            traces)
     schemes = CELLS["figure8"][1]
     labels = {s: _LABELS.get(s, s) for s in schemes}
     result = FigureResult(
@@ -290,20 +284,17 @@ def figure9(
     benchmarks: Sequence[str] = INT_BENCHMARKS,
     sizes: Sequence[int] = PRF_SWEEP_SIZES,
     traces: Optional[TraceCache] = None,
-    backend: str = "scalar",
     results: Optional[Results] = None,
 ) -> FigureResult:
     """Base-machine speedup vs physical register count, normalized to the
     smallest size (Figure 9).
 
-    Each size is a scheme (``base@PR=<n>``).  On ``backend='vector'`` a
-    benchmark's sizes share one lockstep machine, forked at each size's
-    first register-exhaustion stall, with bit-identical IPCs."""
+    Each size is a scheme (``base@PR=<n>``)."""
     if results is None:
         results = run_cells(
             plan("figure9", widths, benchmarks,
                  lambda width: _sized_schemes(width, sizes)),
-            spec, traces, backend=backend)
+            spec, traces)
     result = FigureResult(
         f"Figure 9: register file sensitivity (speedup over PR={sizes[0]})"
     )
@@ -380,14 +371,12 @@ def figure10(
     widths: Sequence[int] = _DEFAULT_WIDTHS,
     benchmarks: Sequence[str] = INT_BENCHMARKS,
     traces: Optional[TraceCache] = None,
-    jobs: int = 1,
-    matrix_opts: Optional[Dict] = None,
     results: Optional[Results] = None,
 ) -> FigureResult:
     """PRI speedups for the SPECint suite (Figure 10)."""
     if results is None:
         results = run_cells(plan("figure10", widths, benchmarks), spec,
-                            traces, jobs=jobs, **(matrix_opts or {}))
+                            traces)
     return _scheme_speedup_figure(
         "Figure 10: PRI speed-up, SPEC2000 integer", benchmarks, widths,
         results)
@@ -398,14 +387,12 @@ def figure12(
     widths: Sequence[int] = _DEFAULT_WIDTHS,
     benchmarks: Sequence[str] = FP_BENCHMARKS,
     traces: Optional[TraceCache] = None,
-    jobs: int = 1,
-    matrix_opts: Optional[Dict] = None,
     results: Optional[Results] = None,
 ) -> FigureResult:
     """PRI speedups for the SPECfp suite (Figure 12)."""
     if results is None:
         results = run_cells(plan("figure12", widths, benchmarks), spec,
-                            traces, jobs=jobs, **(matrix_opts or {}))
+                            traces)
     return _scheme_speedup_figure(
         "Figure 12: PRI speed-up, SPEC2000 floating point", benchmarks,
         widths, results)
@@ -420,14 +407,12 @@ def figure11(
     widths: Sequence[int] = _DEFAULT_WIDTHS,
     benchmarks: Sequence[str] = INT_BENCHMARKS,
     traces: Optional[TraceCache] = None,
-    jobs: int = 1,
-    matrix_opts: Optional[Dict] = None,
     results: Optional[Results] = None,
 ) -> FigureResult:
     """Average integer PRF occupancy for base / ER / PRI / PRI+ER."""
     if results is None:
         results = run_cells(plan("figure11", widths, benchmarks), spec,
-                            traces, jobs=jobs, **(matrix_opts or {}))
+                            traces)
     schemes = CELLS["figure11"][1]
     labels = [_LABELS.get(s, s) for s in schemes]
     result = FigureResult("Figure 11: average integer PRF occupancy (registers)")

@@ -274,23 +274,6 @@ class TraceCache:
 _GLOBAL_TRACES = TraceCache()
 
 
-def watchdog_error(
-    label: str, committed: int, length: int, max_cycles: Optional[int]
-) -> Optional[SimulationError]:
-    """The cycle-limit watchdog: the error for a run that stopped at
-    ``max_cycles`` having committed only ``committed`` of ``length``
-    instructions, or None when it finished (or had no limit).  ``label``
-    names the cell, ``benchmark/scheme``.  Every execution path formats
-    the message here, so a cell fails with the same text wherever it
-    ran."""
-    if max_cycles is None or committed >= length:
-        return None
-    return SimulationError(
-        f"cycle-limit watchdog: {label} committed only "
-        f"{committed}/{length} instructions in {max_cycles} cycles"
-    )
-
-
 def _simulate_cell(
     benchmark: str,
     scheme: str,
@@ -311,10 +294,13 @@ def _simulate_cell(
                                   on_resume)
     else:
         stats = simulate(config, trace, max_cycles=spec.max_cycles)
-    error = watchdog_error(f"{benchmark}/{scheme}", stats.committed,
-                           len(trace), spec.max_cycles)
-    if error is not None:
-        raise error
+    if spec.max_cycles is not None and stats.committed < len(trace):
+        # The cycle-limit watchdog: never return truncated statistics.
+        raise SimulationError(
+            f"cycle-limit watchdog: {benchmark}/{scheme} committed only "
+            f"{stats.committed}/{len(trace)} instructions in "
+            f"{spec.max_cycles} cycles"
+        )
     return stats
 
 
@@ -337,67 +323,6 @@ def run_one(
     """
     return _simulate_cell(benchmark, scheme, width, spec or RunSpec(),
                           traces or _GLOBAL_TRACES)
-
-
-# ======================================================== vector columns
-
-
-#: Backend names :func:`run_matrix` and the CLIs accept.  Mirrors
-#: ``repro.vector.BACKENDS`` but lives here so validation (and the error
-#: message for a missing numpy) never needs the vector package imported.
-MATRIX_BACKENDS: Tuple[str, ...] = ("scalar", "vector")
-
-#: One lane of :func:`run_lanes`: (key, ``benchmark/scheme`` label,
-#: resolved config, trace).
-LaneSpec = Tuple[str, str, MachineConfig, Trace]
-
-
-def lane_key(benchmark: str, scheme: str) -> str:
-    """The lane identity a matrix cell gets inside a vector column."""
-    return f"{benchmark}|{scheme}"
-
-
-def matrix_lanes(
-    cells: Sequence[Tuple[str, str]], width: int, spec: RunSpec,
-    traces: TraceCache,
-) -> List[LaneSpec]:
-    """The :func:`run_lanes` lanes of a batch of matrix cells."""
-    return [
-        (lane_key(benchmark, scheme), f"{benchmark}/{scheme}",
-         resolve_config(scheme, width, spec), traces.get(benchmark, spec))
-        for benchmark, scheme in cells
-    ]
-
-
-def run_lanes(
-    lanes: Sequence[LaneSpec],
-    max_cycles: Optional[int],
-    cycle_hook: Optional[Callable] = None,
-):
-    """Run ``lanes`` as one batched column on the vector backend
-    (:func:`repro.vector.run_column`, requires numpy).
-
-    The column planner groups lanes that share a trace and differ only
-    in PRF capacity onto one machine; everything else runs as singleton
-    groups.  Returns ``(outcome, cells)``: the
-    :class:`~repro.vector.ColumnOutcome` and, per lane key, its
-    :class:`SimStats` or the error it failed with — the lane's own, or
-    the :func:`watchdog_error` a scalar run of it would raise.
-    """
-    from repro.vector import Lane, run_column  # lazy: optional numpy dep
-
-    outcome = run_column(
-        [Lane(key=key, config=config, trace=trace)
-         for key, _, config, trace in lanes],
-        max_cycles=max_cycles, cycle_hook=cycle_hook,
-    )
-    cells: Dict[str, Union[SimStats, Exception]] = {}
-    for key, label, _, trace in lanes:
-        result = outcome.results[key]
-        error = result.error or watchdog_error(
-            label, result.stats.committed, len(trace), max_cycles)
-        cells[key] = result.stats if error is None else error
-    return outcome, cells
 
 
 # ================================================================ cells
@@ -475,7 +400,6 @@ def run_matrix(
     cell_fn: Optional[Callable] = None,
     farm: Optional[FarmSpec] = None,
     farm_progress: Optional[Callable] = None,
-    backend: str = "scalar",
 ) -> Dict[str, Dict[str, MatrixCell]]:
     """Simulate a benchmark x scheme matrix; returns [benchmark][scheme].
 
@@ -513,15 +437,6 @@ def run_matrix(
     ``cell_fn`` overrides the per-cell simulation callable (signature of
     :func:`run_one`); it exists for fault-injection tests.
 
-    ``backend='vector'`` dispatches the remaining cells as batched
-    columns on the lockstep backend (:mod:`repro.vector`, requires
-    numpy): cells that share a trace and differ only in physical
-    register capacity ride one simulation, forked on divergence, with
-    bit-identical per-lane results and per-cell journal lines.  The
-    column runs in-process (``jobs``, ``cell_timeout``, ``retries``, and
-    ``cell_fn`` apply to the scalar backend and are rejected here); with
-    ``farm`` set, each column becomes one durable lease instead.
-
     ``farm`` (a :class:`~repro.farm.lease.FarmSpec`) hands execution to
     the fault-tolerant sweep farm (:mod:`repro.farm`): cells become
     durable lease records in a shared directory, stateless workers —
@@ -535,26 +450,7 @@ def run_matrix(
     """
     if on_error not in ("raise", "record"):
         raise ValueError(f"on_error must be 'raise' or 'record', got {on_error!r}")
-    if backend not in MATRIX_BACKENDS:
-        raise ValueError(
-            f"backend must be one of {MATRIX_BACKENDS}, got {backend!r}"
-        )
     isolate = jobs > 1 or cell_timeout is not None or retries > 0
-    if backend == "vector":
-        if cell_fn is not None:
-            raise ValueError("cell_fn applies to the scalar backend only")
-        # With a farm, cell_timeout/retries govern the column leases; in
-        # process there is no per-cell isolation to apply them to.
-        clash = [name for name, bad in (
-            ("jobs", jobs > 1), ("cell_timeout", cell_timeout is not None),
-            ("retries", retries > 0),
-        ) if bad]
-        if clash and farm is None:
-            raise ValueError(
-                f"backend='vector' runs whole columns in one process; "
-                f"{', '.join(clash)} only apply to the scalar backend "
-                f"(use farm=... to distribute columns)"
-            )
     spec = spec or RunSpec()
     traces = traces or _GLOBAL_TRACES
     if journal is None and farm is not None:
@@ -600,22 +496,11 @@ def run_matrix(
                 todo, width, spec, farm, sweep_journal, on_cell_done,
                 cell_timeout=cell_timeout, retries=retries,
                 retry_backoff=retry_backoff, cell_fn=cell_fn,
-                on_progress=farm_progress, backend=backend,
+                on_progress=farm_progress,
             )
         finally:
             if local_root is not None:
                 shutil.rmtree(local_root, ignore_errors=True)
-    elif todo and backend == "vector":
-        started = time.monotonic()
-        _, cells = run_lanes(matrix_lanes(todo, width, spec, traces),
-                             spec.max_cycles)
-        elapsed = time.monotonic() - started
-        for benchmark, scheme in todo:
-            cell = cells[lane_key(benchmark, scheme)]
-            if isinstance(cell, Exception):
-                cell = CellError(benchmark, scheme, "error",
-                                 type(cell).__name__, str(cell), 1, elapsed)
-            on_cell_done(benchmark, scheme, cell)
     else:
         cell_fn = cell_fn or run_one
         for benchmark, scheme in todo:
@@ -653,7 +538,7 @@ def run_cells(cells: Sequence[Cell], spec: Optional[RunSpec] = None,
 
     At each width, the benchmarks that need the same schemes form one
     rectangle, run by one :func:`run_matrix` call with ``matrix_opts``
-    (``jobs``, ``journal``, ``farm``, ``backend``, ...).  A failed cell
+    (``jobs``, ``journal``, ``farm``, ...).  A failed cell
     stays in the table as its :class:`CellError`."""
     rows: Dict[Tuple[int, str], List[str]] = {}
     for benchmark, scheme, width in dict.fromkeys(cells):

@@ -128,8 +128,5 @@ class Aggregator:
         if a.status != b.status:
             return False
         if a.status == "ok":
-            # Column (vector) results carry per-lane payloads instead of
-            # a single stats dict; both must match bit-for-bit.
-            return (a.stats == b.stats and a.lane_stats == b.lane_stats
-                    and a.lane_errors == b.lane_errors)
+            return a.stats == b.stats
         return a.error_type == b.error_type

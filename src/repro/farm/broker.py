@@ -82,28 +82,15 @@ def run_cells_farm(
     retry_backoff: float = 0.5,
     cell_fn: Optional[Callable] = None,
     on_progress: Optional[Callable[[FarmReport, int], None]] = None,
-    backend: str = "scalar",
 ) -> FarmReport:
     """Drive ``cells`` through the farm; every finished cell reaches
     ``on_cell_done(benchmark, scheme, SimStats-or-CellError)`` exactly
-    once.  Returns the final :class:`FarmReport`.
-
-    ``backend='vector'`` publishes one *column* cell per benchmark — a
-    single lease covering every (benchmark, scheme) lane sharing that
-    trace, executed as one batched job on :mod:`repro.vector` — and fans
-    each folded column result back out into the same per-cell
-    ``on_cell_done`` calls (so the journal still records one line per
-    sweep cell, individually resumable).  Columns carry no mid-run
-    checkpoint: an evicted column is handed back whole and restarts,
-    which the voluntary-release accounting keeps free of retry budget.
-    """
+    once.  Returns the final :class:`FarmReport`."""
     # Lazy: the runner imports repro.farm.lease at module level, so the
     # reverse edge must stay function-local to avoid an import cycle.
     from repro.experiments.journal import cell_key
-    from repro.experiments.runner import CellError, checkpoint_path, lane_key
+    from repro.experiments.runner import CellError, checkpoint_path
 
-    if backend == "vector" and cell_fn is not None:
-        raise ValueError("cell_fn applies to the scalar backend only")
     plans = normalize_plans(farm.inject)
     transport = FsTransport(farm.root)
     ckpt_spec = dataclasses.replace(
@@ -111,38 +98,20 @@ def run_cells_farm(
 
     # ---------------------------------------------------------- publish
     published: Dict[str, CellSpec] = {}
-    meta: Dict[str, Tuple[str, str]] = {}  # cid -> (benchmark, scheme)
-    if backend == "vector":
-        # One column per benchmark: every scheme lane shares that trace,
-        # so the column planner can capacity-group them on one machine,
-        # and separate benchmarks stay separate leases for parallelism.
-        columns: Dict[str, List[Tuple[str, str]]] = {}
-        for benchmark, scheme in cells:
-            columns.setdefault(benchmark, []).append((benchmark, scheme))
-        units = []
-        for benchmark, lanes in columns.items():
-            lane_keys = [cell_key(b, s, width, spec) for b, s in lanes]
-            key = f"column|{benchmark}|{cid_of('||'.join(lane_keys))}"
-            units.append((key, lanes))
-    else:
-        units = [
-            (cell_key(benchmark, scheme, width, spec), [(benchmark, scheme)])
-            for benchmark, scheme in cells
-        ]
-    for key, lanes in units:
+    for benchmark, scheme in cells:
+        key = cell_key(benchmark, scheme, width, spec)
         cid = cid_of(key)
-        benchmark, scheme = lanes[0]
-        cell = transport.publish(CellSpec(
+        published[cid] = transport.publish(CellSpec(
             cid=cid, key=key, benchmark=benchmark, scheme=scheme,
             width=width, spec=dataclasses.asdict(spec),
-            backend=backend,
-            lanes=[list(lane) for lane in lanes] if backend == "vector" else None,
         ))
-        published[cid] = cell
-        meta[cid] = (benchmark, scheme)
     # Prune cells from an earlier sweep that are no longer wanted (for
     # example, already journaled as complete) so workers never run them.
     transport.prune(set(published))
+    # A result this build cannot read (another schema, or damaged) would
+    # still count its cell as done for the workers while the broker can
+    # never fold it: move it aside so the cell runs again.
+    transport.set_aside_unreadable_results(set(published))
 
     report = FarmReport(cells=len(published))
     agg = Aggregator(report)
@@ -197,33 +166,7 @@ def run_cells_farm(
             cell = published[cid]
             jlease(cell, "completed", result.worker,
                    attempt=result.attempt, start_cycle=result.start_cycle)
-            if cell.backend == "vector":
-                # Fan the column back out: one on_cell_done (and thus
-                # one journal line) per lane, exactly as the scalar
-                # paths produce.  A terminal broker error for the whole
-                # column becomes that same error on every lane.
-                for benchmark, scheme in cell.lanes:
-                    lkey = lane_key(benchmark, scheme)
-                    if result.status != "ok":
-                        on_cell_done(benchmark, scheme, CellError(
-                            benchmark, scheme, result.kind or "error",
-                            result.error_type or "Error",
-                            result.message or "", result.attempt,
-                            result.elapsed,
-                        ))
-                    elif lkey in (result.lane_errors or {}):
-                        err = result.lane_errors[lkey]
-                        on_cell_done(benchmark, scheme, CellError(
-                            benchmark, scheme, "error",
-                            err.get("error_type") or "Error",
-                            err.get("message") or "", result.attempt,
-                            result.elapsed,
-                        ))
-                    else:
-                        on_cell_done(benchmark, scheme,
-                                     SimStats.from_dict(result.lane_stats[lkey]))
-                continue
-            benchmark, scheme = meta[cid]
+            benchmark, scheme = cell.benchmark, cell.scheme
             if result.status == "ok":
                 on_cell_done(benchmark, scheme,
                              SimStats.from_dict(result.stats))
@@ -265,7 +208,7 @@ def run_cells_farm(
                 elapsed=held,
             ))
         else:
-            if cell.backend == "scalar" and os.path.exists(checkpoint_path(
+            if os.path.exists(checkpoint_path(
                     cell.benchmark, cell.scheme, width, ckpt_spec)):
                 # A checkpoint survives this attempt: the next one MUST
                 # resume from it, never restart from cycle 0.

@@ -58,11 +58,15 @@ from repro.store import (
     remove_file,
 )
 
-#: Envelope kinds (and schema versions) of the farm's artifacts.
+#: Envelope kinds (and schema version) of the farm's artifacts.
 CELL_KIND = "farm-cell"
 LEASE_KIND = "farm-lease"
 RESULT_KIND = "farm-result"
-FARM_SCHEMA = 1
+#: Schema 2 dropped the vector-column fields of cell specs and results.
+#: Cells and results of another schema read as
+#: :class:`~repro.store.SchemaMismatch`; leases kept their shape, so a
+#: lease of either schema loads.
+FARM_SCHEMA = 2
 
 
 def cid_of(key: str) -> str:
@@ -139,14 +143,6 @@ class CellSpec:
     #: eviction, broker drain).  Releases are not cell failures, so the
     #: retry budget only counts ``attempt - 1 - released`` against them.
     released: int = 0
-    #: ``scalar`` (default) or ``vector``.  A vector cell is a whole
-    #: *column*: one lease covers every lane in ``lanes``, executed as a
-    #: single batched job on :mod:`repro.vector`.
-    backend: str = "scalar"
-    #: Column lanes as ``[benchmark, scheme]`` pairs (vector cells only;
-    #: ``benchmark``/``scheme`` above then hold the first lane's values
-    #: for display).  Plain lists, not tuples: this round-trips JSON.
-    lanes: Optional[List] = None
 
     def to_dict(self) -> Dict:
         return dataclasses.asdict(self)
@@ -164,7 +160,8 @@ def write_cell(paths: FarmPaths, cell: CellSpec) -> None:
 
 
 def read_cell(path: str) -> CellSpec:
-    data, _meta = read_json_artifact(path, CELL_KIND)
+    data, _meta = read_json_artifact(path, CELL_KIND,
+                                     expected_schema=FARM_SCHEMA)
     return CellSpec.from_dict(data)
 
 
@@ -350,13 +347,6 @@ class CellResult:
     #: checkpoint's cycle when the attempt resumed a reclaimed cell.
     start_cycle: int = 0
     elapsed: float = 0.0
-    #: Column (vector-backend) results: lane key (``benchmark|scheme``)
-    #: -> ``SimStats.to_dict()`` for lanes that completed, and -> a
-    #: ``{"error_type", "message"}`` record for lanes that failed
-    #: deterministically.  ``stats`` stays None for column cells; the
-    #: broker fans these out into per-cell journal lines.
-    lane_stats: Optional[Dict] = None
-    lane_errors: Optional[Dict] = None
 
     def to_dict(self) -> Dict:
         return dataclasses.asdict(self)
@@ -374,7 +364,8 @@ def write_result(paths: FarmPaths, result: CellResult) -> None:
 
 
 def read_result(path: str) -> CellResult:
-    data, _meta = read_json_artifact(path, RESULT_KIND)
+    data, _meta = read_json_artifact(path, RESULT_KIND,
+                                     expected_schema=FARM_SCHEMA)
     return CellResult.from_dict(data)
 
 

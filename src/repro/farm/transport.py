@@ -23,7 +23,7 @@ from typing import List, Optional, Set
 
 from repro.farm import lease as fsl
 from repro.farm.lease import CellResult, CellSpec, FarmPaths, Lease
-from repro.store import ArtifactError, remove_file
+from repro.store import ArtifactError, quarantine_path, remove_file
 
 
 @dataclass
@@ -120,6 +120,18 @@ class FsTransport:
             if cid not in keep:
                 for stale in (self.paths.cell(cid), self.paths.lease(cid)):
                     remove_file(stale)
+
+    def set_aside_unreadable_results(self, cids: Set[str]) -> None:
+        """Quarantine every result file of ``cids`` that does not read
+        (another farm schema, or damaged bytes): :meth:`done_cids` counts
+        files, so such a result would mark its cell done although the
+        broker can never fold it."""
+        for cid, path in fsl.iter_results(self.paths):
+            if cid in cids:
+                try:
+                    fsl.read_result(path)
+                except ArtifactError:
+                    quarantine_path(path)
 
     def lease_views(self) -> List[LeaseView]:
         """Every live lease with its ages, sorted by cid."""

@@ -129,12 +129,6 @@ def _execute_cell(
             start_cycle=0, elapsed=time.monotonic() - started,
         )
 
-    if cell.backend == "vector":
-        return _execute_column(
-            transport, cell, lease, options, chaos, evict, traces, spec,
-            started,
-        )
-
     ckpt = checkpoint_path(cell.benchmark, cell.scheme, cell.width, spec)
 
     def on_resume(cycle: int) -> None:
@@ -176,70 +170,6 @@ def _execute_cell(
         attempt=cell.attempt, status="ok", stats=stats.to_dict(),
         start_cycle=state["start_cycle"],
         elapsed=time.monotonic() - started,
-    )
-
-
-def _execute_column(
-    transport: FsTransport,
-    cell: CellSpec,
-    lease,
-    options: WorkerOptions,
-    chaos: WorkerChaos,
-    evict: _EvictFlag,
-    traces,
-    spec,
-    started: float,
-) -> CellResult:
-    """Run one leased *column* (a vector-backend cell) to completion.
-
-    The whole column is one lease: the engine's cycle hook heartbeats
-    and honors eviction exactly like the scalar path.  Columns are not
-    checkpointed mid-run (a forked machine fleet has no single snapshot
-    point), so an evicted column is handed back whole and restarts —
-    the lease's voluntary-release accounting already makes that free of
-    retry budget.  Per-lane deterministic failures land in
-    ``lane_errors``; they never poison sibling lanes.
-    """
-    from repro.experiments.runner import matrix_lanes, run_lanes
-
-    state = {"zombie": False, "last_hb": time.monotonic()}
-
-    def cycle_hook(m) -> None:
-        if evict.requested:
-            raise Evicted(m)
-        if m.now & 31:
-            return
-        chaos.check(m)
-        if chaos.drop_lease and not state["zombie"]:
-            transport.release(lease)
-            state["zombie"] = True
-        if chaos.stalled:
-            time.sleep(chaos.stall_delay)
-            return
-        if state["zombie"]:
-            return
-        now = time.monotonic()
-        if now - state["last_hb"] >= options.heartbeat_interval:
-            state["last_hb"] = now
-            try:
-                transport.heartbeat(lease, cycle=m.now,
-                                    committed=m.stats.committed)
-            except LeaseLost:
-                state["zombie"] = True
-
-    _, cells = run_lanes(matrix_lanes(cell.lanes, cell.width, spec, traces),
-                         spec.max_cycles, cycle_hook=cycle_hook)
-    lane_stats = {key: stats.to_dict() for key, stats in cells.items()
-                  if not isinstance(stats, Exception)}
-    lane_errors = {
-        key: {"error_type": type(error).__name__, "message": str(error)}
-        for key, error in cells.items() if isinstance(error, Exception)
-    }
-    return CellResult(
-        cid=cell.cid, key=cell.key, worker=lease.worker,
-        attempt=cell.attempt, status="ok",
-        lane_stats=lane_stats, lane_errors=lane_errors,
-        start_cycle=0, elapsed=time.monotonic() - started,
     )
 
 

@@ -1,9 +1,9 @@
 """Simulation-as-a-service: HTTP job server + content-addressed cache.
 
 ``python -m repro.serve serve <root>`` boots the service; clients
-submit (config, trace-spec) jobs and get cached, deduplicated,
-batch-coalesced answers.  See :mod:`repro.serve.server` for the
-durability contract and :mod:`repro.serve.jobs` for how jobs are keyed.
+submit (config, trace-spec) jobs and get cached, deduplicated answers.
+See :mod:`repro.serve.server` for the durability contract and
+:mod:`repro.serve.jobs` for how jobs are keyed.
 """
 
 from repro.serve.cache import (
@@ -18,13 +18,7 @@ from repro.serve.client import (
     ServeRequestError,
     ServeUnavailable,
 )
-from repro.serve.executor import (
-    BatchExecutor,
-    FarmOptions,
-    JobResult,
-    SERVE_BACKENDS,
-    resolve_backend,
-)
+from repro.serve.executor import JobResult, run_job
 from repro.serve.jobs import (
     JOB_FIELDS,
     JOB_STATES,
@@ -35,15 +29,12 @@ from repro.serve.jobs import (
     JobSpec,
     parse_job,
 )
-from repro.serve.server import BATCH_WINDOW, ServeServer, ServeState
+from repro.serve.server import ServeServer, ServeState
 
 __all__ = [
-    "BATCH_WINDOW",
-    "BatchExecutor",
     "CACHE_KIND",
     "CACHE_SCHEMA",
     "CacheEntry",
-    "FarmOptions",
     "JOB_FIELDS",
     "JOB_STATES",
     "JOBS_FORMAT",
@@ -53,7 +44,6 @@ __all__ = [
     "JobResult",
     "JobSpec",
     "ResultCache",
-    "SERVE_BACKENDS",
     "ServeClient",
     "ServeRequestError",
     "ServeServer",
@@ -61,5 +51,5 @@ __all__ = [
     "ServeUnavailable",
     "cache_address",
     "parse_job",
-    "resolve_backend",
+    "run_job",
 ]

@@ -20,8 +20,7 @@ import json
 import sys
 
 from repro.serve.client import ServeClient, ServeRequestError, ServeUnavailable
-from repro.serve.executor import SERVE_BACKENDS
-from repro.serve.server import BATCH_WINDOW, ServeServer
+from repro.serve.server import ServeServer
 
 
 def _job_arguments(parser: argparse.ArgumentParser) -> None:
@@ -69,10 +68,6 @@ def main(argv=None) -> int:
     serve.add_argument("root", help="state directory (journal + cache)")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8700)
-    serve.add_argument("--backend", default="auto", choices=SERVE_BACKENDS)
-    serve.add_argument("--batch-window", type=float, default=BATCH_WINDOW,
-                       help="seconds to linger so bursts coalesce")
-    serve.add_argument("--farm-workers", type=int, default=2)
     serve.add_argument("--verbose", action="store_true")
 
     def _remote(name: str, help_text: str) -> argparse.ArgumentParser:
@@ -105,13 +100,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "serve":
-        server = ServeServer(
-            args.root, host=args.host, port=args.port, backend=args.backend,
-            batch_window=args.batch_window, farm_workers=args.farm_workers,
-            verbose=args.verbose,
-        )
-        print(f"serving {args.root} on {server.url} "
-              f"(backend={server.state.executor.backend})", flush=True)
+        server = ServeServer(args.root, host=args.host, port=args.port,
+                             verbose=args.verbose)
+        print(f"serving {args.root} on {server.url}", flush=True)
         try:
             server.serve_forever()
         except KeyboardInterrupt:

@@ -44,8 +44,8 @@ JOBS_FORMAT = "repro-serve-jobs"
 JOBS_VERSION = 1
 
 #: The job state machine, in lifecycle order.  ``queued`` — accepted and
-#: journaled, waiting for the executor; ``running`` — handed to a
-#: simulation backend; ``done`` — stats durably in the result cache;
+#: journaled, waiting for the executor; ``running`` — being simulated;
+#: ``done`` — stats durably in the result cache;
 #: ``failed`` — the simulation raised (terminal, but resubmittable).
 JOB_STATES = ("queued", "running", "done", "failed")
 
@@ -66,8 +66,7 @@ class JobSpec:
     """One simulation request, fully normalized.
 
     ``regs`` overrides both physical register file capacities (the
-    Figure 9 sweep axis); submissions differing only in ``regs`` are
-    exactly the misses the vector backend coalesces into one column.
+    Figure 9 sweep axis).
     """
 
     benchmark: str
@@ -90,15 +89,19 @@ class JobSpec:
         return RunSpec(length=self.length, warmup=self.warmup,
                        seed=self.seed, max_cycles=self.max_cycles)
 
+    def cell_scheme(self) -> str:
+        """The sweep runner's scheme name for this job: ``scheme``, with
+        a ``regs`` override as its ``@PR=<n>`` suffix."""
+        if self.regs is None:
+            return self.scheme
+        return f"{self.scheme}@PR={self.regs}"
+
     def config(self) -> MachineConfig:
         """The fully resolved machine config, via the same single
         resolution path the sweep journal keys go through."""
         from repro.experiments.runner import resolve_config
 
-        config = resolve_config(self.scheme, self.width, self.run_spec())
-        if self.regs is not None:
-            config = config.with_phys_regs(self.regs)
-        return config
+        return resolve_config(self.cell_scheme(), self.width, self.run_spec())
 
     def key(self) -> str:
         """The cache key: workload knobs + resolved-config digest
@@ -113,14 +116,6 @@ class JobSpec:
         from repro.farm.lease import cid_of
 
         return cid_of(self.key())
-
-    def batch_key(self) -> Tuple:
-        """Jobs sharing this tuple can run as one executor batch (same
-        trace-shaping knobs and width; they differ only in benchmark,
-        scheme, or PRF capacity — the axes one vector column or one farm
-        publish round can carry)."""
-        return (self.width, self.length, self.warmup, self.seed,
-                self.max_cycles)
 
     def to_dict(self) -> Dict:
         out = {

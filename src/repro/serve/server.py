@@ -4,7 +4,7 @@
 long-lived service.  Clients POST (config, trace-spec) jobs as JSON;
 the server keys each one by the existing config-digest + trace-identity
 cell key and answers from the content-addressed result cache
-(:mod:`repro.serve.cache`).  The request paths compose three levels of
+(:mod:`repro.serve.cache`).  The request paths compose two levels of
 demand collapsing, cheapest first:
 
 1. **Cache hit** — the key's result is already durably stored: answered
@@ -13,12 +13,10 @@ demand collapsing, cheapest first:
    running: the submission attaches to it (N identical concurrent
    submissions → one simulation).  The id *is* the hash of the key, so
    dedup is structural, not a lookup table that can drift.
-3. **Batch coalescing** — cold misses are queued, collected for a short
-   batch window, grouped by :meth:`~repro.serve.jobs.JobSpec.batch_key`,
-   and handed to the executor — where the vector backend's column
-   planner merges capacity-only-differing misses onto shared machines
-   (:mod:`repro.vector.column`), and the farm backend fans a batch out
-   across workers.
+
+Everything else is a cold miss: queued, and simulated in process by the
+executor thread as soon as it reaches the head of the queue
+(:func:`~repro.serve.executor.run_job`).
 
 Durability contract: a submission is **acked** (the HTTP response says
 ``queued``) only after its ``queued`` transition is fsynced into the
@@ -46,16 +44,13 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
+from repro.experiments.runner import TraceCache
 from repro.serve.cache import ResultCache
-from repro.serve.executor import BatchExecutor, FarmOptions, JobResult
+from repro.serve.executor import JobResult, run_job
 from repro.serve.jobs import JobError, JobJournal, JobSpec, parse_job
 
 #: How many request-id -> response entries the replay cache keeps.
 RID_CACHE_SIZE = 4096
-
-#: Default seconds the executor waits after the first queued job so that
-#: a burst of submissions lands in one batch (and one vector column).
-BATCH_WINDOW = 0.05
 
 #: Upper bound a single ``/wait`` long-poll may block, seconds.
 MAX_WAIT = 60.0
@@ -68,19 +63,13 @@ class ServeState:
     variable wakes the executor (new work) and long-pollers (job done).
     """
 
-    def __init__(self, root: str, backend: str = "auto",
-                 batch_window: float = BATCH_WINDOW,
-                 farm_workers: int = 2) -> None:
+    def __init__(self, root: str) -> None:
         self.root = root
         os.makedirs(root, exist_ok=True)
         self.cache = ResultCache(os.path.join(root, "cache"))
         self.journal = JobJournal(os.path.join(root, "jobs.json"))
-        farm_options = None
-        if backend == "farm":
-            farm_options = FarmOptions(root=os.path.join(root, "farm"),
-                                       workers=farm_workers)
-        self.executor = BatchExecutor(backend, farm_options=farm_options)
-        self.batch_window = batch_window
+        #: The executor's traces, reused across jobs.
+        self.traces = TraceCache()
         self.lock = threading.Lock()
         self.changed = threading.Condition(self.lock)
         #: id -> live job view: {id, key, state, ts, spec, error?, cost?}
@@ -91,6 +80,7 @@ class ServeState:
         self.queue: List[str] = []
         self.rid_cache: "OrderedDict[str, Dict]" = OrderedDict()
         self.started_unix = time.time()
+        #: ``batches`` counts executor runs, one per simulated job.
         self.metrics: Dict[str, float] = {
             "submissions": 0, "cache_hits": 0, "inflight_dedup": 0,
             "misses": 0, "jobs_done": 0, "jobs_failed": 0,
@@ -230,34 +220,21 @@ class ServeState:
                              if r["state"] == "running")
         out["jobs_known"] = len(self.jobs)
         out["cache_entries"] = len(self.cache)
-        out["backend"] = self.executor.backend
         out["uptime_seconds"] = round(time.time() - self.started_unix, 3)
         return out
 
     # ---------------------------------------------------------- executor
 
-    def take_batch(self) -> List[JobSpec]:
-        """Called by the executor thread: pop every queued job sharing
-        the head-of-queue batch key and mark them running.  Caller holds
-        the lock."""
-        if not self.queue:
-            return []
-        head = self.specs[self.queue[0]]
-        taken: List[JobSpec] = []
-        rest: List[str] = []
-        for job_id in self.queue:
-            spec = self.specs[job_id]
-            if spec.batch_key() == head.batch_key():
-                taken.append(spec)
-                self.jobs[job_id]["state"] = "running"
-                # Running markers are expendable (recovery re-queues
-                # them identically): journaled, but not fsynced.
-                self._journal(job_id, self.jobs[job_id]["key"], "running",
-                              durable=False)
-            else:
-                rest.append(job_id)
-        self.queue = rest
-        return taken
+    def take_job(self) -> JobSpec:
+        """Called by the executor thread: pop the head of the (non-empty)
+        queue and mark it running.  Caller holds the lock."""
+        job_id = self.queue.pop(0)
+        self.jobs[job_id]["state"] = "running"
+        # Running markers are expendable (recovery re-queues them
+        # identically): journaled, but not fsynced.
+        self._journal(job_id, self.jobs[job_id]["key"], "running",
+                      durable=False)
+        return self.specs[job_id]
 
     def finish_job(self, spec: JobSpec, result: JobResult) -> None:
         """Executor callback: durably store, journal, publish, wake
@@ -290,8 +267,8 @@ class ServeState:
 
 
 class _ExecutorThread(threading.Thread):
-    """Drains the queue: wait for work, linger one batch window so a
-    burst coalesces, run the batch, publish results."""
+    """Drains the queue: wait for work, run the head job, publish its
+    result."""
 
     def __init__(self, state: ServeState) -> None:
         super().__init__(name="serve-executor", daemon=True)
@@ -305,33 +282,19 @@ class _ExecutorThread(threading.Thread):
 
     def run(self) -> None:
         state = self.state
-        while not self._halt.is_set():
+        while True:
             with state.lock:
                 while not state.queue and not self._halt.is_set():
                     state.changed.wait(timeout=0.5)
                 if self._halt.is_set():
                     return
-            # Linger outside the lock: let the rest of a burst arrive.
-            if state.batch_window > 0:
-                time.sleep(state.batch_window)
-            with state.lock:
-                batch = state.take_batch()
-                if batch:
-                    state.metrics["batches"] += 1
-            if not batch:
-                continue
+                spec = state.take_job()
+                state.metrics["batches"] += 1
             # Simulate outside the lock — submissions and polls must
-            # keep flowing while a batch runs.
-            results = state.executor.run_batch(batch)
+            # keep flowing while a job runs.
+            result = run_job(spec, state.traces)
             with state.lock:
-                for spec in batch:
-                    result = results.get(spec.job_id())
-                    if result is None:
-                        result = JobResult(
-                            status="error",
-                            error={"error_type": "ExecutorError",
-                                   "message": "backend returned no result"})
-                    state.finish_job(spec, result)
+                state.finish_job(spec, result)
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -478,11 +441,8 @@ class ServeServer:
     runs the same thing in the foreground."""
 
     def __init__(self, root: str, host: str = "127.0.0.1", port: int = 0,
-                 backend: str = "auto", batch_window: float = BATCH_WINDOW,
-                 farm_workers: int = 2, verbose: bool = False) -> None:
-        self.state = ServeState(root, backend=backend,
-                                batch_window=batch_window,
-                                farm_workers=farm_workers)
+                 verbose: bool = False) -> None:
+        self.state = ServeState(root)
         self.httpd = ThreadingHTTPServer((host, port), _Handler)
         self.httpd.daemon_threads = True
         self.httpd.state = self.state

@@ -97,45 +97,28 @@ class TestFigure9Spec:
     """Figure 9 honours the run spec like every other driver: audit and
     oracle overlays on each size's config, and the cycle-limit watchdog."""
 
-    @pytest.mark.parametrize("backend", ["scalar", "vector"])
-    def test_watchdog_fires(self, cache, backend):
-        if backend == "vector":
-            pytest.importorskip("numpy")
+    def test_watchdog_fires(self, cache):
         spec = RunSpec(length=350, warmup=700, seed=2, max_cycles=30)
         with pytest.raises(MatrixError, match="cycle-limit watchdog:") as err:
             figure9(spec, widths=(4,), benchmarks=("gzip",), sizes=(40, 64),
-                    traces=cache, backend=backend)
+                    traces=cache)
         assert [(e.scheme, e.error_type) for e in err.value.errors] == [
             ("base@PR=40", "SimulationError"), ("base", "SimulationError")]
         assert "gzip/base@PR=40 committed only" in err.value.errors[0].message
 
-    @pytest.mark.parametrize("backend", ["scalar", "vector"])
-    def test_audit_and_oracle_reach_every_config(self, cache, monkeypatch,
-                                                 backend):
+    def test_audit_and_oracle_reach_every_config(self, cache, monkeypatch):
         configs = []
-        if backend == "vector":
-            pytest.importorskip("numpy")
-            import repro.vector as vector
+        simulate = runner.simulate
 
-            run_column = vector.run_column
+        def recording(config, trace, **kwargs):
+            configs.append(config)
+            return simulate(config, trace, **kwargs)
 
-            def recording(lanes, *args, **kwargs):
-                configs.extend(lane.config for lane in lanes)
-                return run_column(lanes, *args, **kwargs)
-
-            monkeypatch.setattr(vector, "run_column", recording)
-        else:
-            simulate = runner.simulate
-
-            def recording(config, trace, **kwargs):
-                configs.append(config)
-                return simulate(config, trace, **kwargs)
-
-            monkeypatch.setattr(runner, "simulate", recording)
+        monkeypatch.setattr(runner, "simulate", recording)
         spec = RunSpec(length=350, warmup=700, seed=2, audit=True,
                        oracle=True)
         figure9(spec, widths=(4,), benchmarks=("gzip",), sizes=(40, 64),
-                traces=cache, backend=backend)
+                traces=cache)
         assert [c.int_phys_regs for c in configs] == [40, 64]
         assert all(c.audit.enabled and c.oracle.enabled for c in configs)
 

@@ -24,7 +24,14 @@ def test_single_benchmark_stays_serial():
 
 
 def test_figure_driver_accepts_jobs():
-    from repro.experiments.figures import figure10
+    from repro.experiments.figures import figure10, plan
+    from repro.experiments.runner import run_cells
 
-    result = figure10(_SPEC, widths=(4,), benchmarks=("gzip", "mcf"), jobs=2)
-    assert set(result.data[4]["speedups"]) == {"gzip", "mcf"}
+    benchmarks = ("gzip", "mcf")
+    cells = plan("figure10", (4,), benchmarks)
+    parallel = figure10(_SPEC, widths=(4,), benchmarks=benchmarks,
+                        results=run_cells(cells, _SPEC, jobs=2))
+    serial = figure10(_SPEC, widths=(4,), benchmarks=benchmarks,
+                      traces=TraceCache())
+    assert set(parallel.data[4]["speedups"]) == set(benchmarks)
+    assert parallel.render() == serial.render()

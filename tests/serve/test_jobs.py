@@ -44,14 +44,6 @@ def test_regs_override_changes_key():
     assert cfg.int_phys_regs == 56 and cfg.fp_phys_regs == 56
 
 
-def test_batch_key_groups_coalescable_jobs():
-    a = JobSpec(benchmark="gzip", regs=48)
-    b = JobSpec(benchmark="mcf", regs=64)
-    c = JobSpec(benchmark="gzip", seed=9)
-    assert a.batch_key() == b.batch_key()
-    assert a.batch_key() != c.batch_key()
-
-
 def test_to_dict_round_trips_through_parse():
     spec = JobSpec(benchmark="gzip", scheme="ER", width=8, length=3000,
                    warmup=5000, seed=3, max_cycles=100000, regs=72)

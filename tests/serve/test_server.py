@@ -4,7 +4,8 @@ import threading
 
 import pytest
 
-from repro.serve import ServeClient, ServeRequestError, ServeServer
+from repro.experiments import RunSpec, run_one
+from repro.serve import ServeClient, ServeRequestError, ServeServer, ServeState
 
 JOB = {"benchmark": "gzip", "scheme": "base", "width": 4,
        "length": 800, "warmup": 1500, "seed": 3}
@@ -12,8 +13,7 @@ JOB = {"benchmark": "gzip", "scheme": "base", "width": 4,
 
 @pytest.fixture
 def server(tmp_path):
-    srv = ServeServer(str(tmp_path / "serve"), backend="scalar",
-                      batch_window=0.02).start()
+    srv = ServeServer(str(tmp_path / "serve")).start()
     yield srv
     srv.stop()
 
@@ -36,6 +36,7 @@ def test_submit_wait_result(client):
     result = client.result(record["id"])
     assert result["stats"]["committed"] == JOB["length"]
     assert result["cost"]["backend"] == "scalar"
+    assert result["cost"]["batch_jobs"] == 1
 
 
 def test_second_submission_is_cache_hit(client):
@@ -104,7 +105,7 @@ def test_rid_replay_answers_from_cache(client):
 def test_metrics_and_cost_accounting(client):
     _run(client)
     metrics = client.metrics()
-    assert metrics["backend"] == "scalar"
+    assert metrics["batches"] == metrics["simulations"] == 1
     assert metrics["cycles_simulated"] > 0
     assert metrics["instructions_committed"] == JOB["length"]
     assert metrics["sim_wall_seconds"] > 0
@@ -122,16 +123,15 @@ def test_gc_endpoint(client):
 
 def test_restart_resumes_queued_jobs(tmp_path):
     root = str(tmp_path / "serve")
-    # Queue with a huge batch window so nothing executes before "crash".
-    srv = ServeServer(root, backend="scalar", batch_window=30.0).start()
-    client = ServeClient(srv.url)
-    acked = [client.submit(dict(JOB))["id"],
-             client.submit({**JOB, "seed": 5})["id"]]
-    # SIGKILL equivalent: drop the process state without draining.
-    srv.httpd.shutdown()
-    srv.httpd.server_close()
+    # Ack two jobs on a state with no executor thread, so nothing runs
+    # before the "crash"; dropping the state is the SIGKILL equivalent.
+    state = ServeState(root)
+    with state.lock:
+        acked = [state.rpc_submit({"job": dict(JOB)})["id"],
+                 state.rpc_submit({"job": {**JOB, "seed": 5}})["id"]]
+    del state
 
-    srv2 = ServeServer(root, backend="scalar", batch_window=0.02).start()
+    srv2 = ServeServer(root).start()
     try:
         client2 = ServeClient(srv2.url)
         assert srv2.state.metrics["recovered_jobs"] == 2
@@ -143,13 +143,13 @@ def test_restart_resumes_queued_jobs(tmp_path):
 
 def test_restart_answers_done_jobs_from_cache(tmp_path):
     root = str(tmp_path / "serve")
-    srv = ServeServer(root, backend="scalar", batch_window=0.02).start()
+    srv = ServeServer(root).start()
     client = ServeClient(srv.url)
     first = _run(client)
     stats = client.result(first["id"])["stats"]
     srv.stop()
 
-    srv2 = ServeServer(root, backend="scalar", batch_window=0.02).start()
+    srv2 = ServeServer(root).start()
     try:
         client2 = ServeClient(srv2.url)
         again = client2.submit(dict(JOB))
@@ -160,30 +160,21 @@ def test_restart_answers_done_jobs_from_cache(tmp_path):
         srv2.stop()
 
 
-def test_vector_backend_bit_identical_to_scalar(tmp_path):
-    pytest.importorskip("numpy")
-    scalar = ServeServer(str(tmp_path / "a"), backend="scalar",
-                         batch_window=0.02).start()
-    vector = ServeServer(str(tmp_path / "b"), backend="vector",
-                         batch_window=0.1).start()
-    try:
-        sweep = [{**JOB, "scheme": "PRI-refcount+lazy", "regs": r}
-                 for r in (48, 64)]
-        sc, vc = ServeClient(scalar.url), ServeClient(vector.url)
-        scalar_stats = [sc.result(_run(sc, j)["id"])["stats"]
-                        for j in sweep]
-        vector_ids = [vc.submit(dict(j))["id"] for j in sweep]
-        vector_stats = [vc.result(vc.wait(i, timeout=60)["id"])["stats"]
-                        for i in vector_ids]
-        assert scalar_stats == vector_stats
-    finally:
-        scalar.stop()
-        vector.stop()
+def test_served_regs_job_equals_its_sweep_cell(client):
+    scheme = "PRI-refcount+lazy"
+    spec = RunSpec(length=JOB["length"], warmup=JOB["warmup"],
+                   seed=JOB["seed"])
+    sweep = [{**JOB, "scheme": scheme, "regs": regs} for regs in (48, 64, 96)]
+    ids = [client.submit(dict(job))["id"] for job in sweep]
+    for job, job_id in zip(sweep, ids):
+        assert client.wait(job_id, timeout=60)["state"] == "done"
+        want = run_one("gzip", f"{scheme}@PR={job['regs']}", 4, spec)
+        assert client.result(job_id)["stats"] == want.to_dict()
 
 
 def test_failed_job_reports_and_can_retry(tmp_path):
     root = str(tmp_path / "serve")
-    srv = ServeServer(root, backend="scalar", batch_window=0.02).start()
+    srv = ServeServer(root).start()
     try:
         client = ServeClient(srv.url)
         # An impossibly tight cycle limit: the watchdog fails the job.

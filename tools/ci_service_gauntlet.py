@@ -42,8 +42,8 @@ from _chaos_common import fsck_gate, report_failures  # noqa: E402
 
 from repro.serve import JobSpec, ServeClient, ServeUnavailable  # noqa: E402
 
-#: The workload axes: small enough for CI, wide enough to exercise
-#: batching (distinct benchmarks) and coalescing (a regs sweep).
+#: The workload axes: small enough for CI, wide enough to cover
+#: distinct benchmarks, schemes and a regs sweep.
 _BASE = {"benchmark": "gzip", "scheme": "PRI-refcount+lazy", "width": 4,
          "length": 1200, "warmup": 2500, "seed": 7}
 _DISTINCT = [
@@ -73,7 +73,7 @@ def _spawn(root: str, port: int) -> subprocess.Popen:
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     return subprocess.Popen(
         [sys.executable, "-m", "repro.serve", "serve", root,
-         "--port", str(port), "--batch-window", "0.1"],
+         "--port", str(port)],
         env=env, cwd=REPO,
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     )
@@ -92,7 +92,7 @@ def _wait_ping(client: ServeClient, deadline: float = 30.0) -> None:
 
 def _reference_stats(job: Dict) -> Dict:
     """The job simulated in-process — the gauntlet's own ground truth,
-    independent of the server's backend choice."""
+    independent of the server's execution path."""
     from repro.core.machine import Machine
     from repro.workloads import generate_trace
 
@@ -100,6 +100,15 @@ def _reference_stats(job: Dict) -> Dict:
     trace = generate_trace(spec.benchmark, spec.length, seed=spec.seed,
                            warmup=spec.warmup)
     return Machine(spec.config()).run(trace).to_dict()
+
+
+def _check_reference(client: ServeClient, jobs, failures: List[str]) -> None:
+    """Each served ``(job id, job)``'s stats must equal the job's
+    in-process reference simulation."""
+    for job_id, job in jobs:
+        if client.result(job_id).get("stats") != _reference_stats(job):
+            failures.append(f"served stats of {job} diverge from the "
+                            f"in-process reference simulation")
 
 
 def main(argv=None) -> int:
@@ -156,12 +165,9 @@ def main(argv=None) -> int:
                 f"{metrics['cache_hits']} cache hits for "
                 f"{_DUPLICATES} duplicate submissions")
 
-        # Cold-miss answer vs. in-process reference: bit-identical.
+        # Cold-miss answers vs. in-process reference: bit-identical.
+        _check_reference(client, zip(wave1, [_BASE] + _DISTINCT), failures)
         cold = client.result(base_id)["stats"]
-        reference = _reference_stats(_BASE)
-        if cold != reference:
-            failures.append("cold-miss stats diverge from the in-process "
-                            "reference simulation")
         # Cache-hit answer vs. cold-miss answer: bit-identical.
         resubmit = client.submit(dict(_BASE))
         if not resubmit.get("cached"):
@@ -187,6 +193,7 @@ def main(argv=None) -> int:
             if record.get("state") != "done":
                 failures.append(
                     f"acked job {job_id} lost across SIGKILL: {record}")
+        _check_reference(client, zip(acked, _WAVE2), failures)
         metrics = client.metrics()
         print(f"[phase 3] metrics: recovered={metrics['recovered_jobs']} "
               f"simulations={metrics['simulations']}")
