@@ -3,7 +3,6 @@ BTB, and RAS."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict
 
 from repro.branch.btb import BranchTargetBuffer
@@ -14,14 +13,17 @@ from repro.isa.instruction import MicroOp
 from repro.isa.opcodes import OpClass
 
 
-@dataclass(slots=True)
 class BranchPrediction:
     """Outcome of predicting one branch at fetch time."""
 
-    pred_taken: bool
-    pred_target: int  # 0 when unknown (BTB/RAS miss)
-    mispredicted: bool  # against the trace's actual outcome
-    history_before: int  # for gshare repair on misprediction
+    __slots__ = ("pred_taken", "pred_target", "mispredicted", "history_before")
+
+    def __init__(self, pred_taken: bool, pred_target: int,
+                 mispredicted: bool, history_before: int) -> None:
+        self.pred_taken = pred_taken
+        self.pred_target = pred_target  # 0 when unknown (BTB/RAS miss)
+        self.mispredicted = mispredicted  # against the trace's actual outcome
+        self.history_before = history_before  # for gshare repair on misprediction
 
 
 class BranchUnit:

@@ -18,6 +18,7 @@ The scheme names follow the paper's Figures 10 and 12 exactly:
 from __future__ import annotations
 
 import dataclasses
+import gc
 import os
 import shutil
 import tempfile
@@ -251,6 +252,15 @@ class TraceCache:
                 benchmark, spec.length, seed=spec.seed, warmup=spec.warmup
             )
             self._cache[key] = trace
+            # A cached trace is tens of thousands of immutable, acyclic
+            # objects that live until evicted, and every full collection
+            # would walk them all again to free nothing.  Freezing moves
+            # them (with everything else alive now) out of the cyclic
+            # collector's generations; reference counting still frees
+            # them on eviction.  Collecting first keeps garbage that is
+            # already waiting from being frozen with them.
+            gc.collect()
+            gc.freeze()
         return trace
 
     def stream_prefix(self, benchmark: str, seed: int, n: int) -> List[MicroOp]:

@@ -19,12 +19,32 @@ The generator models:
   code footprint that drives IL1 behaviour;
 * a three-region data working set (hot/warm/cold) with optional streaming,
   driving DL1/L2/memory behaviour.
+
+**Draw order is part of the output.**  A trace is a function of its
+profile and seed alone, and ``tests/workloads/test_trace_golden.py`` pins
+every field of every op.  The hot path makes exactly the draws, in
+exactly the order, that the plain ``random.Random`` calls it stands for
+would make:
+
+* a bounded integer (``randrange``/``randint``/``choice`` over ``n``
+  values) is ``getrandbits(k)`` with ``k = n.bit_length()``, redrawn while
+  it is ``>= n`` — the rejection loop those methods run;
+* ``expovariate(lam)`` is ``-log(1.0 - random()) / lam``;
+* a weighted pick is the first cumulative weight ``>= random()``, found
+  with ``bisect_left``;
+* a constant compared against a draw is computed once, by the same
+  expression the per-call code would evaluate, so it is the same float.
+
+A change that adds, drops or reorders a draw moves every later op, and
+with it every table and figure.
 """
 
 from __future__ import annotations
 
 import random
 import zlib
+from bisect import bisect_left
+from math import log
 from typing import List, Optional, Tuple
 
 from repro.isa.instruction import MicroOp, SourceOperand
@@ -39,6 +59,23 @@ _HOT_BASE = 0x1000_0000
 _WARM_BASE = 0x2000_0000
 _COLD_BASE = 0x4000_0000
 _FUNC_COUNT = 32
+_CALL_SITE_BITS = (2 * _FUNC_COUNT).bit_length()
+_HOT_WORDS = 8 * 1024 // 8  # doublewords in the 8KB hot data region
+_NUM_DESTS = NUM_INT_ARCH_REGS - 1  # writable registers: all but the zero register
+
+_INT, _FP = RegClass.INT, RegClass.FP
+_INT_ALU, _LOAD, _STORE = OpClass.INT_ALU, OpClass.LOAD, OpClass.STORE
+_FP_LOAD, _FP_STORE = OpClass.FP_LOAD, OpClass.FP_STORE
+_BRANCH, _CALL, _RETURN = OpClass.BRANCH, OpClass.CALL, OpClass.RETURN
+_FP_ALU = frozenset((OpClass.FP_ADD, OpClass.FP_MUL, OpClass.FP_DIV))
+
+
+def _record_dest(values: List[int], recent: List[int], index: int, value: int) -> None:
+    """Write a destination's value and push it on its recency list."""
+    values[index] = value
+    recent.append(index)
+    if len(recent) > 64:
+        del recent[:32]
 
 
 class _BranchSite:
@@ -62,12 +99,13 @@ class _BranchSite:
         self.phase = 0
         self.backward = backward
 
-    def outcome(self, rng: random.Random) -> bool:
+    def outcome(self, random) -> bool:
+        """The next outcome; ``random`` is the generator's ``rng.random``."""
         if self.trip_count:
             taken = self.phase < self.trip_count - 1
             self.phase = (self.phase + 1) % self.trip_count
             return taken
-        if rng.random() < self.bias:
+        if random() < self.bias:
             return self.taken_dir
         return not self.taken_dir
 
@@ -76,7 +114,9 @@ class TraceGenerator:
     """Generates micro-op traces from a benchmark profile.
 
     Deterministic for a given ``(profile, seed)`` pair; regenerate rather
-    than persist traces.
+    than persist traces.  The generator holds no reference to itself
+    (no bound method or closure of ``self`` on ``self``), so it and the
+    traces it builds are freed by reference counting alone.
     """
 
     def __init__(self, profile: BenchmarkProfile, seed: int = 0) -> None:
@@ -85,6 +125,9 @@ class TraceGenerator:
         # zlib.crc32, not hash(): str hashes are salted per process and
         # would make traces irreproducible across runs.
         self.rng = random.Random(zlib.crc32(profile.name.encode()) * 1_000_003 + seed)
+        # The hot path draws through these two, bound once.
+        self._random = self.rng.random
+        self._getrandbits = self.rng.getrandbits
         self.int_model = IntValueModel(profile.int_widths)
         self.fp_model = FpValueModel(
             zero_frac=profile.fp_zero_frac,
@@ -92,6 +135,7 @@ class TraceGenerator:
             exp_narrow_frac=profile.fp_exp_narrow_frac,
             sig_narrow_frac=profile.fp_sig_narrow_frac,
         )
+        self._init_constants()
         self._init_registers()
         self._init_control_flow()
         self._init_memory()
@@ -99,6 +143,31 @@ class TraceGenerator:
         self._op_classes, self._op_weights = self._build_mix()
 
     # ------------------------------------------------------------- setup
+
+    def _init_constants(self) -> None:
+        """Per-profile constants of the hot path (see the module
+        docstring: each is the float the per-call expression gives)."""
+        p = self.profile
+        if not 0 < p.dest_hot_regs < _NUM_DESTS:
+            raise ValueError(
+                f"{p.name}: dest_hot_regs must be in [1, {_NUM_DESTS - 1}], "
+                f"got {p.dest_hot_regs}"
+            )
+        self._zero_reg_frac = p.zero_reg_frac
+        self._src_recent_frac = p.src_recent_frac
+        self._dep_lambda = 1.0 / max(1.0, p.dep_mean)  # expovariate's rate
+        self._dest_hot_frac = p.dest_hot_frac
+        # (first register, pool size, bits per draw) of the two pools.
+        hot, cold = p.dest_hot_regs, _NUM_DESTS - p.dest_hot_regs
+        self._hot_pool = (0, hot, hot.bit_length())
+        self._cold_pool = (hot, cold, cold.bit_length())
+        self._pointer_chase_frac = p.pointer_chase_frac
+        self._fp_mem_frac = p.fp_mem_frac
+        self._call_frac = p.call_frac
+        self._return_frac = p.call_frac * 1.2
+        self._mem_frac = p.mem_access_frac
+        self._l2_or_mem_frac = p.mem_access_frac + p.l2_access_frac
+        self._code_end = _CODE_BASE + p.code_footprint
 
     def _init_registers(self) -> None:
         rng = self.rng
@@ -116,6 +185,14 @@ class TraceGenerator:
         # Random site placement: regular strides would alias whole site
         # populations onto a few predictor/BTB sets.
         footprint = max(p.code_footprint, 4096)
+        slots = len(range(0, footprint, 4))
+        if p.branch_sites + 2 * _FUNC_COUNT > slots:
+            # The distinct-PC draws below would never finish.
+            raise ValueError(
+                f"{p.name}: {p.branch_sites} branch sites and "
+                f"{2 * _FUNC_COUNT} call sites need distinct PCs, but a "
+                f"{footprint}-byte code footprint has only {slots}"
+            )
         pcs = set()
         while len(pcs) < p.branch_sites:
             pcs.add(_CODE_BASE + rng.randrange(0, footprint, 4))
@@ -172,7 +249,6 @@ class TraceGenerator:
         #   misses the DL1 yet stays L2-resident (they occupy distinct L2
         #   sets);
         # * mem — a never-revisited pointer: compulsory miss to memory.
-        self._hot_size = 8 * 1024
         dl1 = 32 * 1024 // 16 // 4  # sets in the paper's DL1 (512)
         stride = dl1 * 16  # 8KB: same DL1 set, different L2 sets
         self._l2_ring = [_WARM_BASE + i * stride for i in range(8)]
@@ -203,82 +279,82 @@ class TraceGenerator:
 
     # ----------------------------------------------------------- helpers
 
-    def _pick_site(self) -> _BranchSite:
-        u = self.rng.random()
-        lo, hi = 0, len(self._site_cum) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._site_cum[mid] < u:
-                lo = mid + 1
-            else:
-                hi = mid
-        return self.sites[lo]
+    def _pick_source(self, recent: List[int]) -> int:
+        """Choose a source logical register via the dependence model
+        (the INT zero-register draw is the caller's)."""
+        random = self._random
+        if recent and random() < self._src_recent_frac:
+            # Geometric distance into the recency list (1 = most recent):
+            # expovariate, inlined.
+            dist = 1 + int(-log(1.0 - random()) / self._dep_lambda)
+            return recent[-dist] if dist < len(recent) else recent[0]
+        # randrange(31): any register but the zero register.
+        getrandbits = self._getrandbits
+        r = getrandbits(5)
+        while r >= _NUM_DESTS:
+            r = getrandbits(5)
+        return r
 
-    def _pick_source(self, reg_class: RegClass) -> int:
-        """Choose a source logical register via the dependence model."""
-        p, rng = self.profile, self.rng
-        if reg_class == RegClass.INT and rng.random() < p.zero_reg_frac:
-            return INT_ZERO_REG
-        recent = self.recent_int if reg_class == RegClass.INT else self.recent_fp
-        if recent and rng.random() < p.src_recent_frac:
-            # Geometric distance into the recency list (1 = most recent).
-            dist = min(len(recent), 1 + int(rng.expovariate(1.0 / max(1.0, p.dep_mean))))
-            return recent[-dist]
-        limit = NUM_INT_ARCH_REGS - 1  # exclude the zero register
-        return rng.randrange(limit)
-
-    def _pick_dest(self, reg_class: RegClass) -> int:
-        p, rng = self.profile, self.rng
-        if rng.random() < p.dest_hot_frac:
-            return rng.randrange(p.dest_hot_regs)
-        return rng.randrange(p.dest_hot_regs, NUM_INT_ARCH_REGS - 1)
-
-    def _record_dest(self, reg_class: RegClass, index: int, value: int) -> None:
-        if reg_class == RegClass.INT:
-            self.int_values[index] = value
-            recent = self.recent_int
+    def _int_source(self) -> SourceOperand:
+        if self._random() < self._zero_reg_frac:
+            index = INT_ZERO_REG
         else:
-            self.fp_values[index] = value
-            recent = self.recent_fp
-        recent.append(index)
-        if len(recent) > 64:
-            del recent[:32]
+            index = self._pick_source(self.recent_int)
+        return SourceOperand(_INT, index, self.int_values[index])
 
-    def _source_operand(self, reg_class: RegClass, index: int) -> SourceOperand:
-        values = self.int_values if reg_class == RegClass.INT else self.fp_values
-        return SourceOperand(reg_class, index, values[index])
+    def _fp_source(self) -> SourceOperand:
+        index = self._pick_source(self.recent_fp)
+        return SourceOperand(_FP, index, self.fp_values[index])
+
+    def _pick_dest(self) -> int:
+        """A destination register: ``randrange(dest_hot_regs)`` from the
+        hot pool, else ``randrange(dest_hot_regs, 31)``."""
+        getrandbits = self._getrandbits
+        if self._random() < self._dest_hot_frac:
+            base, n, k = self._hot_pool
+        else:
+            base, n, k = self._cold_pool
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return base + r
+
+    def _next_pc(self) -> int:
+        pc = self._pc
+        self._pc = pc + 4 if pc + 4 < self._code_end else _CODE_BASE
+        return pc
 
     def _data_address(self) -> int:
-        p, rng = self.profile, self.rng
-        u = rng.random()
-        if u < p.mem_access_frac:
+        u = self._random()
+        if u < self._mem_frac:
             addr = self._mem_ptr
             self._mem_ptr += 64  # fresh L2 line every time: always a miss
             return addr
-        if u < p.mem_access_frac + p.l2_access_frac:
+        if u < self._l2_or_mem_frac:
             addr = self._l2_ring[self._l2_idx]
             self._l2_idx = (self._l2_idx + 1) % len(self._l2_ring)
             return addr
-        return _HOT_BASE + rng.randrange(0, self._hot_size, 8)
+        # randrange(0, 8192, 8): a random doubleword of the hot region.
+        getrandbits = self._getrandbits
+        r = getrandbits(11)
+        while r >= _HOT_WORDS:
+            r = getrandbits(11)
+        return _HOT_BASE + 8 * r
 
     # ---------------------------------------------------------- emission
 
     def next_op(self) -> MicroOp:
         """Generate and return the next micro-op."""
-        rng = self.rng
-        u = rng.random()
-        op_class = self._op_classes[-1]
-        for cls, cum in zip(self._op_classes, self._op_weights):
-            if u <= cum:
-                op_class = cls
-                break
-        if op_class == OpClass.BRANCH:
+        classes = self._op_classes
+        i = bisect_left(self._op_weights, self._random())
+        op_class = classes[i] if i < len(classes) else classes[-1]
+        if op_class is _BRANCH:
             op = self._emit_branch()
-        elif op_class == OpClass.LOAD:
+        elif op_class is _LOAD:
             op = self._emit_load()
-        elif op_class == OpClass.STORE:
+        elif op_class is _STORE:
             op = self._emit_store()
-        elif op_class in (OpClass.FP_ADD, OpClass.FP_MUL, OpClass.FP_DIV):
+        elif op_class in _FP_ALU:
             op = self._emit_fp_alu(op_class)
         else:
             op = self._emit_int_alu(op_class)
@@ -286,111 +362,93 @@ class TraceGenerator:
         self._seq += 1
         return op
 
-    def _next_pc(self) -> int:
-        pc = self._pc
-        self._pc += 4
-        if self._pc >= _CODE_BASE + self.profile.code_footprint:
-            self._pc = _CODE_BASE
-        return pc
-
     def _emit_int_alu(self, op_class: OpClass) -> MicroOp:
-        rng = self.rng
-        nsrc = 0 if (op_class == OpClass.INT_ALU and rng.random() < 0.10) else (
-            1 if rng.random() < 0.3 else 2
-        )
-        sources = tuple(
-            self._source_operand(RegClass.INT, self._pick_source(RegClass.INT))
-            for _ in range(nsrc)
-        )
-        dest = self._pick_dest(RegClass.INT)
-        result = self.int_model.sample(rng)
-        op = MicroOp(
-            self._seq, self._next_pc(), op_class,
-            sources=sources, dest_class=RegClass.INT, dest=dest, result=result,
-        )
-        self._record_dest(RegClass.INT, dest, result)
+        random = self._random
+        if op_class is _INT_ALU and random() < 0.10:
+            sources = ()
+        elif random() < 0.3:
+            sources = (self._int_source(),)
+        else:
+            sources = (self._int_source(), self._int_source())
+        dest = self._pick_dest()
+        result = self.int_model.sample(self.rng)
+        op = MicroOp(self._seq, self._next_pc(), op_class, sources, _INT, dest, result)
+        _record_dest(self.int_values, self.recent_int, dest, result)
         return op
 
     def _emit_fp_alu(self, op_class: OpClass) -> MicroOp:
-        rng = self.rng
-        sources = tuple(
-            self._source_operand(RegClass.FP, self._pick_source(RegClass.FP))
-            for _ in range(2)
-        )
-        dest = self._pick_dest(RegClass.FP)
-        result = self.fp_model.sample(rng)
-        op = MicroOp(
-            self._seq, self._next_pc(), op_class,
-            sources=sources, dest_class=RegClass.FP, dest=dest, result=result,
-        )
-        self._record_dest(RegClass.FP, dest, result)
+        sources = (self._fp_source(), self._fp_source())
+        dest = self._pick_dest()
+        result = self.fp_model.sample(self.rng)
+        op = MicroOp(self._seq, self._next_pc(), op_class, sources, _FP, dest, result)
+        _record_dest(self.fp_values, self.recent_fp, dest, result)
         return op
 
     def _emit_load(self) -> MicroOp:
-        p, rng = self.profile, self.rng
-        if self.last_load_dest is not None and rng.random() < p.pointer_chase_frac:
-            base_reg = self.last_load_dest
+        random = self._random
+        base_reg = self.last_load_dest
+        if base_reg is not None and random() < self._pointer_chase_frac:
+            source = SourceOperand(_INT, base_reg, self.int_values[base_reg])
         else:
-            base_reg = self._pick_source(RegClass.INT)
-        sources = (self._source_operand(RegClass.INT, base_reg),)
-        is_fp = rng.random() < p.fp_mem_frac
-        if is_fp:
-            dest_class, op_class = RegClass.FP, OpClass.FP_LOAD
-            result = self.fp_model.sample(rng)
-        else:
-            dest_class, op_class = RegClass.INT, OpClass.LOAD
-            result = self.int_model.sample(rng)
-        dest = self._pick_dest(dest_class)
-        op = MicroOp(
-            self._seq, self._next_pc(), op_class,
-            sources=sources, dest_class=dest_class, dest=dest, result=result,
-            mem_addr=self._data_address(),
-        )
-        self._record_dest(dest_class, dest, result)
-        if not is_fp:
-            self.last_load_dest = dest
+            source = self._int_source()
+        if random() < self._fp_mem_frac:
+            result = self.fp_model.sample(self.rng)
+            dest = self._pick_dest()
+            op = MicroOp(self._seq, self._next_pc(), _FP_LOAD, (source,), _FP, dest,
+                         result, mem_addr=self._data_address())
+            _record_dest(self.fp_values, self.recent_fp, dest, result)
+            return op
+        result = self.int_model.sample(self.rng)
+        dest = self._pick_dest()
+        op = MicroOp(self._seq, self._next_pc(), _LOAD, (source,), _INT, dest,
+                     result, mem_addr=self._data_address())
+        _record_dest(self.int_values, self.recent_int, dest, result)
+        self.last_load_dest = dest
         return op
 
     def _emit_store(self) -> MicroOp:
-        p, rng = self.profile, self.rng
-        is_fp = rng.random() < p.fp_mem_frac
-        data_class = RegClass.FP if is_fp else RegClass.INT
-        op_class = OpClass.FP_STORE if is_fp else OpClass.STORE
-        sources = (
-            self._source_operand(data_class, self._pick_source(data_class)),
-            self._source_operand(RegClass.INT, self._pick_source(RegClass.INT)),
-        )
+        if self._random() < self._fp_mem_frac:
+            op_class, data = _FP_STORE, self._fp_source()
+        else:
+            op_class, data = _STORE, self._int_source()
         return MicroOp(
             self._seq, self._next_pc(), op_class,
-            sources=sources, dest=None, mem_addr=self._data_address(),
+            sources=(data, self._int_source()), dest=None,
+            mem_addr=self._data_address(),
         )
 
     def _emit_branch(self) -> MicroOp:
-        p, rng = self.profile, self.rng
-        if self._return_pcs and rng.random() < p.call_frac * 1.2:
-            target = self._return_pcs.pop()
+        random = self._random
+        returns = self._return_pcs
+        if returns and random() < self._return_frac:
+            target = returns.pop()
             op = MicroOp(
-                self._seq, self._pc, OpClass.RETURN,
+                self._seq, self._pc, _RETURN,
                 sources=(), dest=None, taken=True, target=target, is_indirect=True,
             )
             self._pc = target
             return op
-        if rng.random() < p.call_frac and len(self._return_pcs) < 64:
-            pc, entry = rng.choice(self._call_sites)
-            self._return_pcs.append(pc + 4)
+        if random() < self._call_frac and len(returns) < 64:
+            # choice(self._call_sites), whose length is 2 * _FUNC_COUNT.
+            getrandbits = self._getrandbits
+            r = getrandbits(_CALL_SITE_BITS)
+            while r >= 2 * _FUNC_COUNT:
+                r = getrandbits(_CALL_SITE_BITS)
+            pc, entry = self._call_sites[r]
+            returns.append(pc + 4)
             op = MicroOp(
-                self._seq, pc, OpClass.CALL,
+                self._seq, pc, _CALL,
                 sources=(), dest=None, taken=True, target=entry,
             )
             self._pc = entry
             return op
-        site = self._pick_site()
-        taken = site.outcome(rng)
-        cond_reg = self._pick_source(RegClass.INT)
+        sites = self.sites
+        i = bisect_left(self._site_cum, random())
+        site = sites[i] if i < len(sites) else sites[-1]
+        taken = site.outcome(random)
         op = MicroOp(
-            self._seq, site.pc, OpClass.BRANCH,
-            sources=(self._source_operand(RegClass.INT, cond_reg),),
-            dest=None, taken=taken, target=site.target,
+            self._seq, site.pc, _BRANCH,
+            sources=(self._int_source(),), dest=None, taken=taken, target=site.target,
         )
         self._pc = site.target if taken else site.pc + 4
         return op
@@ -404,10 +462,11 @@ class TraceGenerator:
         400M-instruction fast-forward).  The trace records the
         architectural register contents at the start of the timed region.
         """
-        warmup_ops = [self.next_op() for _ in range(warmup)]
+        next_op = self.next_op
+        warmup_ops = [next_op() for _ in range(warmup)]
         initial_int = list(self.int_values)
         initial_fp = list(self.fp_values)
-        ops = [self.next_op() for _ in range(length)]
+        ops = [next_op() for _ in range(length)]
         return Trace(
             self.profile.name, ops, seed=self.seed,
             initial_int=initial_int, initial_fp=initial_fp,

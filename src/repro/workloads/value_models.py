@@ -10,6 +10,9 @@ distributions (Figure 2, bottom).
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
+from itertools import accumulate
+from math import log
 from typing import Sequence
 
 from repro.isa.values import (
@@ -30,7 +33,7 @@ class WidthAnchors:
     reachable.
     """
 
-    __slots__ = ("fractions",)
+    __slots__ = ("fractions", "_cum", "_segments")
 
     def __init__(self, fractions: Sequence[float]) -> None:
         if len(fractions) != len(WIDTH_GRID):
@@ -45,6 +48,17 @@ class WidthAnchors:
                 raise ValueError("anchor fractions must be non-decreasing")
             prev = f
         self.fractions = tuple(float(f) for f in fractions)
+        # sample_width's lookup tables.  The running maximum is sorted
+        # (the fractions may dip by 1e-12) and first reaches ``u`` at the
+        # first anchor whose own fraction does, so bisecting it finds the
+        # same segment a linear scan would.  Each segment is
+        # (width, fraction, previous width, previous fraction).
+        self._cum = tuple(accumulate(self.fractions, max))
+        segments, lo_w, lo_f = [], 0, 0.0
+        for w, f in zip(WIDTH_GRID, self.fractions):
+            segments.append((w, f, lo_w, lo_f))
+            lo_w, lo_f = w, f
+        self._segments = tuple(segments)
 
     def fraction_at_most(self, width: int) -> float:
         """CDF value at ``width`` (linear interpolation between anchors)."""
@@ -65,17 +79,15 @@ class WidthAnchors:
     def sample_width(self, rng: random.Random) -> int:
         """Draw a width in ``[1, 64]`` from the distribution."""
         u = rng.random()
-        lo_w, lo_f = 0, 0.0
-        for w, f in zip(WIDTH_GRID, self.fractions):
-            if u <= f:
-                if f == lo_f:
-                    return max(1, w)
-                # Interpolate to an integer width inside (lo_w, w].
-                frac = (u - lo_f) / (f - lo_f)
-                width = lo_w + max(1, round(frac * (w - lo_w)))
-                return min(max(1, width), w)
-            lo_w, lo_f = w, f
-        return WIDTH_GRID[-1]
+        i = bisect_left(self._cum, u)
+        if i == len(WIDTH_GRID):
+            return WIDTH_GRID[-1]
+        w, f, lo_w, lo_f = self._segments[i]
+        if f == lo_f:
+            return w
+        # Interpolate to an integer width inside (lo_w, w].
+        width = lo_w + max(1, round((u - lo_f) / (f - lo_f) * (w - lo_w)))
+        return width if width < w else w
 
 
 class IntValueModel:
@@ -96,17 +108,19 @@ class IntValueModel:
 
     def value_of_width(self, width: int, rng: random.Random) -> int:
         """A signed value whose :func:`significant_bits` is exactly ``width``."""
+        random_ = rng.random
         if width <= 1:
-            return 0 if rng.random() < self.positive_bias else -1
-        positive = rng.random() < self.positive_bias
-        # Positive values of width k: [2**(k-2), 2**(k-1) - 1].
+            return 0 if random_() < self.positive_bias else -1
+        positive = random_() < self.positive_bias
+        # Positive values of width k: lo + [0, lo) with lo = 2**(k-2);
+        # negative ones: -(lo + 1 + [0, lo)).  The offset is drawn as
+        # ``randint`` draws it: getrandbits(k - 1), redrawn while >= lo.
         lo = 1 << (width - 2)
-        hi = (1 << (width - 1)) - 1
-        if positive:
-            value = rng.randint(lo, hi)
-        else:
-            # Negative values of width k: [-(2**(k-1)), -(2**(k-2)) - 1].
-            value = -rng.randint(lo + 1, hi + 1)
+        getrandbits = rng.getrandbits
+        r = getrandbits(width - 1)
+        while r >= lo:
+            r = getrandbits(width - 1)
+        value = lo + r if positive else -(lo + 1 + r)
         assert significant_bits(value) == width
         return value
 
@@ -141,53 +155,56 @@ class FpValueModel:
         self.sig_narrow_frac = sig_narrow_frac
         self.exp_mean_bits = exp_mean_bits
         self.sig_mean_bits = sig_mean_bits
+        # Per-sample constants.  The zero-pattern operands already
+        # contribute ``zero_frac + ones_frac`` of the narrow exponent and
+        # significand fields, so the remaining operands' narrow fractions
+        # are rescaled residuals.
+        self._patterned = base = zero_frac + ones_frac
+        self._exp_residual = self._residual(exp_narrow_frac, base)
+        self._sig_residual = self._residual(sig_narrow_frac, base)
+        self._exp_lambda = 1.0 / exp_mean_bits
+
+    @staticmethod
+    def _residual(narrow_frac: float, base: float) -> float:
+        if narrow_frac > base:
+            return (narrow_frac - base) / max(1e-9, 1.0 - base)
+        return 0.0
 
     def sample(self, rng: random.Random) -> int:
-        u = rng.random()
+        random_ = rng.random
+        u = random_()
         if u < self.zero_frac:
             return 0
-        if u < self.zero_frac + self.ones_frac:
+        if u < self._patterned:
             return MAX_UINT64
-        exponent = self._sample_exponent_field(rng)
-        significand = self._sample_significand_field(rng)
-        sign = rng.getrandbits(1)
+        getrandbits = rng.getrandbits
+        # Exponent: all zeroes/ones with the residual probability, else a
+        # field of bounded two's-complement width (expovariate, inlined).
+        if random_() < self._exp_residual:
+            exponent = 0 if random_() < 0.5 else 0x7FF
+        else:
+            width = min(11, int(-log(1.0 - random_()) / self._exp_lambda) + 2)
+            lo = 1 << (width - 2)
+            r = getrandbits(width - 1)
+            while r >= lo:
+                r = getrandbits(width - 1)
+            exponent = lo + r
+            if random_() < 0.5:
+                exponent = (-exponent - 1) & 0x7FF  # sign-extended negative pattern
+        # Significand: all zeroes with the residual probability, else `m`
+        # significant high-order bits: top m bits meaningful, the m-th bit
+        # from the top set, lower 52-m bits zero.
+        if random_() < self._sig_residual:
+            significand = 0
+        else:
+            m = min(52, max(1, int(rng.gauss(self.sig_mean_bits, 10.0))))
+            if m >= 52:
+                significand = getrandbits(52) | 1
+            elif m > 1:
+                significand = ((getrandbits(m - 1) << 1) | 1) << (52 - m)
+            else:
+                significand = 1 << 51
+            if significand == (1 << 52) - 1:
+                significand -= 2  # avoid the all-ones fraction (counted separately)
+        sign = getrandbits(1)
         return (sign << 63) | (exponent << 52) | significand
-
-    def _sample_exponent_field(self, rng: random.Random) -> int:
-        # Remaining (non-zero-valued) operands: `exp_narrow_frac` overall
-        # must be all-zeroes/ones; the zero-pattern operands already
-        # contribute `zero_frac + ones_frac`, so rescale.
-        base = self.zero_frac + self.ones_frac
-        if self.exp_narrow_frac > base:
-            residual = (self.exp_narrow_frac - base) / max(1e-9, 1.0 - base)
-        else:
-            residual = 0.0
-        if rng.random() < residual:
-            return 0 if rng.random() < 0.5 else 0x7FF
-        # Otherwise: an exponent field of bounded two's-complement width.
-        width = min(11, max(2, int(rng.expovariate(1.0 / self.exp_mean_bits)) + 2))
-        lo = 1 << (width - 2)
-        hi = (1 << (width - 1)) - 1
-        field = rng.randint(lo, hi)
-        if rng.random() < 0.5:
-            field = (-field - 1) & 0x7FF  # sign-extended negative pattern
-        return field
-
-    def _sample_significand_field(self, rng: random.Random) -> int:
-        base = self.zero_frac + self.ones_frac
-        if self.sig_narrow_frac > base:
-            residual = (self.sig_narrow_frac - base) / max(1e-9, 1.0 - base)
-        else:
-            residual = 0.0
-        if rng.random() < residual:
-            return 0
-        # `m` significant high-order bits: top m bits meaningful, the
-        # m-th bit from the top set, lower 52-m bits zero.
-        m = min(52, max(1, int(rng.gauss(self.sig_mean_bits, 10.0))))
-        if m >= 52:
-            field = rng.getrandbits(52) | 1
-        else:
-            field = ((rng.getrandbits(m - 1) << 1) | 1) << (52 - m) if m > 1 else 1 << 51
-        if field == (1 << 52) - 1:
-            field -= 2  # avoid the all-ones fraction (counted separately)
-        return field

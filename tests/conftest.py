@@ -1,6 +1,7 @@
 """Shared fixtures for the test suite."""
 
 import dataclasses
+import gc
 
 import pytest
 
@@ -49,3 +50,25 @@ def mcf_trace():
 @pytest.fixture(scope="session")
 def swim_trace():
     return generate_trace("swim", 2500, seed=7, warmup=5000)
+
+
+def _cyclic_garbage(make_and_drop) -> int:
+    """Objects the cyclic collector finds after ``make_and_drop()``
+    returns (everything it built is unreachable by then)."""
+    debug = gc.get_debug()
+    gc.collect()
+    try:
+        gc.set_debug(debug | gc.DEBUG_SAVEALL)
+        make_and_drop()
+        found = gc.collect()
+    finally:
+        gc.set_debug(debug)
+        gc.garbage.clear()
+    return found
+
+
+@pytest.fixture
+def cyclic_garbage():
+    """:func:`_cyclic_garbage`: a count of 0 means everything the callable
+    built was freed by reference counting alone."""
+    return _cyclic_garbage

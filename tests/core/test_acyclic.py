@@ -9,7 +9,6 @@ machine and asserts that a collection under ``gc.DEBUG_SAVEALL`` finds
 nothing to collect.
 """
 
-import gc
 import json
 
 import pytest
@@ -25,24 +24,9 @@ def trace():
     return generate_trace("gzip", 300, seed=1, warmup=500)
 
 
-def _cyclic_garbage(make_and_drop) -> int:
-    """Objects the cyclic collector finds after ``make_and_drop()``
-    returns (every machine it built is unreachable by then)."""
-    debug = gc.get_debug()
-    gc.collect()
-    try:
-        gc.set_debug(debug | gc.DEBUG_SAVEALL)
-        make_and_drop()
-        found = gc.collect()
-    finally:
-        gc.set_debug(debug)
-        gc.garbage.clear()
-    return found
-
-
 @pytest.mark.parametrize("checked", [False, True], ids=["plain", "audit+oracle"])
 @pytest.mark.parametrize("scheme", sorted(SCHEMES))
-def test_scheme_machine_is_acyclic(trace, scheme, checked):
+def test_scheme_machine_is_acyclic(trace, scheme, checked, cyclic_garbage):
     config = SCHEMES[scheme](four_wide())
     if checked:
         config = config.with_audit().with_oracle()
@@ -50,19 +34,19 @@ def test_scheme_machine_is_acyclic(trace, scheme, checked):
     def run():
         assert Machine(config).run(trace).committed == len(trace)
 
-    assert _cyclic_garbage(run) == 0
+    assert cyclic_garbage(run) == 0
 
 
-def test_virtual_physical_machine_is_acyclic(trace):
+def test_virtual_physical_machine_is_acyclic(trace, cyclic_garbage):
     config = four_wide().with_pri().with_virtual_physical().with_audit()
 
     def run():
         assert Machine(config).run(trace).committed == len(trace)
 
-    assert _cyclic_garbage(run) == 0
+    assert cyclic_garbage(run) == 0
 
 
-def test_restored_and_resumed_machine_is_acyclic(trace):
+def test_restored_and_resumed_machine_is_acyclic(trace, cyclic_garbage):
     config = SCHEMES["PRI+ER"](four_wide()).with_audit()
     captured = {}
 
@@ -77,5 +61,5 @@ def test_restored_and_resumed_machine_is_acyclic(trace):
         resumed = Machine(config).restore(captured["image"], trace).resume()
         assert resumed.committed == len(trace)
 
-    assert _cyclic_garbage(run) == 0
+    assert cyclic_garbage(run) == 0
     assert captured

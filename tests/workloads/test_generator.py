@@ -1,6 +1,8 @@
 """Trace generator tests: determinism, dataflow consistency, and the
 statistical properties the simulator relies on."""
 
+import dataclasses
+
 import pytest
 
 from repro.isa.opcodes import OpClass, RegClass
@@ -104,6 +106,31 @@ class TestControlFlow:
         lo = 0x0040_0000
         hi = lo + max(profile.code_footprint, 4096) + 4096
         assert all(lo <= op.pc < hi for op in trace)
+
+
+class TestProfileLimits:
+    """Profiles the generator cannot expand fail at construction."""
+
+    def test_too_many_branch_sites_raise(self):
+        # 3100 sites plus 64 call sites exceed the 3072 PC slots of
+        # gzip's 12KB footprint; the distinct-PC draw would never end.
+        profile = dataclasses.replace(get_profile("gzip"), branch_sites=3100)
+        with pytest.raises(ValueError, match="branch sites"):
+            TraceGenerator(profile)
+
+    def test_sites_that_exactly_fill_the_footprint_generate(self):
+        # Footprints below 4KB are rounded up to 1024 four-byte slots.
+        profile = dataclasses.replace(
+            get_profile("gzip"), code_footprint=1024, branch_sites=1024 - 64)
+        assert len(TraceGenerator(profile).generate(50)) == 50
+        with pytest.raises(ValueError, match="branch sites"):
+            TraceGenerator(dataclasses.replace(profile, branch_sites=1024 - 63))
+
+    @pytest.mark.parametrize("regs", [0, 31])
+    def test_dest_pool_out_of_range_raises(self, regs):
+        profile = dataclasses.replace(get_profile("gzip"), dest_hot_regs=regs)
+        with pytest.raises(ValueError, match="dest_hot_regs"):
+            TraceGenerator(profile)
 
 
 class TestMix:
