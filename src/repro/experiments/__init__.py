@@ -17,8 +17,10 @@ from repro.experiments.runner import (
     CellError,
     MatrixError,
     RunSpec,
+    SweepInterrupted,
     TraceCache,
     matrix_errors,
+    run_cells,
     run_one,
     run_matrix,
     speedups_over_base,
@@ -46,9 +48,11 @@ __all__ = [
     "MatrixError",
     "RunSpec",
     "SweepJournal",
+    "SweepInterrupted",
     "TraceCache",
     "cell_key",
     "matrix_errors",
+    "run_cells",
     "run_one",
     "run_matrix",
     "speedups_over_base",

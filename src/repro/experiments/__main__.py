@@ -23,7 +23,7 @@ from repro.experiments import (
     table2,
 )
 from repro.experiments.figures import CELLS, plan
-from repro.experiments.runner import run_cells
+from repro.experiments.runner import SweepInterrupted, run_cells
 
 _FIGURES = {1: figure1, 2: figure2, 8: figure8, 9: figure9,
             10: figure10, 11: figure11, 12: figure12}
@@ -192,21 +192,15 @@ def main(argv=None) -> int:
 
     drivers = [("table", n, _TABLES[n]) for n in tables]
     drivers += [("figure", n, _FIGURES[n]) for n in figures]
-    cells = [cell for kind, n, _ in drivers if f"{kind}{n}" in CELLS
-             for cell in plan(f"{kind}{n}", widths)]
-    previous_sigterm = signal.signal(signal.SIGTERM, _sigterm)
-    try:
-        # Plan, execute, render: every distinct cell of every requested
-        # table and figure runs once, then each renders from the table.
-        start = time.time()
-        results = run_cells(cells, spec, jobs=args.jobs, **matrix_opts)
-        if args.farm:
-            print(file=sys.stderr)  # end the live progress line
-        if results:
-            print(f"[simulate: {len(results)} cells, "
-                  f"{time.time() - start:.1f}s]", file=sys.stderr)
+    planned = {(kind, n): plan(f"{kind}{n}", widths)
+               if f"{kind}{n}" in CELLS else []
+               for kind, n, _ in drivers}
+    cells = [cell for driver_cells in planned.values() for cell in driver_cells]
+
+    def render(results, which) -> bool:
+        """Print (and save) each driver in ``which``; True if any failed."""
         failed = False
-        for kind, number, driver in drivers:
+        for kind, number, driver in which:
             start = time.time()
             try:
                 if (kind, number) == ("table", 1):
@@ -231,16 +225,37 @@ def main(argv=None) -> int:
                 with open(path, "w") as handle:
                     handle.write(text + "\n")
             print(f"[{kind} {number}: {time.time() - start:.1f}s]\n")
-        if failed:
+        return failed
+
+    previous_sigterm = signal.signal(signal.SIGTERM, _sigterm)
+    try:
+        # Plan, execute, render: every distinct cell of every requested
+        # table and figure runs once, then each renders from the table.
+        start = time.time()
+        results = run_cells(cells, spec, jobs=args.jobs, **matrix_opts)
+        if args.farm:
+            print(file=sys.stderr)  # end the live progress line
+        if results:
+            print(f"[simulate: {len(results)} cells, "
+                  f"{time.time() - start:.1f}s]", file=sys.stderr)
+        if render(results, drivers):
             if journal_path:
                 print(f"(completed cells are journaled in {journal_path}; "
                       "re-run to resume)", file=sys.stderr)
             return 1
-    except KeyboardInterrupt:
+    except KeyboardInterrupt as interrupted:
         # In-flight cells were drained (the farm broker handles that on
-        # the way out) and every finished cell is already
-        # journaled; tell the user how to pick the sweep back up.
+        # the way out) and every finished cell is already journaled.
+        # Render the tables and figures whose cells all finished, then
+        # say how to pick the sweep back up.
         print("\ninterrupted: sweep drained cleanly.", file=sys.stderr)
+        if isinstance(interrupted, SweepInterrupted):
+            done = interrupted.results
+            try:
+                render(done, [(kind, n, driver) for kind, n, driver in drivers
+                              if all(c in done for c in planned[kind, n])])
+            except KeyboardInterrupt:
+                pass  # interrupted again: stop rendering
         if journal_path:
             print(f"  completed cells are journaled in {journal_path}",
                   file=sys.stderr)

@@ -4,7 +4,7 @@ A :class:`SweepJournal` maps cell keys —
 ``benchmark|scheme|width|run-spec|config-digest`` — to either a
 serialized :class:`~repro.core.stats.SimStats` (completed cell) or a
 structured error record (failed cell).
-:func:`~repro.experiments.runner.run_matrix` consults it before
+:func:`~repro.experiments.runner.run_cells` consults it before
 simulating each cell and appends to it as cells finish, so a sweep
 killed halfway (machine crash, OOM-killed worker, Ctrl-C) resumes from
 the completed cells instead of re-simulating them.  Failed cells are

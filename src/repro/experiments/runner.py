@@ -242,8 +242,19 @@ class TraceCache:
     def __init__(self) -> None:
         self._cache: Dict[Tuple[str, int, int, int], Trace] = {}
 
+    @staticmethod
+    def key(benchmark: str, spec) -> Tuple[str, int, int, int]:
+        """The trace ``get(benchmark, spec)`` returns is keyed by this:
+        a cell's trace group.  Width is not part of it."""
+        return (benchmark, spec.length, spec.warmup, spec.seed)
+
+    def holds(self, key: Tuple[str, int, int, int]) -> bool:
+        """Whether the trace of ``key`` is cached (``get`` would not
+        generate it)."""
+        return key in self._cache
+
     def get(self, benchmark: str, spec) -> Trace:
-        key = (benchmark, spec.length, spec.warmup, spec.seed)
+        key = self.key(benchmark, spec)
         trace = self._cache.get(key)
         if trace is None:
             if len(self._cache) >= TRACE_CACHE_LIMIT:
@@ -394,15 +405,28 @@ def matrix_errors(results: Dict[str, Dict[str, MatrixCell]]) -> List[CellError]:
     ]
 
 
-def run_matrix(
-    benchmarks: Sequence[str],
-    schemes: Sequence[str],
-    width: int = 4,
+#: One simulation a table or figure reads: (benchmark, scheme, width).
+Cell = Tuple[str, str, int]
+#: A results table: each cell's stats, or the record of its failure.
+Results = Dict[Cell, MatrixCell]
+
+
+class SweepInterrupted(KeyboardInterrupt):
+    """Ctrl-C or SIGTERM stopped :func:`run_cells`.  ``results`` is the
+    part of its table that finished (restored cells included), so a
+    caller can still render what is complete."""
+
+    def __init__(self, results: Results) -> None:
+        super().__init__(f"sweep interrupted after {len(results)} cell(s)")
+        self.results = results
+
+
+def run_cells(
+    cells: Sequence[Cell],
     spec: Optional[RunSpec] = None,
     traces: Optional[TraceCache] = None,
     jobs: int = 1,
     *,
-    on_error: str = "raise",
     cell_timeout: Optional[float] = None,
     retries: int = 0,
     retry_backoff: float = 0.5,
@@ -410,16 +434,19 @@ def run_matrix(
     cell_fn: Optional[Callable] = None,
     farm: Optional[FarmSpec] = None,
     farm_progress: Optional[Callable] = None,
-) -> Dict[str, Dict[str, MatrixCell]]:
-    """Simulate a benchmark x scheme matrix; returns [benchmark][scheme].
+) -> Results:
+    """Simulate each distinct (benchmark, scheme, width) cell of
+    ``cells`` once; the results table, in first-appearance order.  A
+    failed cell stays in the table as its :class:`CellError`.
 
-    Execution is fault-tolerant at (benchmark, scheme) cell granularity:
+    Execution is fault-tolerant at cell granularity:
 
     * ``jobs > 1`` runs the cells on ``jobs`` local worker processes of
-      the sweep farm (:mod:`repro.farm`, rooted in a temporary
-      directory removed on return), so one crashing or hanging cell can
-      never take down the sweep: its lease is reclaimed as a ``crash``
-      or ``timeout`` failure and the dead worker replaced;
+      one sweep farm (:mod:`repro.farm`, rooted in a temporary
+      directory removed on return), whatever their widths, so one
+      crashing or hanging cell can never take down the sweep: its
+      lease is reclaimed as a ``crash`` or ``timeout`` failure and the
+      dead worker replaced;
     * ``cell_timeout`` bounds each cell's wall-clock seconds (worker
       path only — the serial path relies on ``spec.max_cycles``, the
       in-simulator watchdog, instead);
@@ -429,20 +456,20 @@ def run_matrix(
       errors are not retried.  Setting either option sends the sweep to
       the workers even with ``jobs == 1``;
     * ``journal`` (a path or a :class:`SweepJournal`) names an on-disk
-      JSON journal: completed cells are
-      restored from it instead of re-simulated, and every finished cell
-      is persisted as it lands, so an interrupted sweep resumes;
-    * ``on_error='record'`` leaves a structured :class:`CellError` in
-      the matrix for each failed cell (see :func:`matrix_errors`);
-      ``'raise'`` (default) raises :class:`MatrixError` — *after*
-      finishing and journaling every other cell — with the partial
-      results attached.
+      JSON journal: completed cells are restored from it instead of
+      re-simulated, and every finished cell is persisted as it lands,
+      so an interrupted sweep resumes.
+
+    Ctrl-C or SIGTERM (raised as :class:`KeyboardInterrupt`) drains the
+    workers and raises :class:`SweepInterrupted` with the finished part
+    of the table.
 
     Results are bit-identical between serial and worker runs: traces
     are deterministic in (benchmark, spec).  The ``traces`` cache serves
-    the in-process paths; each worker process keeps its own
+    the serial path; each worker process keeps its own
     :class:`TraceCache`, since shipping whole traces between processes
-    costs more than regenerating them.
+    costs more than regenerating them, and claims cells of the traces
+    it holds first (:func:`repro.farm.worker.claim_order`).
 
     ``cell_fn`` overrides the per-cell simulation callable (signature of
     :func:`run_one`); it exists for fault-injection tests.
@@ -458,111 +485,102 @@ def run_matrix(
     audit trail.  ``farm_progress(report, active_leases)`` is invoked
     periodically with the live :class:`~repro.farm.aggregate.FarmReport`.
     """
-    if on_error not in ("raise", "record"):
-        raise ValueError(f"on_error must be 'raise' or 'record', got {on_error!r}")
-    isolate = jobs > 1 or cell_timeout is not None or retries > 0
     spec = spec or RunSpec()
     traces = traces or _GLOBAL_TRACES
     if journal is None and farm is not None:
         journal = farm.paths.journal
-    if journal is None or isinstance(journal, SweepJournal):
-        sweep_journal = journal
-    else:
-        sweep_journal = SweepJournal(journal)
+    if journal is not None and not isinstance(journal, SweepJournal):
+        journal = SweepJournal(journal)
 
-    results: Dict[str, Dict[str, MatrixCell]] = {b: {} for b in benchmarks}
-    todo: List[Tuple[str, str]] = []
-    for benchmark in benchmarks:
-        for scheme in schemes:
-            if sweep_journal is not None:
-                saved = sweep_journal.get(cell_key(benchmark, scheme, width, spec))
-                if saved is not None:
-                    results[benchmark][scheme] = saved
-                    continue
-            todo.append((benchmark, scheme))
-
-    def on_cell_done(benchmark: str, scheme: str, cell: MatrixCell) -> None:
-        results[benchmark][scheme] = cell
-        if sweep_journal is not None:
-            key = cell_key(benchmark, scheme, width, spec)
-            if isinstance(cell, CellError):
-                sweep_journal.record_error(key, cell.to_dict())
-            else:
-                sweep_journal.record_ok(key, cell)
-
-    if todo and (farm is not None or isolate):
-        # ``jobs``/``cell_timeout``/``retries`` without a farm: the same
-        # broker on a throwaway root, whose workers die and are replaced
-        # in place of the sweep when a cell crashes or hangs.
-        local_root = None
-        if farm is None:
-            local_root = tempfile.mkdtemp(prefix="repro-jobs-")
-            farm = FarmSpec(root=local_root, workers=min(jobs, len(todo)),
-                            checkpoint_every=spec.checkpoint_every)
-        from repro.farm.broker import run_cells_farm  # lazy: reverse edge
-
-        try:
-            run_cells_farm(
-                todo, width, spec, farm, sweep_journal, on_cell_done,
-                cell_timeout=cell_timeout, retries=retries,
-                retry_backoff=retry_backoff, cell_fn=cell_fn,
-                on_progress=farm_progress,
-            )
-        finally:
-            if local_root is not None:
-                shutil.rmtree(local_root, ignore_errors=True)
-    else:
-        cell_fn = cell_fn or run_one
-        for benchmark, scheme in todo:
-            started = time.monotonic()
-            try:
-                stats = cell_fn(benchmark, scheme, width, spec, traces)
-            except Exception as exc:  # deterministic: no retry
-                stats = CellError(
-                    benchmark, scheme, "error", type(exc).__name__,
-                    str(exc), 1, time.monotonic() - started,
-                )
-            on_cell_done(benchmark, scheme, stats)
-
-    results = {
-        b: {s: results[b][s] for s in schemes if s in results[b]}
-        for b in benchmarks
-    }
-    errors = matrix_errors(results)
-    if errors and on_error == "raise":
-        raise MatrixError(errors, results)
-    return results
-
-
-# ======================================================= results tables
-
-#: One simulation a table or figure reads: (benchmark, scheme, width).
-Cell = Tuple[str, str, int]
-#: A results table: each cell's stats, or the record of its failure.
-Results = Dict[Cell, MatrixCell]
-
-
-def run_cells(cells: Sequence[Cell], spec: Optional[RunSpec] = None,
-              traces: Optional[TraceCache] = None, **matrix_opts) -> Results:
-    """Simulate each distinct cell of ``cells`` once; the results table.
-
-    At each width, the benchmarks that need the same schemes form one
-    rectangle, run by one :func:`run_matrix` call with ``matrix_opts``
-    (``jobs``, ``journal``, ``farm``, ...).  A failed cell
-    stays in the table as its :class:`CellError`."""
-    rows: Dict[Tuple[int, str], List[str]] = {}
-    for benchmark, scheme, width in dict.fromkeys(cells):
-        rows.setdefault((width, benchmark), []).append(scheme)
-    rectangles: Dict[Tuple[int, Tuple[str, ...]], List[str]] = {}
-    for (width, benchmark), schemes in rows.items():
-        rectangles.setdefault((width, tuple(schemes)), []).append(benchmark)
+    cells = list(dict.fromkeys(cells))
     results: Results = {}
-    for (width, schemes), benchmarks in rectangles.items():
-        matrix = run_matrix(benchmarks, schemes, width, spec, traces,
-                            on_error="record", **matrix_opts)
-        results.update(((b, s, width), cell)
-                       for b, row in matrix.items() for s, cell in row.items())
-    return results
+    todo: List[Cell] = []
+    for cell in cells:
+        saved = None if journal is None else journal.get(cell_key(*cell, spec))
+        if saved is None:
+            todo.append(cell)
+        else:
+            results[cell] = saved
+
+    def on_cell_done(cell: Cell, outcome: MatrixCell) -> None:
+        results[cell] = outcome
+        if journal is not None:
+            key = cell_key(*cell, spec)
+            if isinstance(outcome, CellError):
+                journal.record_error(key, outcome.to_dict())
+            else:
+                journal.record_ok(key, outcome)
+
+    isolate = jobs > 1 or cell_timeout is not None or retries > 0
+    try:
+        if todo and (farm is not None or isolate):
+            # ``jobs``/``cell_timeout``/``retries`` without a farm: the
+            # same broker on a throwaway root, whose workers die and are
+            # replaced in place of the sweep when a cell crashes or hangs.
+            local_root = None
+            if farm is None:
+                local_root = tempfile.mkdtemp(prefix="repro-jobs-")
+                farm = FarmSpec(root=local_root, workers=min(jobs, len(todo)),
+                                checkpoint_every=spec.checkpoint_every)
+            from repro.farm.broker import run_cells_farm  # lazy: reverse edge
+
+            try:
+                run_cells_farm(
+                    todo, spec, farm, journal, on_cell_done,
+                    cell_timeout=cell_timeout, retries=retries,
+                    retry_backoff=retry_backoff, cell_fn=cell_fn,
+                    on_progress=farm_progress,
+                )
+            finally:
+                if local_root is not None:
+                    shutil.rmtree(local_root, ignore_errors=True)
+        else:
+            cell_fn = cell_fn or run_one
+            for benchmark, scheme, width in todo:
+                started = time.monotonic()
+                try:
+                    outcome = cell_fn(benchmark, scheme, width, spec, traces)
+                except Exception as exc:  # deterministic: no retry
+                    outcome = CellError(
+                        benchmark, scheme, "error", type(exc).__name__,
+                        str(exc), 1, time.monotonic() - started,
+                    )
+                on_cell_done((benchmark, scheme, width), outcome)
+    except KeyboardInterrupt as exc:
+        raise SweepInterrupted(
+            {cell: results[cell] for cell in cells if cell in results}
+        ) from exc
+    return {cell: results[cell] for cell in cells}
+
+
+def run_matrix(
+    benchmarks: Sequence[str],
+    schemes: Sequence[str],
+    width: int = 4,
+    spec: Optional[RunSpec] = None,
+    traces: Optional[TraceCache] = None,
+    jobs: int = 1,
+    *,
+    on_error: str = "raise",
+    **options,
+) -> Dict[str, Dict[str, MatrixCell]]:
+    """Simulate a benchmark x scheme matrix at one width; returns
+    [benchmark][scheme].  The rectangle view of :func:`run_cells`, which
+    runs it and takes ``options`` (``cell_timeout``, ``retries``,
+    ``journal``, ``farm``, ...).
+
+    ``on_error='record'`` leaves a structured :class:`CellError` in the
+    matrix for each failed cell (see :func:`matrix_errors`); ``'raise'``
+    (default) raises :class:`MatrixError` — *after* finishing and
+    journaling every other cell — with the partial results attached.
+    """
+    if on_error not in ("raise", "record"):
+        raise ValueError(f"on_error must be 'raise' or 'record', got {on_error!r}")
+    cells = [(b, s, width) for b in benchmarks for s in schemes]
+    results = run_cells(cells, spec, traces, jobs, **options)
+    if on_error == "record":
+        return {b: {s: results[b, s, width] for s in schemes} for b in benchmarks}
+    return matrix_view(results, benchmarks, schemes, width)
 
 
 def matrix_view(results: Results, benchmarks: Sequence[str],

@@ -17,11 +17,12 @@ Every protocol step is an operation on the shared directory, grouped
 as :class:`~repro.farm.transport.FsTransport`: ``O_EXCL`` claims, atomic
 envelope rewrites, and the cell's attempt number as the fencing token.
 
-Entry points: ``run_matrix(..., farm=FarmSpec(root))`` drives any
-existing sweep through the farm; ``python -m repro.farm worker <root>``
-attaches an extra worker from another shell (or another host sharing
-the directory); ``python -m repro.farm status <root>`` reports live
-progress without touching any farm state.
+Entry points: ``run_cells(cells, spec, farm=FarmSpec(root))`` (or
+``run_matrix``, its one-width view) drives any sweep through one farm;
+``python -m repro.farm worker <root>`` attaches an extra worker from
+another shell (or another host sharing the directory); ``python -m
+repro.farm status <root>`` reports live progress without touching any
+farm state.
 """
 
 from repro.farm.aggregate import Aggregator, FarmReport

@@ -4,7 +4,7 @@ The broker is the farm's only *journal* writer and its only *reclaimer*;
 workers only ever touch their own lease.  That asymmetry keeps the
 concurrency story auditable:
 
-* **publish** — every (benchmark, scheme) cell becomes a durable
+* **publish** — every (benchmark, scheme, width) cell becomes a durable
   :class:`~repro.farm.lease.CellSpec` envelope, plus a checksummed
   ``leased``/``heartbeat``/``completed``/``abandoned``/``released``
   line in the sweep journal for each transition it observes, so
@@ -32,8 +32,8 @@ concurrency story auditable:
   workers' exit condition (every cell has a result) still converges;
 * **fold** — streams results through
   :class:`~repro.farm.aggregate.Aggregator` exactly once per cell into
-  ``on_cell_done`` (the same callback :func:`run_matrix` uses for its
-  in-process paths, so journaling and figure assembly are identical),
+  ``on_cell_done`` (the same callback :func:`run_cells` uses for its
+  serial path, so journaling and figure assembly are identical),
   verifying zombie duplicates bit-identically;
 * **drain** — on completion, Ctrl-C, or SIGTERM, live local workers get
   a SIGTERM and ``grace`` seconds to checkpoint-and-release before
@@ -70,8 +70,7 @@ def _mp_context():
 
 
 def run_cells_farm(
-    cells: List[Tuple[str, str]],
-    width: int,
+    cells: List[Tuple[str, str, int]],
     spec,
     farm: FarmSpec,
     journal,
@@ -83,9 +82,11 @@ def run_cells_farm(
     cell_fn: Optional[Callable] = None,
     on_progress: Optional[Callable[[FarmReport, int], None]] = None,
 ) -> FarmReport:
-    """Drive ``cells`` through the farm; every finished cell reaches
-    ``on_cell_done(benchmark, scheme, SimStats-or-CellError)`` exactly
-    once.  Returns the final :class:`FarmReport`."""
+    """Drive ``cells``, (benchmark, scheme, width) triples, through one
+    farm; every finished cell reaches ``on_cell_done(cell,
+    SimStats-or-CellError)`` exactly once.  Cells not in ``cells`` are
+    withdrawn from the root first.  Returns the final
+    :class:`FarmReport`."""
     # Lazy: the runner imports repro.farm.lease at module level, so the
     # reverse edge must stay function-local to avoid an import cycle.
     from repro.experiments.journal import cell_key
@@ -98,7 +99,7 @@ def run_cells_farm(
 
     # ---------------------------------------------------------- publish
     published: Dict[str, CellSpec] = {}
-    for benchmark, scheme in cells:
+    for benchmark, scheme, width in cells:
         key = cell_key(benchmark, scheme, width, spec)
         cid = cid_of(key)
         published[cid] = transport.publish(CellSpec(
@@ -168,10 +169,10 @@ def run_cells_farm(
                    attempt=result.attempt, start_cycle=result.start_cycle)
             benchmark, scheme = cell.benchmark, cell.scheme
             if result.status == "ok":
-                on_cell_done(benchmark, scheme,
+                on_cell_done((benchmark, scheme, cell.width),
                              SimStats.from_dict(result.stats))
             else:
-                on_cell_done(benchmark, scheme, CellError(
+                on_cell_done((benchmark, scheme, cell.width), CellError(
                     benchmark, scheme, result.kind or "error",
                     result.error_type or "Error", result.message or "",
                     result.attempt, result.elapsed,
@@ -209,7 +210,7 @@ def run_cells_farm(
             ))
         else:
             if os.path.exists(checkpoint_path(
-                    cell.benchmark, cell.scheme, width, ckpt_spec)):
+                    cell.benchmark, cell.scheme, cell.width, ckpt_spec)):
                 # A checkpoint survives this attempt: the next one MUST
                 # resume from it, never restart from cycle 0.
                 agg.expect_resume.add((cid, new_attempt))

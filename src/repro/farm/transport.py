@@ -73,6 +73,11 @@ class FsTransport:
         """Cell ids that already have at least one streamed result."""
         return set(fsl.list_results(self.paths))
 
+    def leased_cids(self) -> Set[str]:
+        """Cell ids with a lease file: live, torn, or fence-stale debris
+        the broker has yet to scrub.  None of them is claimable."""
+        return set(fsl.list_leases(self.paths))
+
     def claim(self, cell: CellSpec, worker: str, ttl: float) -> Optional[Lease]:
         """Try to lease ``cell``; None when somebody else holds it."""
         return fsl.claim(self.paths, cell, worker, ttl)

@@ -9,6 +9,14 @@ repro.farm worker <root>``), or on another host sharing the mount, and
 killing one at any instant costs at most the cycles since its cell's
 last checkpoint.
 
+**Claim order**: a scan tries the pending cells in
+:func:`claim_order` — cells of the traces this worker already holds,
+then cells of traces no worker has touched, then the rest — so a
+parallel run builds and warms each trace about once, and workers steal
+from busy traces only when nothing else is left.  The order is each
+worker's own choice over what it lists on disk; the claim itself is
+unchanged.
+
 Per cell, the worker:
 
 1. claims the lease (the filesystem arbitrates races: O_EXCL create);
@@ -41,7 +49,7 @@ import signal
 import sys
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Collection, Dict, Hashable, List, Mapping, Optional
 
 from repro.farm.inject import WorkerChaos
 from repro.farm.lease import CellResult, CellSpec, LeaseLost
@@ -173,6 +181,40 @@ def _execute_cell(
     )
 
 
+def claim_order(
+    pending: List[str],
+    groups: Mapping[str, Hashable],
+    held: Collection[Hashable],
+    leased: Collection[str],
+    done: Collection[str],
+) -> List[str]:
+    """The order a worker tries to claim ``pending`` cells in.
+
+    ``groups`` maps a cid to its trace group (the cell's
+    :meth:`~repro.experiments.runner.TraceCache.key`; a cid missing from
+    it has an unknown group), ``held`` is the groups whose traces this
+    worker has cached, and ``leased`` and ``done`` are the cids with a
+    lease file and with a result.  First come (a) cells of held groups,
+    then (b) cells of groups with no leased and no done cell, then (c)
+    every other cell.  Cells with a lease file are left out: none is
+    claimable.  Every other pending cell is in the order, so a worker
+    with nothing of its own steals from a busy group rather than sleep.
+    """
+    touched = {groups[cid] for cid in (*leased, *done) if cid in groups}
+    ranked: List[List[str]] = [[], [], []]
+    for cid in pending:
+        if cid in leased:
+            continue
+        group = groups.get(cid)
+        if group is not None and group in held:
+            ranked[0].append(cid)
+        elif group is not None and group not in touched:
+            ranked[1].append(cid)
+        else:
+            ranked[2].append(cid)
+    return ranked[0] + ranked[1] + ranked[2]
+
+
 def worker_loop(
     root: str,
     worker_id: str,
@@ -192,6 +234,10 @@ def worker_loop(
     evict = _EvictFlag()
     evict.install()
     traces = TraceCache()
+    # cid -> trace group.  A cid is a digest of its cell key, which names
+    # the trace, so a group once read never changes: each spec is read
+    # for it once, not on every scan.
+    groups: Dict[str, tuple] = {}
     while True:
         if evict.requested:
             return 0
@@ -206,9 +252,20 @@ def worker_loop(
         pending = [cid for cid in cells if cid not in done]
         if not pending:
             return 0
-        ran_one = False
-        now = time.time()
         for cid in pending:
+            if cid not in groups:
+                try:
+                    cell = transport.read_cell(cid)
+                except Exception:
+                    continue  # pruned, mid-rewrite or damaged: group unknown
+                groups[cid] = TraceCache.key(cell.benchmark,
+                                             _spec_from_dict(cell.spec))
+        held = {g for g in set(groups.values()) if traces.holds(g)}
+        order = claim_order(pending, groups, held, transport.leased_cids(),
+                            done)
+        ran_one = raced = False
+        now = time.time()
+        for cid in order:
             if evict.requested:
                 return 0
             try:
@@ -221,7 +278,11 @@ def worker_loop(
                 continue
             lease = transport.claim(cell, worker_id, options.lease_ttl)
             if lease is None:
-                continue  # raced another worker; the transport decided
+                # Another worker claimed it since the scan listed the
+                # leases: rescan at once, so the order sees its group
+                # as busy instead of following it there.
+                raced = True
+                break
             if cid in transport.done_cids():
                 # The previous holder finished and released between our
                 # scan above and the claim; every completion writes its
@@ -257,7 +318,7 @@ def worker_loop(
             if options.oneshot:
                 return 0
             break  # rescan: claimability may have changed
-        if not ran_one:
+        if not ran_one and not raced:
             time.sleep(options.poll_interval)
 
 

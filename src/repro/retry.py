@@ -2,7 +2,7 @@
 
 Every place that waits and tries again shares it: the farm broker
 fences reclaimed cells with a backoff (which is also how a
-``run_matrix(jobs=N)`` sweep retries crashed or timed-out cells, since
+``run_cells(jobs=N)`` sweep retries crashed or timed-out cells, since
 those run on the farm's local workers), and the serve client retries
 failed requests.  There is
 exactly one implementation of each half of the problem:

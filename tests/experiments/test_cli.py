@@ -107,6 +107,32 @@ def test_simulates_each_distinct_cell_once(runs, capsys):
     assert "Table 2" in out and "Figure 1" in out and "Figure 9" in out
 
 
+def test_interrupt_renders_the_finished_tables(monkeypatch, capsys):
+    """Ctrl-C on the 30th cell: Table 2's 27 cells ran first, so Tables 1
+    and 2 render; Figure 11 lacks cells and does not.  Exit 130 with the
+    re-run hint."""
+    import repro.experiments.runner as runner
+
+    real = runner.run_one
+    calls = []
+
+    def interrupt_30th(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 30:
+            raise KeyboardInterrupt
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "run_one", interrupt_30th)
+    code = main(["--table", "1", "--table", "2", "--figure", "11",
+                 "--width", "4", "--length", "50", "--warmup", "100"])
+    assert code == 130
+    captured = capsys.readouterr()
+    assert "Table 1" in captured.out and "Table 2" in captured.out
+    assert "Figure 11" not in captured.out
+    assert "interrupted: sweep drained cleanly" in captured.err
+    assert "re-run with: python -m repro.experiments" in captured.err
+
+
 def test_table2_and_figure9_resume_from_the_journal(runs, tmp_path, capsys):
     argv = _SHARED_CELLS + ["--journal", str(tmp_path / "sweep.json")]
     assert main(argv) == 0

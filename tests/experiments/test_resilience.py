@@ -11,9 +11,11 @@ from repro.experiments import (
     CellError,
     MatrixError,
     RunSpec,
+    SweepInterrupted,
     SweepJournal,
     cell_key,
     matrix_errors,
+    run_cells,
     run_matrix,
     run_one,
 )
@@ -154,6 +156,27 @@ def test_journal_resume_skips_completed_cells(tmp_path):
     assert not marker.exists(), "journaled cells were re-simulated"
     assert second["gzip"]["base"].ipc == first["gzip"]["base"].ipc
     assert second["gzip"]["ER"].ipc == first["gzip"]["ER"].ipc
+
+
+def test_interrupt_hands_back_the_finished_cells(tmp_path):
+    """Ctrl-C on the third cell: run_cells raises SweepInterrupted with
+    the two finished cells, both already journaled."""
+    cells = [("gzip", s, 4) for s in ("base", "ER", _PRI, "PRI+ER")]
+    calls = []
+
+    def interrupt_third(benchmark, scheme, width, spec, traces=None):
+        calls.append(scheme)
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return run_one(benchmark, scheme, width, spec, traces)
+
+    path = str(tmp_path / "sweep.json")
+    with pytest.raises(SweepInterrupted) as info:
+        run_cells(cells, _SPEC, journal=path, cell_fn=interrupt_third)
+    assert list(info.value.results) == cells[:2]
+    journal = SweepJournal(path)
+    assert all(journal.get(cell_key(*cell, _SPEC)) is not None
+               for cell in cells[:2])
 
 
 def test_journal_records_and_heals_errors(tmp_path):

@@ -85,6 +85,24 @@ def test_farm_journals_lease_audit_trail(tmp_path, plain_small):
     _assert_identical(again, plain_small)
 
 
+def test_two_width_sweep_is_one_farm(tmp_path, capsys):
+    """Both widths go through one farm: no width's broker prunes the
+    other's cells, so every cell stays published with its result."""
+    import json
+
+    from repro.experiments import run_cells
+    from repro.farm.__main__ import main
+
+    cells = [(b, s, w) for w in (4, 8) for b in _BENCH for s in ("base", _PRI)]
+    farm = _farm(tmp_path)
+    results = run_cells(cells, _SPEC, farm=farm)
+    assert all(isinstance(results[c], SimStats) for c in cells)
+    assert farm.report.completed == farm.report.cells == len(cells)
+    assert main(["status", farm.root, "--json"]) == 0
+    status = json.loads(capsys.readouterr().out)
+    assert status["cells"] == status["with_result"] == len(cells)
+
+
 # ======================================================== kill (sat. 3)
 
 

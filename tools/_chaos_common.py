@@ -5,7 +5,7 @@ shape — run something adversarial, compare against a reference, fsck
 the debris, print FAIL lines, exit nonzero.  The helpers here are that
 shape, once:
 
-* :func:`compare_matrix` — cell-by-cell bit-identity of a farmed sweep
+* :func:`compare_cells` — cell-by-cell bit-identity of a farmed sweep
   against its fault-free reference (lost and divergent cells);
 * :func:`check_report` — the universal farm-report invariants
   (exactly-once completion, zero failed/divergent, no cold restarts);
@@ -17,21 +17,19 @@ shape, once:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 
-def compare_matrix(benchmarks: Sequence[str], schemes: Sequence[str],
-                   plain, farmed, failures: List[str]) -> None:
-    """Append a failure per lost or bit-divergent cell in ``farmed``."""
-    for benchmark in benchmarks:
-        for scheme in schemes:
-            want = plain[benchmark][scheme]
-            got = farmed[benchmark].get(scheme)
-            if got is None or not hasattr(got, "to_dict"):
-                failures.append(
-                    f"lost cell: {benchmark}/{scheme} -> {got!r}")
-            elif got.to_dict() != want.to_dict():
-                failures.append(f"divergent cell: {benchmark}/{scheme}")
+def compare_cells(plain, farmed, failures: List[str]) -> None:
+    """Append a failure per lost or bit-divergent cell in ``farmed``;
+    both are ``run_cells`` results tables."""
+    for cell, want in plain.items():
+        got = farmed.get(cell)
+        name = "/".join(map(str, cell))
+        if got is None or not hasattr(got, "to_dict"):
+            failures.append(f"lost cell: {name} -> {got!r}")
+        elif got.to_dict() != want.to_dict():
+            failures.append(f"divergent cell: {name}")
 
 
 def check_report(report, failures: List[str]) -> None:

@@ -6,8 +6,9 @@ heredoc so it is lintable and runnable locally::
 
     PYTHONPATH=src python tools/ci_chaos_farm.py [DIR]
 
-Runs a small (benchmark x scheme) matrix twice: once plainly, once
-through the lease-based farm (:mod:`repro.farm`) while
+Runs a small (benchmark x scheme x width) sweep twice: once plainly,
+once as one ``run_cells`` call over both widths, through a single
+lease-based farm (:mod:`repro.farm`), while
 :mod:`repro.farm.inject` SIGKILLs one worker mid-cell, stalls another's
 heartbeats, spot-evicts a third with SIGTERM, and makes a fourth shed
 its lease and finish as a zombie (double-lease).  The run fails if:
@@ -29,13 +30,14 @@ import sys
 
 from _chaos_common import (
     check_report,
-    compare_matrix,
+    compare_cells,
     fsck_gate,
     report_failures,
 )
 
 BENCHMARKS = ("gcc", "mesa")
 SCHEMES = ("base", "ER", "PRI-refcount+ckptcount")
+CELLS = [(b, s, w) for w in (4, 8) for b in BENCHMARKS for s in SCHEMES]
 INJECT = (
     "kill:worker=0:cell=0:cycles=400",          # SIGKILL mid-cell
     "stall:worker=1:cell=0:cycles=200",         # wedged heartbeats
@@ -48,12 +50,12 @@ def main(argv=None) -> int:
     args = list(sys.argv[1:] if argv is None else argv)
     root = args[0] if args else "chaos-farm"
 
-    from repro.experiments import RunSpec, run_matrix
+    from repro.experiments import RunSpec, run_cells
     from repro.farm import FarmSpec
 
     spec = RunSpec(length=400, warmup=800, seed=3)
-    print(f"fault-free reference: {len(BENCHMARKS) * len(SCHEMES)} cells")
-    plain = run_matrix(BENCHMARKS, SCHEMES, 4, spec)
+    print(f"fault-free reference: {len(CELLS)} cells")
+    plain = run_cells(CELLS, spec)
 
     farm = FarmSpec(
         root=root, workers=2, lease_ttl=1.5, heartbeat_interval=0.1,
@@ -61,11 +63,14 @@ def main(argv=None) -> int:
     )
     print(f"chaos run: injecting {len(INJECT)} faults: "
           + ", ".join(p.split(":", 1)[0] for p in INJECT))
-    farmed = run_matrix(BENCHMARKS, SCHEMES, 4, spec, farm=farm, retries=4)
+    farmed = run_cells(CELLS, spec, farm=farm, retries=4)
     report = farm.report
 
     failures: list = []
-    compare_matrix(BENCHMARKS, SCHEMES, plain, farmed, failures)
+    compare_cells(plain, farmed, failures)
+    if report.cells != len(CELLS):
+        failures.append(f"one farm should hold all {len(CELLS)} cells, "
+                        f"this one held {report.cells}")
     check_report(report, failures)
     if report.reclaims + report.evictions < 2:
         failures.append(
