@@ -21,25 +21,31 @@ class BranchTargetBuffer:
         if self.num_sets & (self.num_sets - 1):
             raise ValueError("number of sets must be a power of two")
         self.assoc = assoc
-        # Each set is an ordered list of (tag, target); index 0 is MRU.
-        self._sets = [[] for _ in range(self.num_sets)]
-
-    def _set_and_tag(self, pc: int):
-        index = (pc >> 2) & (self.num_sets - 1)
-        tag = pc >> 2
-        return self._sets[index], tag
+        # Each set is an ordered sequence of (tag, target); index 0 is
+        # MRU.  A set starts as a tuple shared with other BTBs (the empty
+        # set, or a warm image's, see BranchUnit.load_state) and becomes
+        # a list of this BTB's own on its first write.
+        self._sets = [()] * self.num_sets
 
     def lookup(self, pc: int) -> Optional[int]:
-        entries, tag = self._set_and_tag(pc)
+        tag = pc >> 2
+        index = tag & (self.num_sets - 1)
+        entries = self._sets[index]
         for i, (t, target) in enumerate(entries):
             if t == tag:
                 if i:
+                    if entries.__class__ is tuple:
+                        entries = self._sets[index] = list(entries)
                     entries.insert(0, entries.pop(i))
                 return target
         return None
 
     def install(self, pc: int, target: int) -> None:
-        entries, tag = self._set_and_tag(pc)
+        tag = pc >> 2
+        index = tag & (self.num_sets - 1)
+        entries = self._sets[index]
+        if entries.__class__ is tuple:
+            entries = self._sets[index] = list(entries)
         for i, (t, _) in enumerate(entries):
             if t == tag:
                 entries.pop(i)

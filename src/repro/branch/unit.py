@@ -100,11 +100,12 @@ class BranchUnit:
                 ("selector", predictor.selector))
 
     def state(self) -> Dict:
-        """Plain-data copy of the history, accuracy counters, predictor
-        tables, BTB and RAS: the ``branch`` section of a machine
-        snapshot (:mod:`repro.core.snapshot`) and the branch half of a
-        trace's warm-state memo (:meth:`repro.core.machine.Machine.warmup`).
-        Shares no list with the unit."""
+        """Immutable image of the history, accuracy counters, predictor
+        tables, BTB and RAS (tuples all the way down): the ``branch``
+        section of a machine snapshot (:mod:`repro.core.snapshot`) and
+        the branch half of a trace's warm-state memo
+        (:meth:`repro.core.machine.Machine.warmup`).  Untouched BTB sets
+        are shared with the unit, which never writes to a tuple."""
         data = {
             "history": self.history,
             "predictions": self.predictions,
@@ -112,26 +113,29 @@ class BranchUnit:
             "target_mispredicts": self.target_mispredicts,
         }
         for name, table in self._counter_tables():
-            data[name] = list(table.entries)
-        data["btb"] = [[[tag, target] for tag, target in entries]
-                       for entries in self.btb._sets]
-        data["ras"] = list(self.ras._stack)
+            data[name] = tuple(table.entries)
+        data["btb"] = tuple(map(tuple, self.btb._sets))
+        data["ras"] = tuple(self.ras._stack)
         return data
 
     def load_state(self, data: Dict) -> None:
-        """Copy a :meth:`state` image into this unit's own lists (filled
-        in place, so the image stays unaliased and no list is
-        reallocated); raises ValueError when the BTB geometry differs."""
-        if len(data["btb"]) != self.btb.num_sets:
+        """Start from a :meth:`state` image: counter tables and RAS are
+        copied into the unit's own lists, and the BTB's set list is a new
+        list over the image's set tuples, each copied on its first write
+        (see :class:`BranchTargetBuffer`).  Raises ValueError when the
+        BTB geometry differs."""
+        btb = data["btb"]
+        if len(btb) != self.btb.num_sets:
             raise ValueError("BTB geometry does not match the machine")
+        if btb.__class__ is not tuple:  # decoded from a snapshot file
+            btb = tuple(tuple(map(tuple, entries)) for entries in btb)
         self.history = data["history"]
         self.predictions = data["predictions"]
         self.direction_mispredicts = data["direction_mispredicts"]
         self.target_mispredicts = data["target_mispredicts"]
         for name, table in self._counter_tables():
             table.entries[:] = data[name]
-        for entries, dumped in zip(self.btb._sets, data["btb"]):
-            entries[:] = map(tuple, dumped)
+        self.btb._sets = list(btb)
         self.ras._stack[:] = data["ras"]
 
     @property

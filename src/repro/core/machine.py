@@ -195,9 +195,11 @@ class Machine:
         #: Recycled payload-RAM records (see _commit).
         self._rec_pool: List[SourceRecord] = []
         # Payload-RAM index for the ideal policy's associative update:
-        # per class, per preg, the live consumer records.
+        # per class, per preg, the live consumer records.  Only that
+        # policy reads it, so other machines keep an empty list per class.
         self._consumer_records: Dict[RegClass, List[list]] = {
-            cls: [[] for _ in range(rf.num_regs)] for cls, rf in self.rf.items()
+            cls: [[] for _ in range(rf.num_regs)] if self._ideal_war else []
+            for cls, rf in self.rf.items()
         }
 
         #: Timer wheel: target cycle -> [(kind, payload), ...] in
@@ -1480,10 +1482,10 @@ class Machine:
         self.rf[RegClass.FP].extend(fp_regs)
         self.refcounts[RegClass.INT].extend(int_regs)
         self.refcounts[RegClass.FP].extend(fp_regs)
-        for cls, rf in self.rf.items():
-            records = self._consumer_records[cls]
-            while len(records) < rf.num_regs:
-                records.append([])
+        if self._ideal_war:
+            for cls, rf in self.rf.items():
+                records = self._consumer_records[cls]
+                records.extend([] for _ in range(rf.num_regs - len(records)))
         self.cfg = replace(self.cfg, int_phys_regs=int_regs,
                            fp_phys_regs=fp_regs)
 

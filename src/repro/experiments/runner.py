@@ -22,6 +22,7 @@ import gc
 import os
 import shutil
 import tempfile
+import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -45,6 +46,9 @@ from repro.workloads import SPEC_FP, SPEC_INT, Trace, generate_trace
 #: Traces one :class:`TraceCache` holds before evicting the oldest.
 #: ``--all`` uses 27 distinct traces, so a whole paper run never evicts.
 TRACE_CACHE_LIMIT = 32
+
+#: Serialises trace builds (see :meth:`TraceCache.get`).
+_BUILD_LOCK = threading.Lock()
 
 
 def _with_inf_regs(config: MachineConfig) -> MachineConfig:
@@ -259,19 +263,30 @@ class TraceCache:
         if trace is None:
             if len(self._cache) >= TRACE_CACHE_LIMIT:
                 self._cache.pop(next(iter(self._cache)))
-            trace = generate_trace(
-                benchmark, spec.length, seed=spec.seed, warmup=spec.warmup
-            )
-            self._cache[key] = trace
             # A cached trace is tens of thousands of immutable, acyclic
-            # objects that live until evicted, and every full collection
-            # would walk them all again to free nothing.  Freezing moves
-            # them (with everything else alive now) out of the cyclic
-            # collector's generations; reference counting still frees
-            # them on eviction.  Collecting first keeps garbage that is
-            # already waiting from being frozen with them.
-            gc.collect()
-            gc.freeze()
+            # objects that live until evicted, and every collection that
+            # walks them frees nothing.  So: collect first (garbage that
+            # is already waiting must not be frozen with them), build
+            # with the cyclic collector paused (allocating them would
+            # otherwise trigger collections that walk them), then freeze
+            # them, with everything else alive now, out of the
+            # collector's generations.  Reference counting still frees
+            # them on eviction.  The lock keeps two threads from seeing
+            # each other's pause as the collector's prior state.
+            with _BUILD_LOCK:
+                gc.collect()
+                enabled = gc.isenabled()
+                gc.disable()
+                try:
+                    trace = generate_trace(
+                        benchmark, spec.length, seed=spec.seed,
+                        warmup=spec.warmup
+                    )
+                finally:
+                    if enabled:
+                        gc.enable()
+                gc.freeze()
+            self._cache[key] = trace
         return trace
 
     def stream_prefix(self, benchmark: str, seed: int, n: int) -> List[MicroOp]:
@@ -521,7 +536,8 @@ def run_cells(
             if farm is None:
                 local_root = tempfile.mkdtemp(prefix="repro-jobs-")
                 farm = FarmSpec(root=local_root, workers=min(jobs, len(todo)),
-                                checkpoint_every=spec.checkpoint_every)
+                                checkpoint_every=spec.checkpoint_every,
+                                durable=False)
             from repro.farm.broker import run_cells_farm  # lazy: reverse edge
 
             try:

@@ -93,7 +93,7 @@ def run_cells_farm(
     from repro.experiments.runner import CellError, checkpoint_path
 
     plans = normalize_plans(farm.inject)
-    transport = FsTransport(farm.root)
+    transport = FsTransport(farm.root, durable=farm.durable)
     ckpt_spec = dataclasses.replace(
         spec, checkpoint_dir=transport.checkpoint_dir)
 
@@ -134,6 +134,7 @@ def run_cells_farm(
         heartbeat_interval=farm.heartbeat_interval,
         poll_interval=farm.poll_interval,
         checkpoint_every=farm.checkpoint_every,
+        durable=farm.durable,
     )
     procs: Dict[str, object] = {}
     spawned: Set[str] = set()

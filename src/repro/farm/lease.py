@@ -152,10 +152,11 @@ class CellSpec:
         return cls(**data)
 
 
-def write_cell(paths: FarmPaths, cell: CellSpec) -> None:
+def write_cell(paths: FarmPaths, cell: CellSpec, *, durable: bool = True) -> None:
     atomic_write_bytes(
         paths.cell(cell.cid),
         envelope_bytes(CELL_KIND, FARM_SCHEMA, cell.to_dict()),
+        durable=durable,
     )
 
 
@@ -216,7 +217,8 @@ class LeaseLost(RuntimeError):
     the broker, or a deliberately injected double-lease)."""
 
 
-def claim(paths: FarmPaths, cell: CellSpec, worker: str, ttl: float) -> Optional[Lease]:
+def claim(paths: FarmPaths, cell: CellSpec, worker: str, ttl: float, *,
+          durable: bool = True) -> Optional[Lease]:
     """Try to lease ``cell`` for ``worker``.  The O_EXCL create *is* the
     mutual exclusion; returns None when somebody else holds the lease."""
     now = time.time()
@@ -225,7 +227,8 @@ def claim(paths: FarmPaths, cell: CellSpec, worker: str, ttl: float) -> Optional
         ttl=ttl, granted_unix=now, heartbeat_unix=now,
     )
     payload = envelope_bytes(LEASE_KIND, FARM_SCHEMA, lease.to_dict())
-    if not create_exclusive_bytes(paths.lease(cell.cid), payload):
+    if not create_exclusive_bytes(paths.lease(cell.cid), payload,
+                                  durable=durable):
         return None
     return lease
 
@@ -256,7 +259,8 @@ def fence_lost(paths: FarmPaths, lease: Lease) -> Optional[str]:
 
 
 def heartbeat(paths: FarmPaths, lease: Lease, *, cycle: int = 0,
-              committed: int = 0, state: Optional[str] = None) -> None:
+              committed: int = 0, state: Optional[str] = None,
+              durable: bool = True) -> None:
     """Refresh the worker's lease — fence-check, then read-check-write:
     a heartbeat never overwrites a lease the worker no longer owns, and
     never renews once the broker has begun reclaiming.  Raises
@@ -297,7 +301,7 @@ def heartbeat(paths: FarmPaths, lease: Lease, *, cycle: int = 0,
     # durable (a lost heartbeat merely looks like a slightly older one).
     atomic_write_bytes(
         path, envelope_bytes(LEASE_KIND, FARM_SCHEMA, lease.to_dict()),
-        durable=state is not None,
+        durable=durable and state is not None,
     )
 
 
@@ -356,10 +360,12 @@ class CellResult:
         return cls(**data)
 
 
-def write_result(paths: FarmPaths, result: CellResult) -> None:
+def write_result(paths: FarmPaths, result: CellResult, *,
+                 durable: bool = True) -> None:
     atomic_write_bytes(
         paths.result(result.cid, result.attempt, result.worker),
         envelope_bytes(RESULT_KIND, FARM_SCHEMA, result.to_dict()),
+        durable=durable,
     )
 
 
@@ -425,6 +431,10 @@ class FarmSpec:
     #: (None: never stop respawning — per-cell attempt budgets still
     #: bound the run).
     max_respawns: Optional[int] = None
+    #: fsync the cell, lease and result files.  ``run_cells`` turns this
+    #: off for the temporary root of a plain ``--jobs`` run, which no
+    #: later run resumes: it is deleted when the call returns.
+    durable: bool = True
 
     paths: FarmPaths = field(init=False, repr=False)
     #: Final :class:`~repro.farm.aggregate.FarmReport` of the most

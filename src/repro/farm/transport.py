@@ -45,10 +45,13 @@ class LeaseView:
 
 
 class FsTransport:
-    """Lease protocol over one shared journal directory."""
+    """Lease protocol over one shared journal directory.  With
+    ``durable=False`` its cell, lease and result writes skip the fsyncs
+    (see :attr:`~repro.farm.lease.FarmSpec.durable`)."""
 
-    def __init__(self, root: str) -> None:
+    def __init__(self, root: str, durable: bool = True) -> None:
         self.paths = FarmPaths(root).ensure()
+        self.durable = durable
         self._seen_results: Set[str] = set()
 
     # ------------------------------------------------------ worker half
@@ -80,14 +83,14 @@ class FsTransport:
 
     def claim(self, cell: CellSpec, worker: str, ttl: float) -> Optional[Lease]:
         """Try to lease ``cell``; None when somebody else holds it."""
-        return fsl.claim(self.paths, cell, worker, ttl)
+        return fsl.claim(self.paths, cell, worker, ttl, durable=self.durable)
 
     def heartbeat(self, lease: Lease, *, cycle: int = 0, committed: int = 0,
                   state: Optional[str] = None) -> None:
         """Refresh ``lease``; raises :class:`~repro.farm.lease.LeaseLost`
         when the lease is fenced out, gone, or foreign."""
         fsl.heartbeat(self.paths, lease, cycle=cycle, committed=committed,
-                      state=state)
+                      state=state, durable=self.durable)
 
     def release(self, lease: Lease) -> bool:
         """Give the lease back; False when it had already changed hands
@@ -99,7 +102,7 @@ class FsTransport:
         are allowed on disk by design: each (attempt, worker) gets its
         own file and the broker verifies duplicates bit-identically at
         fold time."""
-        fsl.write_result(self.paths, result)
+        fsl.write_result(self.paths, result, durable=self.durable)
 
     # ------------------------------------------------------ broker half
 
@@ -115,7 +118,7 @@ class FsTransport:
                     cell = prior
             except (ArtifactError, OSError):
                 pass  # damaged spec: republish fresh
-        fsl.write_cell(self.paths, cell)
+        fsl.write_cell(self.paths, cell, durable=self.durable)
         return cell
 
     def prune(self, keep: Set[str]) -> None:
@@ -182,9 +185,9 @@ class FsTransport:
         still exists — no worker can claim the stale attempt in the gap,
         and in-flight heartbeats lose."""
         if terminal is not None:
-            fsl.write_result(self.paths, terminal)
+            fsl.write_result(self.paths, terminal, durable=self.durable)
         else:
-            fsl.write_cell(self.paths, cell)
+            fsl.write_cell(self.paths, cell, durable=self.durable)
         remove_file(self.paths.lease(cell.cid))
 
     def new_results(self) -> List[CellResult]:

@@ -67,6 +67,9 @@ class WorkerOptions:
     checkpoint_every: Optional[int] = 2000
     #: Exit after the first completed cell (used by tests).
     oneshot: bool = False
+    #: fsync claims and results (see
+    #: :attr:`~repro.farm.lease.FarmSpec.durable`).
+    durable: bool = True
 
 
 class Evicted(Exception):
@@ -230,7 +233,7 @@ def worker_loop(
 
     options = options or WorkerOptions()
     chaos = chaos or WorkerChaos(())
-    transport = FsTransport(root)
+    transport = FsTransport(root, durable=options.durable)
     evict = _EvictFlag()
     evict.install()
     traces = TraceCache()

@@ -55,8 +55,11 @@ class Cache:
         self._set_mask = self.num_sets - 1
         self._tag_shift = self.num_sets.bit_length() - 1
         self._hit_latency = config.latency
-        # sets[i] is an ordered list of tags; index 0 is MRU.
-        self._sets = [[] for _ in range(self.num_sets)]
+        # sets[i] is an ordered sequence of tags; index 0 is MRU.  A set
+        # starts as a tuple shared with other caches (the empty set, or a
+        # warm image's, see load_state) and becomes a list of this
+        # cache's own on its first touch.
+        self._sets = [()] * self.num_sets
         self.hits = 0
         self.misses = 0
 
@@ -64,8 +67,7 @@ class Cache:
         """Check presence without updating LRU or statistics."""
         line = addr >> self.line_shift
         tag = line >> self._tag_shift
-        entries = self._sets[line & self._set_mask]
-        return tag in entries
+        return tag in self._sets[line & self._set_mask]
 
     def access_latency(self, addr: int) -> int:
         """Access a line; allocate on miss; return the composed latency.
@@ -73,7 +75,11 @@ class Cache:
         The hot-path form of :meth:`access` — no result object."""
         line = addr >> self.line_shift
         tag = line >> self._tag_shift
-        entries = self._sets[line & self._set_mask]
+        sets = self._sets
+        index = line & self._set_mask
+        entries = sets[index]
+        if entries.__class__ is tuple:
+            entries = sets[index] = list(entries)
         if tag in entries:
             if entries[0] != tag:
                 entries.remove(tag)
@@ -107,28 +113,31 @@ class Cache:
         return self.misses / total if total else 0.0
 
     def state(self) -> Dict:
-        """Plain-data copy of the LRU-ordered sets and the hit/miss
-        counters (one cache of a machine snapshot's ``memory``
-        section).  Shares no list with the cache."""
+        """Immutable image of the LRU-ordered sets (a tuple of tag
+        tuples) and the hit/miss counters: one cache of a machine
+        snapshot's ``memory`` section.  Untouched sets are shared with
+        the cache, which never writes to a tuple."""
         return {
-            "sets": [list(tags) for tags in self._sets],
+            "sets": tuple(map(tuple, self._sets)),
             "hits": self.hits,
             "misses": self.misses,
         }
 
     def load_state(self, data: Dict) -> None:
-        """Copy a :meth:`state` image into this cache's own set lists
-        (filled in place: the image stays unaliased, and a full cache's
-        worth of list allocations is saved); raises ValueError when the
-        set count differs."""
-        if len(data["sets"]) != self.num_sets:
+        """Start from a :meth:`state` image: the cache's set list is a
+        new list over the image's tuples, and each set is copied into a
+        list of the cache's own on its first touch, so the image is
+        never written.  Raises ValueError when the set count differs."""
+        sets = data["sets"]
+        if len(sets) != self.num_sets:
             raise ValueError(f"{self.name}: snapshot geometry does not match "
                              f"the machine")
-        for entries, tags in zip(self._sets, data["sets"]):
-            entries[:] = tags
+        if sets.__class__ is not tuple:  # decoded from a snapshot file
+            sets = tuple(map(tuple, sets))
+        self._sets = list(sets)
         self.hits = data["hits"]
         self.misses = data["misses"]
 
     def flush(self) -> None:
         """Empty the cache (used between experiment runs)."""
-        self._sets = [[] for _ in range(self.num_sets)]
+        self._sets = [()] * self.num_sets

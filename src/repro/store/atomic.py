@@ -262,13 +262,14 @@ def durable_replace(src: str, dst: str, *, durable: bool = True) -> None:
         fsync_dir(os.path.dirname(os.path.abspath(dst)))
 
 
-def create_exclusive_bytes(path: str, data: bytes) -> bool:
+def create_exclusive_bytes(path: str, data: bytes, *, durable: bool = True) -> bool:
     """Atomically create ``path`` with ``data`` iff it does not already
     exist (the farm's O_EXCL lease claim: the filesystem is the
     arbiter).  Returns False when somebody else holds the file.  The
-    data is fsynced; note the *directory entry* is not — losing a fresh
-    claim file to a crash is safe (liveness, not safety: the claim is
-    simply retried), so no caller pays for a directory fsync here."""
+    data is fsynced unless ``durable=False``; note the *directory
+    entry* is not — losing a fresh claim file to a crash is safe
+    (liveness, not safety: the claim is simply retried), so no caller
+    pays for a directory fsync here."""
     try:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
     except FileExistsError:
@@ -277,8 +278,9 @@ def create_exclusive_bytes(path: str, data: bytes) -> bool:
     try:
         os.write(fd, data)
         notify_io(op="write", path=path, data=data)
-        os.fsync(fd)
-        notify_io(op="fsync", path=path)
+        if durable:
+            os.fsync(fd)
+            notify_io(op="fsync", path=path)
     finally:
         os.close(fd)
     return True

@@ -22,9 +22,10 @@ The generator models:
 
 **Draw order is part of the output.**  A trace is a function of its
 profile and seed alone, and ``tests/workloads/test_trace_golden.py`` pins
-every field of every op.  The hot path makes exactly the draws, in
-exactly the order, that the plain ``random.Random`` calls it stands for
-would make:
+every field of every op.  Every op comes from one loop,
+:meth:`TraceGenerator._emit` (``next_op`` and ``generate`` both call
+it), which makes exactly the draws, in exactly the order, that the
+plain ``random.Random`` calls it stands for would make:
 
 * a bounded integer (``randrange``/``randint``/``choice`` over ``n``
   values) is ``getrandbits(k)`` with ``k = n.bit_length()``, redrawn while
@@ -70,14 +71,6 @@ _BRANCH, _CALL, _RETURN = OpClass.BRANCH, OpClass.CALL, OpClass.RETURN
 _FP_ALU = frozenset((OpClass.FP_ADD, OpClass.FP_MUL, OpClass.FP_DIV))
 
 
-def _record_dest(values: List[int], recent: List[int], index: int, value: int) -> None:
-    """Write a destination's value and push it on its recency list."""
-    values[index] = value
-    recent.append(index)
-    if len(recent) > 64:
-        del recent[:32]
-
-
 class _BranchSite:
     """One static branch with a fixed PC and an outcome process.
 
@@ -99,16 +92,6 @@ class _BranchSite:
         self.phase = 0
         self.backward = backward
 
-    def outcome(self, random) -> bool:
-        """The next outcome; ``random`` is the generator's ``rng.random``."""
-        if self.trip_count:
-            taken = self.phase < self.trip_count - 1
-            self.phase = (self.phase + 1) % self.trip_count
-            return taken
-        if random() < self.bias:
-            return self.taken_dir
-        return not self.taken_dir
-
 
 class TraceGenerator:
     """Generates micro-op traces from a benchmark profile.
@@ -125,9 +108,6 @@ class TraceGenerator:
         # zlib.crc32, not hash(): str hashes are salted per process and
         # would make traces irreproducible across runs.
         self.rng = random.Random(zlib.crc32(profile.name.encode()) * 1_000_003 + seed)
-        # The hot path draws through these two, bound once.
-        self._random = self.rng.random
-        self._getrandbits = self.rng.getrandbits
         self.int_model = IntValueModel(profile.int_widths)
         self.fp_model = FpValueModel(
             zero_frac=profile.fp_zero_frac,
@@ -277,181 +257,201 @@ class TraceGenerator:
             cum.append(acc)
         return classes, cum
 
-    # ----------------------------------------------------------- helpers
-
-    def _pick_source(self, recent: List[int]) -> int:
-        """Choose a source logical register via the dependence model
-        (the INT zero-register draw is the caller's)."""
-        random = self._random
-        if recent and random() < self._src_recent_frac:
-            # Geometric distance into the recency list (1 = most recent):
-            # expovariate, inlined.
-            dist = 1 + int(-log(1.0 - random()) / self._dep_lambda)
-            return recent[-dist] if dist < len(recent) else recent[0]
-        # randrange(31): any register but the zero register.
-        getrandbits = self._getrandbits
-        r = getrandbits(5)
-        while r >= _NUM_DESTS:
-            r = getrandbits(5)
-        return r
-
-    def _int_source(self) -> SourceOperand:
-        if self._random() < self._zero_reg_frac:
-            index = INT_ZERO_REG
-        else:
-            index = self._pick_source(self.recent_int)
-        return SourceOperand(_INT, index, self.int_values[index])
-
-    def _fp_source(self) -> SourceOperand:
-        index = self._pick_source(self.recent_fp)
-        return SourceOperand(_FP, index, self.fp_values[index])
-
-    def _pick_dest(self) -> int:
-        """A destination register: ``randrange(dest_hot_regs)`` from the
-        hot pool, else ``randrange(dest_hot_regs, 31)``."""
-        getrandbits = self._getrandbits
-        if self._random() < self._dest_hot_frac:
-            base, n, k = self._hot_pool
-        else:
-            base, n, k = self._cold_pool
-        r = getrandbits(k)
-        while r >= n:
-            r = getrandbits(k)
-        return base + r
-
-    def _next_pc(self) -> int:
-        pc = self._pc
-        self._pc = pc + 4 if pc + 4 < self._code_end else _CODE_BASE
-        return pc
-
-    def _data_address(self) -> int:
-        u = self._random()
-        if u < self._mem_frac:
-            addr = self._mem_ptr
-            self._mem_ptr += 64  # fresh L2 line every time: always a miss
-            return addr
-        if u < self._l2_or_mem_frac:
-            addr = self._l2_ring[self._l2_idx]
-            self._l2_idx = (self._l2_idx + 1) % len(self._l2_ring)
-            return addr
-        # randrange(0, 8192, 8): a random doubleword of the hot region.
-        getrandbits = self._getrandbits
-        r = getrandbits(11)
-        while r >= _HOT_WORDS:
-            r = getrandbits(11)
-        return _HOT_BASE + 8 * r
-
     # ---------------------------------------------------------- emission
 
     def next_op(self) -> MicroOp:
         """Generate and return the next micro-op."""
-        classes = self._op_classes
-        i = bisect_left(self._op_weights, self._random())
-        op_class = classes[i] if i < len(classes) else classes[-1]
-        if op_class is _BRANCH:
-            op = self._emit_branch()
-        elif op_class is _LOAD:
-            op = self._emit_load()
-        elif op_class is _STORE:
-            op = self._emit_store()
-        elif op_class in _FP_ALU:
-            op = self._emit_fp_alu(op_class)
-        else:
-            op = self._emit_int_alu(op_class)
-        op.validate()
-        self._seq += 1
-        return op
+        return self._emit(1)[0]
 
-    def _emit_int_alu(self, op_class: OpClass) -> MicroOp:
-        random = self._random
-        if op_class is _INT_ALU and random() < 0.10:
-            sources = ()
-        elif random() < 0.3:
-            sources = (self._int_source(),)
-        else:
-            sources = (self._int_source(), self._int_source())
-        dest = self._pick_dest()
-        result = self.int_model.sample(self.rng)
-        op = MicroOp(self._seq, self._next_pc(), op_class, sources, _INT, dest, result)
-        _record_dest(self.int_values, self.recent_int, dest, result)
-        return op
+    def _emit(self, count: int) -> List[MicroOp]:
+        """The next ``count`` micro-ops: the one emission loop.
 
-    def _emit_fp_alu(self, op_class: OpClass) -> MicroOp:
-        sources = (self._fp_source(), self._fp_source())
-        dest = self._pick_dest()
-        result = self.fp_model.sample(self.rng)
-        op = MicroOp(self._seq, self._next_pc(), op_class, sources, _FP, dest, result)
-        _record_dest(self.fp_values, self.recent_fp, dest, result)
-        return op
-
-    def _emit_load(self) -> MicroOp:
-        random = self._random
-        base_reg = self.last_load_dest
-        if base_reg is not None and random() < self._pointer_chase_frac:
-            source = SourceOperand(_INT, base_reg, self.int_values[base_reg])
-        else:
-            source = self._int_source()
-        if random() < self._fp_mem_frac:
-            result = self.fp_model.sample(self.rng)
-            dest = self._pick_dest()
-            op = MicroOp(self._seq, self._next_pc(), _FP_LOAD, (source,), _FP, dest,
-                         result, mem_addr=self._data_address())
-            _record_dest(self.fp_values, self.recent_fp, dest, result)
-            return op
-        result = self.int_model.sample(self.rng)
-        dest = self._pick_dest()
-        op = MicroOp(self._seq, self._next_pc(), _LOAD, (source,), _INT, dest,
-                     result, mem_addr=self._data_address())
-        _record_dest(self.int_values, self.recent_int, dest, result)
-        self.last_load_dest = dest
-        return op
-
-    def _emit_store(self) -> MicroOp:
-        if self._random() < self._fp_mem_frac:
-            op_class, data = _FP_STORE, self._fp_source()
-        else:
-            op_class, data = _STORE, self._int_source()
-        return MicroOp(
-            self._seq, self._next_pc(), op_class,
-            sources=(data, self._int_source()), dest=None,
-            mem_addr=self._data_address(),
-        )
-
-    def _emit_branch(self) -> MicroOp:
-        random = self._random
+        The generator's state is read into locals on entry and written
+        back on exit, and every per-op helper is inlined or a local
+        closure, so an op costs the draws it makes and little more.
+        The closures only read locals that the loop never rebinds (the
+        bound draw methods, the value lists, the recency lists), and
+        none refers to itself, so the generator stays acyclic.
+        """
+        rng = self.rng
+        random, getrandbits = rng.random, rng.getrandbits
+        int_sample = self.int_model.sampler(rng)
+        fp_sample = self.fp_model.sample
+        classes, op_weights = self._op_classes, self._op_weights
+        int_values, fp_values = self.int_values, self.fp_values
+        recent_int, recent_fp = self.recent_int, self.recent_fp
         returns = self._return_pcs
-        if returns and random() < self._return_frac:
-            target = returns.pop()
-            op = MicroOp(
-                self._seq, self._pc, _RETURN,
-                sources=(), dest=None, taken=True, target=target, is_indirect=True,
-            )
-            self._pc = target
-            return op
-        if random() < self._call_frac and len(returns) < 64:
-            # choice(self._call_sites), whose length is 2 * _FUNC_COUNT.
-            getrandbits = self._getrandbits
-            r = getrandbits(_CALL_SITE_BITS)
-            while r >= 2 * _FUNC_COUNT:
-                r = getrandbits(_CALL_SITE_BITS)
-            pc, entry = self._call_sites[r]
-            returns.append(pc + 4)
-            op = MicroOp(
-                self._seq, pc, _CALL,
-                sources=(), dest=None, taken=True, target=entry,
-            )
-            self._pc = entry
-            return op
-        sites = self.sites
-        i = bisect_left(self._site_cum, random())
-        site = sites[i] if i < len(sites) else sites[-1]
-        taken = site.outcome(random)
-        op = MicroOp(
-            self._seq, site.pc, _BRANCH,
-            sources=(self._int_source(),), dest=None, taken=taken, target=site.target,
-        )
-        self._pc = site.target if taken else site.pc + 4
-        return op
+        sites, site_cum = self.sites, self._site_cum
+        call_sites = self._call_sites
+        l2_ring = self._l2_ring
+        zero_reg_frac = self._zero_reg_frac
+        src_recent_frac = self._src_recent_frac
+        dep_lambda = self._dep_lambda
+        dest_hot_frac = self._dest_hot_frac
+        hot_pool, cold_pool = self._hot_pool, self._cold_pool
+        pointer_chase_frac = self._pointer_chase_frac
+        fp_mem_frac = self._fp_mem_frac
+        call_frac, return_frac = self._call_frac, self._return_frac
+        mem_frac, l2_or_mem_frac = self._mem_frac, self._l2_or_mem_frac
+        code_end = self._code_end
+
+        def pick_source(recent: List[int]) -> int:
+            # The dependence model: a geometric distance into the recency
+            # list (1 = most recent; expovariate, inlined), else
+            # randrange(31), any register but the zero register.
+            if recent and random() < src_recent_frac:
+                dist = 1 + int(-log(1.0 - random()) / dep_lambda)
+                return recent[-dist] if dist < len(recent) else recent[0]
+            r = getrandbits(5)
+            while r >= _NUM_DESTS:
+                r = getrandbits(5)
+            return r
+
+        def int_source() -> SourceOperand:
+            if random() < zero_reg_frac:
+                index = INT_ZERO_REG
+            else:
+                index = pick_source(recent_int)
+            return SourceOperand(_INT, index, int_values[index])
+
+        def fp_source() -> SourceOperand:
+            index = pick_source(recent_fp)
+            return SourceOperand(_FP, index, fp_values[index])
+
+        def pick_dest() -> int:
+            # randrange(dest_hot_regs) from the hot pool, else
+            # randrange(dest_hot_regs, 31).
+            base, n, k = hot_pool if random() < dest_hot_frac else cold_pool
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            return base + r
+
+        seq, pc = self._seq, self._pc
+        l2_idx, mem_ptr = self._l2_idx, self._mem_ptr
+        last_load_dest = self.last_load_dest
+        ops: List[MicroOp] = []
+        append = ops.append
+        try:
+            for _ in range(count):
+                i = bisect_left(op_weights, random())
+                op_class = classes[i] if i < len(classes) else classes[-1]
+                if op_class is _BRANCH:
+                    if returns and random() < return_frac:
+                        target = returns.pop()
+                        op = MicroOp(seq, pc, _RETURN, (), _INT, None, 0, None,
+                                     True, target, True)
+                        pc = target
+                    elif random() < call_frac and len(returns) < 64:
+                        # choice(call_sites), whose length is 2 * _FUNC_COUNT.
+                        r = getrandbits(_CALL_SITE_BITS)
+                        while r >= 2 * _FUNC_COUNT:
+                            r = getrandbits(_CALL_SITE_BITS)
+                        call_pc, entry = call_sites[r]
+                        returns.append(call_pc + 4)
+                        op = MicroOp(seq, call_pc, _CALL, (), _INT, None, 0, None,
+                                     True, entry)
+                        pc = entry
+                    else:
+                        i = bisect_left(site_cum, random())
+                        site = sites[i] if i < len(sites) else sites[-1]
+                        trip_count = site.trip_count
+                        if trip_count:
+                            phase = site.phase
+                            taken = phase < trip_count - 1
+                            site.phase = (phase + 1) % trip_count
+                        elif random() < site.bias:
+                            taken = site.taken_dir
+                        else:
+                            taken = not site.taken_dir
+                        op = MicroOp(seq, site.pc, _BRANCH, (int_source(),), _INT,
+                                     None, 0, None, taken, site.target)
+                        pc = site.target if taken else site.pc + 4
+                elif op_class is _LOAD or op_class is _STORE:
+                    if op_class is _LOAD:
+                        base_reg = last_load_dest
+                        if base_reg is not None and random() < pointer_chase_frac:
+                            source = SourceOperand(_INT, base_reg, int_values[base_reg])
+                        else:
+                            source = int_source()
+                        sources = (source,)
+                        if random() < fp_mem_frac:
+                            op_class, dest_class = _FP_LOAD, _FP
+                            result = fp_sample(rng)
+                        else:
+                            dest_class = _INT
+                            result = int_sample()
+                        dest = pick_dest()
+                    else:
+                        if random() < fp_mem_frac:
+                            op_class, data = _FP_STORE, fp_source()
+                        else:
+                            data = int_source()
+                        sources = (data, int_source())
+                        dest_class, dest, result = _INT, None, 0
+                    # The data address: a fresh line for a memory access
+                    # (always a miss), the next line of the L2 ring, or
+                    # randrange(0, 8192, 8) -- a random doubleword of the
+                    # hot region.
+                    u = random()
+                    if u < mem_frac:
+                        addr = mem_ptr
+                        mem_ptr += 64
+                    elif u < l2_or_mem_frac:
+                        addr = l2_ring[l2_idx]
+                        l2_idx = (l2_idx + 1) % len(l2_ring)
+                    else:
+                        r = getrandbits(11)
+                        while r >= _HOT_WORDS:
+                            r = getrandbits(11)
+                        addr = _HOT_BASE + 8 * r
+                    op = MicroOp(seq, pc, op_class, sources, dest_class, dest,
+                                 result, addr)
+                    pc = pc + 4 if pc + 4 < code_end else _CODE_BASE
+                    if dest_class is _FP:
+                        fp_values[dest] = result
+                        recent_fp.append(dest)
+                        if len(recent_fp) > 64:
+                            del recent_fp[:32]
+                    elif dest is not None:
+                        int_values[dest] = result
+                        recent_int.append(dest)
+                        if len(recent_int) > 64:
+                            del recent_int[:32]
+                        last_load_dest = dest
+                elif op_class in _FP_ALU:
+                    sources = (fp_source(), fp_source())
+                    dest = pick_dest()
+                    result = fp_sample(rng)
+                    op = MicroOp(seq, pc, op_class, sources, _FP, dest, result)
+                    pc = pc + 4 if pc + 4 < code_end else _CODE_BASE
+                    fp_values[dest] = result
+                    recent_fp.append(dest)
+                    if len(recent_fp) > 64:
+                        del recent_fp[:32]
+                else:
+                    if op_class is _INT_ALU and random() < 0.10:
+                        sources = ()
+                    elif random() < 0.3:
+                        sources = (int_source(),)
+                    else:
+                        sources = (int_source(), int_source())
+                    dest = pick_dest()
+                    result = int_sample()
+                    op = MicroOp(seq, pc, op_class, sources, _INT, dest, result)
+                    pc = pc + 4 if pc + 4 < code_end else _CODE_BASE
+                    int_values[dest] = result
+                    recent_int.append(dest)
+                    if len(recent_int) > 64:
+                        del recent_int[:32]
+                op.validate()
+                append(op)
+                seq += 1
+        finally:
+            self._seq, self._pc = seq, pc
+            self._l2_idx, self._mem_ptr = l2_idx, mem_ptr
+            self.last_load_dest = last_load_dest
+        return ops
 
     def generate(self, length: int, warmup: int = 0) -> Trace:
         """Generate a trace of ``length`` timed micro-ops.
@@ -462,11 +462,10 @@ class TraceGenerator:
         400M-instruction fast-forward).  The trace records the
         architectural register contents at the start of the timed region.
         """
-        next_op = self.next_op
-        warmup_ops = [next_op() for _ in range(warmup)]
+        warmup_ops = self._emit(warmup)
         initial_int = list(self.int_values)
         initial_fp = list(self.fp_values)
-        ops = [next_op() for _ in range(length)]
+        ops = self._emit(length)
         return Trace(
             self.profile.name, ops, seed=self.seed,
             initial_int=initial_int, initial_fp=initial_fp,

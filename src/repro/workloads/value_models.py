@@ -13,7 +13,7 @@ import random
 from bisect import bisect_left
 from itertools import accumulate
 from math import log
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.isa.values import (
     MAX_UINT64,
@@ -103,8 +103,44 @@ class IntValueModel:
         self.positive_bias = positive_bias
 
     def sample(self, rng: random.Random) -> int:
-        width = self.anchors.sample_width(rng)
-        return self.value_of_width(width, rng)
+        return self.sampler(rng)()
+
+    def sampler(self, rng: random.Random) -> Callable[[], int]:
+        """:meth:`sample` bound to ``rng``: a closure that draws one
+        value per call.  It inlines :meth:`WidthAnchors.sample_width`
+        and :meth:`value_of_width` and makes their draws in their order,
+        so the trace generator's loop pays one call per integer result."""
+        random_ = rng.random
+        getrandbits = rng.getrandbits
+        cum = self.anchors._cum
+        segments = self.anchors._segments
+        positive_bias = self.positive_bias
+
+        def sample() -> int:
+            u = random_()
+            i = bisect_left(cum, u)
+            if i == len(WIDTH_GRID):
+                width = WIDTH_GRID[-1]
+            else:
+                w, f, lo_w, lo_f = segments[i]
+                if f == lo_f:
+                    width = w
+                else:
+                    width = lo_w + max(1, round((u - lo_f) / (f - lo_f) * (w - lo_w)))
+                    if width > w:
+                        width = w
+            if width <= 1:
+                return 0 if random_() < positive_bias else -1
+            positive = random_() < positive_bias
+            lo = 1 << (width - 2)
+            r = getrandbits(width - 1)
+            while r >= lo:
+                r = getrandbits(width - 1)
+            value = lo + r if positive else -(lo + 1 + r)
+            assert significant_bits(value) == width
+            return value
+
+        return sample
 
     def value_of_width(self, width: int, rng: random.Random) -> int:
         """A signed value whose :func:`significant_bits` is exactly ``width``."""

@@ -11,6 +11,7 @@ import pytest
 
 from repro.config import CacheConfig, eight_wide, four_wide
 from repro.core.machine import Machine, simulate
+from repro.experiments.runner import RunSpec, resolve_config
 from repro.workloads import SPEC_FP, SPEC_INT, generate_trace
 
 
@@ -54,7 +55,9 @@ def _warm_state(machine):
 
 
 def _live_lists(machine):
-    """ids of every mutable list a running machine trains in place."""
+    """ids of every mutable list a running machine trains in place: the
+    predictor tables and RAS, each BTB's and cache's set list, and every
+    set it has copied out of the warm image to write to."""
     unit = machine.branch_unit
     lists = [unit.predictor.bimodal.table.entries,
              unit.predictor.gshare.table.entries,
@@ -64,7 +67,7 @@ def _live_lists(machine):
     for cache in (machine.memory.il1, machine.memory.dl1, machine.memory.l2):
         lists.append(cache._sets)
         lists += cache._sets
-    return {id(x) for x in lists}
+    return {id(x) for x in lists if isinstance(x, list)}
 
 
 def _memo_lists(obj, out=None):
@@ -72,11 +75,36 @@ def _memo_lists(obj, out=None):
     if isinstance(obj, dict):
         for value in obj.values():
             _memo_lists(value, out)
-    elif isinstance(obj, list):
-        out.add(id(obj))
+    elif isinstance(obj, (list, tuple)):
+        if isinstance(obj, list):
+            out.add(id(obj))
         for value in obj:
             _memo_lists(value, out)
     return out
+
+
+def _assert_immutable_image(memo):
+    """Every set and BTB entry of every warm image is a tuple, and the
+    image holds no list anywhere."""
+    assert _memo_lists(memo) == set()
+    for warm in memo.values():
+        btb = warm["branch"]["btb"]
+        assert type(btb) is tuple
+        for entries in btb:
+            assert type(entries) is tuple
+            assert all(type(entry) is tuple for entry in entries)
+        for level in warm["memory"].values():
+            assert type(level["sets"]) is tuple
+            assert all(type(tags) is tuple for tags in level["sets"])
+
+
+def _assert_unshared(machines):
+    """No machine holds a list another machine holds."""
+    seen = set()
+    for machine in machines:
+        live = _live_lists(machine)
+        assert not live & seen
+        seen |= live
 
 
 @pytest.fixture
@@ -128,20 +156,51 @@ def test_each_geometry_gets_its_own_warmup(count_warmups):
     assert len(trace.warm_states) == 3
 
 
+#: One scheme per reclamation policy: conventional, PRI, early release,
+#: and the unlimited register file.
+_DIFFERENTIAL_SCHEMES = ("base", "PRI-refcount+ckptcount", "ER", "inf")
+
+
 def test_checked_run_leaves_memo_unchanged():
+    """Base, PRI, ER and inf machines, audited and oracle-checked, all
+    start from one shared image, write only to sets they copied out of
+    it, and leave it equal to the functional loop's state."""
     trace = generate_trace("gzip", 400, seed=4, warmup=2000)
-    checked = four_wide().with_pri().with_audit(interval=32).with_oracle(
-        interval=32)
-    reference = Machine(checked)
+    base = four_wide()
+    configs = [resolve_config(scheme, 4, RunSpec())
+               for scheme in _DIFFERENTIAL_SCHEMES]
+    reference = Machine(base)
     reference.warmup(trace.fresh_copy())
-    expected = {(checked.branch, checked.memory): _warm_state(reference)}
-    for _ in range(2):  # the machine that fills the memo, then one that installs it
-        stats = Machine(checked).run(trace)
-        assert stats.audits > 0 and stats.oracle_commits == len(trace)
-        assert trace.warm_states == expected
-    config = four_wide().with_pri()
-    assert (simulate(config, trace).to_dict()
-            == simulate(config, trace.fresh_copy()).to_dict())
+    expected = {(base.branch, base.memory): _warm_state(reference)}
+    machines = []
+    for _ in range(2):  # the machine that fills the memo, then ones that install it
+        for config in configs:
+            checked = config.with_audit(interval=32).with_oracle(interval=32)
+            machine = Machine(checked)
+            stats = machine.run(trace)
+            assert stats.audits > 0 and stats.oracle_commits == len(trace)
+            assert trace.warm_states == expected
+            _assert_immutable_image(trace.warm_states)
+            machines.append(machine)
+    _assert_unshared(machines)
+    for config in configs:
+        assert (simulate(config, trace).to_dict()
+                == simulate(config, trace.fresh_copy()).to_dict())
+    assert trace.warm_states == expected
+
+
+@pytest.mark.parametrize("profile", [p.name for p in SPEC_INT + SPEC_FP])
+def test_shared_image_runs_equal_fresh_runs(profile):
+    """Every scheme at both widths on a trace whose memo is filled
+    gives the statistics of a run that does its own functional warmup."""
+    trace = generate_trace(profile, 60, seed=2, warmup=1500)
+    spec = RunSpec(length=60, warmup=1500, seed=2)
+    for width in (4, 8):
+        for scheme in _DIFFERENTIAL_SCHEMES:
+            config = resolve_config(scheme, width, spec)
+            assert (simulate(config, trace).to_dict()
+                    == simulate(config, trace.fresh_copy()).to_dict())
+    _assert_immutable_image(trace.warm_states)
 
 
 def test_vector_column_on_warmed_trace_matches_scalar():
@@ -187,8 +246,9 @@ def test_snapshot_bytes_pinned(count_warmups):
 
 def test_threads_sharing_a_trace_get_equal_unaliased_state():
     """The serve executor can warm one trace from several threads at
-    once: whichever thread's store wins, every machine must end up with
-    the loop's state in lists of its own."""
+    once: whichever thread's store wins, every machine must start from
+    the loop's state, and running them must write only to lists of
+    their own."""
     trace = generate_trace("gcc", 50, seed=6, warmup=1500)
     reference = Machine(four_wide())
     reference.warmup(trace.fresh_copy())
@@ -214,12 +274,13 @@ def test_threads_sharing_a_trace_get_equal_unaliased_state():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert not errors
-    assert trace.warm_states == {
-        (four_wide().branch, four_wide().memory): expected}
-    memo_lists = _memo_lists(trace.warm_states)
-    seen = set()
+    memo = {(four_wide().branch, four_wide().memory): expected}
+    assert trace.warm_states == memo
+    _assert_immutable_image(trace.warm_states)
     for machine in machines:
         assert _warm_state(machine) == expected
-        live = _live_lists(machine)
-        assert not live & memo_lists and not live & seen
-        seen |= live
+    reference_stats = simulate(four_wide(), trace.fresh_copy()).to_dict()
+    for machine in machines:
+        assert machine.run(trace).to_dict() == reference_stats
+    assert trace.warm_states == memo
+    _assert_unshared(machines)

@@ -2,6 +2,8 @@
 
 import os
 
+import pytest
+
 from repro.experiments.runner import RunSpec, TraceCache, run_cells, run_matrix
 
 _SPEC = RunSpec(length=300, warmup=600, seed=7)
@@ -77,3 +79,69 @@ def test_figure_driver_accepts_jobs():
                       traces=TraceCache())
     assert set(parallel.data[4]["speedups"]) == set(benchmarks)
     assert parallel.render() == serial.render()
+
+
+@pytest.fixture
+def io_log(tmp_path, monkeypatch):
+    """Route temporary directories under ``tmp_path`` and log every I/O
+    event, worker processes' included, to a file (the observer is forked
+    into the workers along with the store module).  Yields a function
+    that reads the log as ``(op, path)`` pairs."""
+    import tempfile
+
+    from repro.store import add_io_observer, remove_io_observer
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    log = tmp_path / "io.log"
+
+    def observe(event):
+        fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        try:
+            os.write(fd, f"{event['op']}\t{event['path']}\n".encode())
+        finally:
+            os.close(fd)
+
+    add_io_observer(observe)
+
+    def read():
+        lines = log.read_text().splitlines() if log.exists() else []
+        return [tuple(line.split("\t")) for line in lines]
+
+    yield read
+    remove_io_observer(observe)
+
+
+def test_jobs_root_skips_fsync_and_farm_root_keeps_it(tmp_path, io_log):
+    """A plain ``--jobs`` run's temporary root is deleted on return, so
+    its claims and results are not fsynced; a ``--farm`` root, which a
+    later run resumes, keeps every fsync."""
+    from repro.farm import FarmSpec
+
+    read = io_log
+    cells = [(b, s, 4) for b in ("gzip", "mcf") for s in ("base", _PRI)]
+    spec = RunSpec(length=100, warmup=500, seed=1)
+    serial = run_cells(cells, spec, TraceCache())
+
+    parallel = run_cells(cells, spec, jobs=2)
+    events = read()
+    jobs_root = [(op, path) for op, path in events if "repro-jobs-" in path]
+    # The workers wrote the cell, lease and result files under the root...
+    assert {os.path.basename(os.path.dirname(path))
+            for op, path in jobs_root if op == "write"} >= {
+        "cells", "leases", "results"}
+    # ... and fsynced none of them.
+    assert not [e for e in jobs_root if e[0] in ("fsync", "fsync_dir")]
+
+    farm = FarmSpec(root=str(tmp_path / "farm"), workers=2)
+    farmed = run_cells(cells, spec, farm=farm)
+    synced = [(op, os.path.relpath(path, farm.root).split(os.sep)[0])
+              for op, path in read()[len(events):]
+              if op in ("fsync", "fsync_dir")]
+    for directory in ("cells", "leases", "results"):
+        assert synced.count(("fsync", directory)) == len(cells)
+    for directory in ("cells", "results"):
+        assert synced.count(("fsync_dir", directory)) == len(cells)
+    assert synced.count(("fsync", "journal.json")) >= len(cells)
+    for results in (parallel, farmed):
+        assert {c: s.to_dict() for c, s in results.items()} == \
+            {c: s.to_dict() for c, s in serial.items()}

@@ -1,5 +1,7 @@
 """Experiment runner tests."""
 
+import gc
+
 import pytest
 
 from repro.experiments.figures import plan
@@ -78,3 +80,60 @@ class TestRunning:
         speedups = speedups_over_base(matrix)
         assert "inf" in speedups["gzip"]
         assert speedups["gzip"]["inf"] > 0.9
+
+
+class TestTraceCacheCollector:
+    """``TraceCache.get`` collects, then builds with the cyclic collector
+    paused, and hands the collector back in the state it found it."""
+
+    _SMALL = RunSpec(length=50, warmup=100, seed=3)
+
+    @pytest.fixture(autouse=True)
+    def _restore(self):
+        enabled = gc.isenabled()
+        yield
+        gc.unfreeze()
+        if enabled:
+            gc.enable()
+
+    def test_build_runs_paused_after_a_collection(self, monkeypatch):
+        import repro.experiments.runner as runner
+
+        steps = []
+        collect, build = gc.collect, runner.generate_trace
+
+        def collecting(*args):
+            steps.append("collect")
+            return collect(*args)
+
+        def building(*args, **kwargs):
+            steps.append(("build", gc.isenabled()))
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(gc, "collect", collecting)
+        monkeypatch.setattr(runner, "generate_trace", building)
+        gc.enable()
+        TraceCache().get("gzip", self._SMALL)
+        assert steps == ["collect", ("build", False)]
+        assert gc.isenabled()
+
+    def test_collector_is_restored_when_the_build_raises(self, monkeypatch):
+        import dataclasses
+
+        import repro.workloads.profiles as profiles
+
+        impossible = dataclasses.replace(profiles.get_profile("gzip"),
+                                         dest_hot_regs=0)
+        monkeypatch.setattr(profiles, "get_profile", lambda name: impossible)
+        cache = TraceCache()
+        gc.enable()
+        with pytest.raises(ValueError, match="dest_hot_regs"):
+            cache.get("gzip", self._SMALL)
+        assert gc.isenabled()
+        assert not cache.holds(TraceCache.key("gzip", self._SMALL))
+
+    def test_a_disabled_collector_stays_disabled(self):
+        gc.disable()
+        trace = TraceCache().get("gzip", self._SMALL)
+        assert len(trace) == 50
+        assert not gc.isenabled()

@@ -81,6 +81,19 @@ class TestIntValueModel:
         assert all(model.sample(rng) >= 0 for _ in range(200))
 
 
+    @pytest.mark.parametrize("f10", [0.05, 0.5, 0.95])
+    def test_sampler_makes_the_reference_draws(self, f10):
+        """The closure the generator calls draws what ``sample_width``
+        then ``value_of_width`` draw, in the same order."""
+        model = IntValueModel(_anchors(f10))
+        fast, reference = random.Random(9), random.Random(9)
+        sample = model.sampler(fast)
+        for _ in range(3000):
+            width = model.anchors.sample_width(reference)
+            assert sample() == model.value_of_width(width, reference)
+        assert fast.getstate() == reference.getstate()
+
+
 class TestFpValueModel:
     def test_zero_fraction(self):
         model = FpValueModel(zero_frac=0.5, ones_frac=0.02)
