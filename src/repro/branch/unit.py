@@ -12,6 +12,13 @@ from repro.config import BranchConfig
 from repro.isa.instruction import MicroOp
 from repro.isa.opcodes import OpClass
 
+# Enum members as module constants: predict and resolve run for every
+# branch renamed, resolved or warmed up, and an enum class attribute
+# lookup costs several times a global load.
+_BRANCH = OpClass.BRANCH
+_CALL = OpClass.CALL
+_RETURN = OpClass.RETURN
+
 
 class BranchPrediction:
     """Outcome of predicting one branch at fetch time."""
@@ -56,20 +63,22 @@ class BranchUnit:
     def predict(self, op: MicroOp) -> BranchPrediction:
         """Predict one branch micro-op and record accuracy."""
         history_before = self.history
-        if op.op == OpClass.RETURN:
+        kind = op.op
+        taken = op.taken
+        if kind == _RETURN:
             pred_taken = True
             ras_target = self.ras.pop()
             pred_target = ras_target if ras_target is not None else 0
-        elif op.op == OpClass.CALL:
+        elif kind == _CALL:
             pred_taken = True
             pred_target = self.btb.lookup(op.pc) or 0
             self.ras.push(op.pc + 4)
         else:
-            pred_taken = self.predictor.predict(op.pc, self.history)
+            pred_taken = self.predictor.predict(op.pc, history_before)
             pred_target = self.btb.lookup(op.pc) or 0
 
-        direction_wrong = pred_taken != op.taken
-        target_wrong = op.taken and pred_target != op.target
+        direction_wrong = pred_taken != taken
+        target_wrong = taken and pred_target != op.target
         mispredicted = direction_wrong or target_wrong
 
         self.predictions += 1
@@ -78,15 +87,16 @@ class BranchUnit:
         elif target_wrong:
             self.target_mispredicts += 1
 
-        if op.op == OpClass.BRANCH:
-            self.history = CombinedPredictor.shift_history(
-                self.history, op.taken, self.config.history_bits
-            )
+        if kind == _BRANCH:
+            # CombinedPredictor.shift_history, inlined (its mask is the
+            # predictor's history_mask).
+            self.history = ((history_before << 1) | int(taken)) \
+                & self.predictor.history_mask
         return BranchPrediction(pred_taken, pred_target, mispredicted, history_before)
 
     def resolve(self, op: MicroOp, prediction: BranchPrediction) -> None:
         """Train tables with the actual outcome (called at execute)."""
-        if op.op == OpClass.BRANCH:
+        if op.op == _BRANCH:
             self.predictor.update(op.pc, prediction.history_before, op.taken)
         if op.taken:
             self.btb.install(op.pc, op.target)

@@ -29,7 +29,7 @@ class LoadStoreQueue:
         return self.occupancy < self.capacity
 
     def insert(self, instr: InFlight) -> None:
-        if not self.has_space:
+        if self.occupancy >= self.capacity:
             raise RuntimeError("LSQ overflow: caller must check has_space")
         self.occupancy += 1
         if instr.op.is_store:

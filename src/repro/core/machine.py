@@ -46,6 +46,7 @@ raises :class:`SimulationError` instead of silently corrupting results.
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappop
 from typing import Dict, List, Optional, Tuple
 
 from repro.branch.unit import BranchUnit
@@ -71,6 +72,14 @@ _EV_RETIRE = 3  # (instr, token): PRI significance check / map update
 _EV_TIMER = 4  # (instr, wait_token): re-wake after a failed verification
 
 _CLASS_NAMES = {RegClass.INT: "int", RegClass.FP: "fp"}
+
+# Enum members as module constants: an enum class attribute lookup costs
+# several times a global load on the per-instruction paths.
+_INT = RegClass.INT
+_FP = RegClass.FP
+_INT_ALU = OpClass.INT_ALU
+_REG_FREE = int(RegState.FREE)
+_REG_WRITTEN = int(RegState.WRITTEN)
 
 #: Virtual-physical mode: map pointers at or above this value encode a
 #: virtual tag (``value - _VID_FLAG`` indexes the machine's vtag table)
@@ -104,16 +113,6 @@ class SimulationError(RuntimeError):
     """Raised when the simulated dataflow is provably corrupted (e.g. a
     WAR violation under a policy that must prevent them) or the machine
     deadlocks."""
-
-
-class _RenamePressure(Exception):
-    """Internal control-flow signal: rename found the destination class's
-    free list empty while a pressure hook is armed (vector backend only —
-    see :mod:`repro.vector.engine`).  Never escapes :meth:`Machine._rename`."""
-
-    def __init__(self, dest_cls) -> None:
-        super().__init__("rename register pressure")
-        self.dest_cls = dest_cls
 
 
 class Machine:
@@ -189,7 +188,9 @@ class Machine:
         # "unknown" (fresh machine or restored snapshot).
         self._il1_last_line = -1
         self._il1_hit = config.memory.il1.latency
+        self._dl1_hit = config.memory.dl1.latency
         self._pri_enabled = pri.enabled
+        self._inline_fp = pri.inline_fp
         self._er = config.early_release
         self._li_inline_cfg = pri.enabled and pri.inline_on_load_immediate
         #: Recycled payload-RAM records (see _commit).
@@ -288,6 +289,8 @@ class Machine:
         occupancy = stats.occupancy_sum
         rf_int = self.rf[RegClass.INT]
         rf_fp = self.rf[RegClass.FP]
+        events = self._events
+        sched = self.sched
         process_events = self._process_events
         commit = self._commit
         select = self._select
@@ -301,14 +304,31 @@ class Machine:
         # Appended/removed in place, never rebound — aliasing is safe.
         cycle_hooks = self._cycle_hooks
         observed = auditor is not None or oracle is not None
+        # Quiet cycles are fast-forwarded (see _quiet_until) only while
+        # nothing looks at individual cycles.  Without a hook at the
+        # start nothing can attach one later.
+        skipping = (not cycle_hooks and not observed
+                    and self._pressure_hook is None)
         try:
             while stats.committed < target:
-                if self.now >= limit:
+                now = self.now
+                if now >= limit:
                     break
-                self.now += 1
-                process_events()
+                now += 1
+                self.now = now
+                if now in events:
+                    process_events()
                 occ_int += rf_int.allocated_count
                 occ_fp += rf_fp.allocated_count
+                # A cycle that starts with entries ready to select is
+                # never quiet; only the others pay for the progress check.
+                # With none ready, select can issue or replay only what a
+                # commit readied, so progress need not count selects.
+                quiet = skipping and not sched._ready
+                if quiet:
+                    progress = stats.committed + stats.fetched + stats.renamed
+                    stall_regs = stats.rename_stall_regs
+                    stall_other = stats.rename_stall_other
                 commit()
                 select()
                 rename()
@@ -324,18 +344,74 @@ class Machine:
                         auditor.maybe_check(self)
                     if oracle is not None:
                         oracle.maybe_check(self)
-                if self.now - self._last_commit_cycle > deadlock_after:
+                if now - self._last_commit_cycle > deadlock_after:
                     head = repr(self.rob[0]) if self.rob else "rob empty"
                     raise SimulationError(
                         f"deadlock: no commit since cycle {self._last_commit_cycle} "
-                        f"(now {self.now}, watchdog {deadlock_after} cycles, "
+                        f"(now {now}, watchdog {deadlock_after} cycles, "
                         f"{stats.committed}/{target} committed, {head})"
                     )
+                if quiet and progress == (stats.committed + stats.fetched
+                                          + stats.renamed):
+                    skipped = self._quiet_until() - now
+                    if skipped > 0:
+                        occ_int += rf_int.allocated_count * skipped
+                        occ_fp += rf_fp.allocated_count * skipped
+                        stats.rename_stall_regs += (
+                            stats.rename_stall_regs - stall_regs) * skipped
+                        stats.rename_stall_other += (
+                            stats.rename_stall_other - stall_other) * skipped
+                        self.now = now + skipped
         finally:
             occupancy["int"] += occ_int
             occupancy["fp"] += occ_fp
         self._finalize()
         return self.stats
+
+    def _quiet_until(self) -> int:
+        """The last cycle of the quiet stretch the current cycle begins.
+
+        A cycle is *quiet* when, after its wheel bucket (if any) was
+        delivered, the scheduler had nothing ready and the stages then
+        committed, fetched and renamed nothing.  (With nothing ready,
+        select can only issue or replay what a commit readied, and only
+        rename or a commit can ready anything.)  Such stages changed
+        nothing but a rename stall counter and, after an IL1 miss, the
+        fetch stall.  So every later cycle without a bucket sees the
+        same commit, select and rename inputs and repeats them exactly —
+        same occupancy, same stall — and its fetch does nothing, until
+        one of these arrives: the next wheel bucket, the end of the
+        fetch stall, the fetch-buffer head reaching rename, the
+        completed ROB head reaching commit, the deadlock watchdog's
+        boundary or the cycle limit.  Those are the only inputs of a
+        quiet cycle's stages that depend on ``now``.  The cycle loop
+        steps to the cycle before the earliest of them and lets that one
+        run normally.
+        """
+        now = self.now
+        events = self._events
+        if now + 1 in events:
+            return now
+        until = self._last_commit_cycle + self.cfg.deadlock_cycles + 1
+        if self._cycle_limit < until:
+            until = self._cycle_limit
+        if events:
+            bucket = min(events)
+            if bucket < until:
+                until = bucket
+        if now < self._fetch_stall_until < until:
+            until = self._fetch_stall_until
+        buffer = self._fetch_buffer
+        if buffer:
+            horizon = buffer[0][2] + self._frontend_delta
+            if now < horizon < until:
+                until = horizon
+        rob = self.rob
+        if rob and rob[0].completed:
+            commit_cycle = rob[0].complete_cycle + self._retire_offset
+            if commit_cycle < until:
+                until = commit_cycle
+        return until - 1
 
     def snapshot(self) -> dict:
         """Versioned, pickle-free image of the full machine (and oracle)
@@ -496,13 +572,11 @@ class Machine:
             bucket.append((kind, payload))
 
     def _process_events(self) -> None:
-        events = self._events
-        if not events:
-            return
-        bucket = events.pop(self.now, None)
+        bucket = self._events.pop(self.now, None)
         if bucket is None:
             return
-        sched_wake = self.sched.wake
+        sched = self.sched
+        sched_wake = sched.wake
         for kind, payload in bucket:
             if kind == _EV_WAKE:
                 sched_wake(payload[0], payload[1])
@@ -520,7 +594,7 @@ class Machine:
                     self._do_retire(instr)
             else:  # _EV_TIMER
                 instr, token = payload
-                self.sched.timer_wake(instr, token)
+                sched.timer_wake(instr, token)
 
     # ============================================================= fetch
 
@@ -565,293 +639,339 @@ class Machine:
 
     # ============================================================ rename
 
-    def _rename(self) -> None:
-        self._rename_budget(self._width)
+    def _rename(self, budget: Optional[int] = None) -> None:
+        """Rename up to ``budget`` (default: the width) instructions from
+        the head of the fetch buffer this cycle.
 
-    def _rename_budget(self, budget: int) -> None:
-        """Rename up to ``budget`` instructions this cycle.
-
-        Split out of :meth:`_rename` so a vector-backend clone — forked
-        mid-rename at a register-exhaustion stall — can finish the cycle
-        with exactly the budget its donor had left.
+        One loop does the whole stage, since all of it runs once per
+        instruction: the structural stall checks, the map reads, the
+        destination allocation, the branch checkpoint and the scheduler
+        insert.  ``budget`` lets a vector-backend clone, forked mid-rename
+        at a register-exhaustion stall, finish the cycle with exactly the
+        budget its donor had left.
         """
         buffer = self._fetch_buffer
         if not buffer:
             return
-        horizon = self.now - self._frontend_delta
-        rename_one = self._try_rename_one
-        popleft = buffer.popleft
+        now = self.now
+        horizon = now - self._frontend_delta
+        if buffer[0][2] > horizon:
+            return
+        stats = self.stats
+        rob = self.rob
+        rob_entries = self._rob_entries
+        sched = self.sched
+        lsq = self.lsq
+        if (len(rob) >= rob_entries or sched.occupancy >= sched.capacity
+                or (buffer[0][0].is_mem and lsq.occupancy >= lsq.capacity)):
+            # The commonest stalls, behind a long miss (the loop below
+            # checks the same for every instruction): leave before
+            # setting up the rest.
+            stats.rename_stall_other += 1
+            return
+        if budget is None:
+            budget = self._width
+        ckpts = self.ckpts
+        maps = self.maps
+        rf_map = self.rf
+        refcounts = self.refcounts
+        vp = self._vp
+        track_refs = self._track_refs
+        ideal_war = self._ideal_war
+        li_inline_cfg = self._li_inline_cfg
+        pool = self._pool
+        rec_pool = self._rec_pool
         renamed = 0
         while budget and buffer:
             op, trace_idx, fetch_cycle = buffer[0]
             if fetch_cycle > horizon:
                 break
-            try:
-                ok = rename_one(op, trace_idx, fetch_cycle)
-            except _RenamePressure as pressure:
-                # Flush the renamed count *before* the hook runs: the hook
-                # deep-copies this machine, and the clone's stats must be
-                # exactly what a larger-capacity machine would hold here.
-                if renamed:
-                    self.stats.renamed += renamed
-                    renamed = 0
-                self._pressure_hook(self, pressure.dest_cls, budget)
-                # This machine then stalls exactly as it would have
-                # without the hook (same counter, same break).
-                self._stall(regs=True)
+            # --- structural stalls, checked in this order.
+            if len(rob) >= rob_entries or sched.occupancy >= sched.capacity:
+                stats.rename_stall_other += 1
                 break
-            if not ok:
+            is_mem = op.is_mem
+            if is_mem and lsq.occupancy >= lsq.capacity:
+                stats.rename_stall_other += 1
                 break
-            popleft()
+            is_branch = op.is_branch
+            if is_branch and ckpts.full:
+                stats.rename_stall_other += 1
+                break
+            dest = op.dest
+            dest_cls = op.dest_class
+            li_inline = False
+            if dest is not None:
+                li_inline = (
+                    li_inline_cfg
+                    and op.op == _INT_ALU
+                    and not op.sources
+                    and maps[_INT].value_fits(op.result)
+                )
+                # Virtual-physical mode allocates at issue, not rename.
+                if (not vp and not li_inline
+                        and not rf_map[dest_cls].free_list._queue):
+                    if self._pressure_hook is not None:
+                        # Flush the renamed count *before* the hook runs:
+                        # the hook deep-copies this machine, and the
+                        # clone's stats must be exactly what a
+                        # larger-capacity machine would hold here.
+                        if renamed:
+                            stats.renamed += renamed
+                            renamed = 0
+                        self._pressure_hook(self, dest_cls, budget)
+                    # This machine then stalls exactly as it would have
+                    # without the hook.
+                    stats.rename_stall_regs += 1
+                    break
+
+            seq = self._seq + 1
+            self._seq = seq
+            if pool:
+                instr = pool.pop()
+                instr.reinit(op, seq, trace_idx, fetch_cycle)
+            else:
+                instr = InFlight(op, seq, trace_idx, fetch_cycle)
+            instr.rename_cycle = now
+
+            # --- source operands: read the map (direct modes/values
+            # indexing).  Payload records are recycled from _rec_pool
+            # when available (field stores on a spare object beat a
+            # constructor call here).
+            unready: List[Tuple[RegClass, int]] = []
+            append_source = instr.sources.append
+            for src in op.sources:
+                cls = src.reg_class
+                index = src.index
+                if index == (INT_ZERO_REG if cls == _INT else FP_ZERO_REG):
+                    if rec_pool:
+                        rec = rec_pool.pop()
+                        rec.mode = SRC_IMM
+                        rec.reg_class = cls
+                        rec.preg = -1
+                        rec.gen = -1
+                        rec.value = 0
+                        rec.read_done = False
+                        rec.counted = False
+                    else:
+                        rec = SourceRecord(SRC_IMM, cls, -1, -1, 0, counted=False)
+                    append_source(rec)
+                    continue
+                table = maps[cls]
+                mapped = table.values[index]
+                if table.modes[index] == MODE_IMMEDIATE:
+                    if mapped != src.expected_value:
+                        self._value_fault(
+                            "map-immediate",
+                            f"map immediate corrupt for {src!r} at #{seq}: "
+                            f"map={mapped:#x} expected={src.expected_value:#x}",
+                            trace_index=trace_idx,
+                            seq=seq,
+                            reg_class=_CLASS_NAMES[cls],
+                            lreg=index,
+                            expected=src.expected_value,
+                            actual=mapped,
+                        )
+                    if rec_pool:
+                        rec = rec_pool.pop()
+                        rec.mode = SRC_IMM
+                        rec.reg_class = cls
+                        rec.preg = -1
+                        rec.gen = -1
+                        rec.value = mapped
+                        rec.read_done = False
+                        rec.counted = False
+                    else:
+                        rec = SourceRecord(SRC_IMM, cls, -1, -1, mapped,
+                                           counted=False)
+                    append_source(rec)
+                    continue
+                preg = mapped
+                if preg < 0:
+                    self._value_fault(
+                        "arch-map",
+                        f"unmapped logical register in {src!r}",
+                        trace_index=trace_idx,
+                        seq=seq,
+                        reg_class=_CLASS_NAMES[cls],
+                        lreg=index,
+                    )
+                if preg >= _VID_FLAG:
+                    # Virtual-physical mode: the source names a virtual tag.
+                    v = self._vregs[preg - _VID_FLAG]
+                    if v.value != src.expected_value and v.written:
+                        self._value_fault(
+                            "vtag",
+                            f"vtag table corrupt for {src!r} at #{seq}",
+                            trace_index=trace_idx,
+                            seq=seq,
+                            reg_class=_CLASS_NAMES[cls],
+                            lreg=index,
+                            expected=src.expected_value,
+                            actual=v.value,
+                        )
+                    append_source(SourceRecord(
+                        SRC_REG, cls, preg, 0, src.expected_value, counted=False))
+                    if v.pred_ready > now:
+                        unready.append((cls, preg))
+                    continue
+                rf = rf_map[cls]
+                if rec_pool:
+                    rec = rec_pool.pop()
+                    rec.mode = SRC_REG
+                    rec.reg_class = cls
+                    rec.preg = preg
+                    rec.gen = rf.gen[preg]
+                    rec.value = src.expected_value
+                    rec.read_done = False
+                    rec.counted = track_refs
+                else:
+                    rec = SourceRecord(
+                        SRC_REG, cls, preg, rf.gen[preg], src.expected_value,
+                        counted=track_refs,
+                    )
+                if track_refs:
+                    refcounts[cls]._consumer[preg] += 1
+                if ideal_war:
+                    self._consumer_records[cls][preg].append((rec, instr))
+                append_source(rec)
+                if rf.pred_ready[preg] > now:
+                    unready.append((cls, preg))
+
+            # --- destination: allocate and update the map.
+            if dest is not None and vp:
+                table = maps[dest_cls]
+                prev = table.pointer_of(dest)
+                if prev >= _VID_FLAG:
+                    instr.prev_vid = prev
+                if li_inline:
+                    table.set_immediate(dest, op.result)
+                    stats.inlined += 1
+                    stats.inline_attempts += 1
+                else:
+                    vid = self._new_vreg(dest_cls, instr)
+                    instr.dest_vid = _VID_FLAG + vid
+                    table.set_pointer(dest, instr.dest_vid)
+            elif dest is not None:
+                table = maps[dest_cls]
+                # pointer_of / set_pointer inlined: direct mode/value
+                # array access on the per-instruction path.
+                prev = -1 if table.modes[dest] == MODE_IMMEDIATE else table.values[dest]
+                instr.prev_preg = prev
+                rf = rf_map[dest_cls]
+                if prev >= 0:
+                    instr.prev_gen = rf.gen[prev]
+                if li_inline:
+                    table.set_immediate(dest, op.result)
+                    instr.dest_preg = -1
+                    stats.inlined += 1
+                    stats.inline_attempts += 1
+                else:
+                    preg = rf.allocate(dest, seq, now)
+                    if preg is None:  # checked above; defensive
+                        raise SimulationError("free list empty after check")
+                    if ideal_war:
+                        # Only the ideal-WAR policy populates these lists.
+                        self._consumer_records[dest_cls][preg].clear()
+                    instr.dest_preg = preg
+                    instr.dest_gen = rf.gen[preg]
+                    table.modes[dest] = MODE_POINTER
+                    table.values[dest] = preg
+                if prev >= 0 and self._er:
+                    self._maybe_free_er(dest_cls, prev)
+
+            # --- branches: predict and checkpoint.
+            if is_branch:
+                branch_unit = self.branch_unit
+                instr.prediction = branch_unit.predict(op)
+                instr.mispredicted = instr.prediction.mispredicted
+                instr.checkpoint = ckpts.take(
+                    seq, branch_unit.ras.snapshot(), branch_unit.history
+                )
+                if instr.checkpoint is None:
+                    raise SimulationError("checkpoint pool exhausted after check")
+
+            if is_mem:
+                lsq.insert(instr)
+            # Scheduler.insert, inlined: its capacity check is the stall
+            # check above.
+            occupancy = sched.occupancy + 1
+            sched.occupancy = occupancy
+            if occupancy > sched.max_occupancy:
+                sched.max_occupancy = occupancy
+            instr.in_scheduler = True
+            sched.park(instr, unready)
+            rob.append(instr)
+            buffer.popleft()
             budget -= 1
             renamed += 1
         if renamed:
-            self.stats.renamed += renamed
-
-    def _stall(self, regs: bool) -> bool:
-        if regs:
-            self.stats.rename_stall_regs += 1
-        else:
-            self.stats.rename_stall_other += 1
-        return False
-
-    def _try_rename_one(self, op, trace_idx: int, fetch_cycle: int) -> bool:
-        sched = self.sched
-        if len(self.rob) >= self._rob_entries or sched.occupancy >= sched.capacity:
-            return self._stall(regs=False)
-        is_mem = op.is_mem
-        if is_mem:
-            lsq = self.lsq
-            if lsq.occupancy >= lsq.capacity:
-                return self._stall(regs=False)
-        if op.is_branch and self.ckpts.full:
-            return self._stall(regs=False)
-
-        now = self.now
-        maps = self.maps
-        rf_map = self.rf
-        track_refs = self._track_refs
-        dest_cls = op.dest_class
-        li_inline = False
-        dest = op.dest
-        if dest is not None:
-            li_inline = (
-                self._li_inline_cfg
-                and op.op == OpClass.INT_ALU
-                and not op.sources
-                and maps[RegClass.INT].value_fits(op.result)
-            )
-            # Virtual-physical mode allocates at issue, not rename.
-            if not self._vp and not li_inline and rf_map[dest_cls].free_list.empty:
-                if self._pressure_hook is not None:
-                    raise _RenamePressure(dest_cls)
-                return self._stall(regs=True)
-
-        self._seq += 1
-        pool = self._pool
-        if pool:
-            instr = pool.pop()
-            instr.reinit(op, self._seq, trace_idx, fetch_cycle)
-        else:
-            instr = InFlight(op, self._seq, trace_idx, fetch_cycle)
-        instr.rename_cycle = now
-
-        # --- source operands: read the map (direct modes/values indexing;
-        # this is the hottest loop in rename).  Payload records are
-        # recycled from _rec_pool when available (field stores on a spare
-        # object beat a constructor call here).
-        unready: List[Tuple[RegClass, int]] = []
-        sources = instr.sources
-        append_source = sources.append
-        rec_pool = self._rec_pool
-        ideal_war = self._ideal_war
-        for src in op.sources:
-            cls = src.reg_class
-            zero = INT_ZERO_REG if cls == RegClass.INT else FP_ZERO_REG
-            if src.index == zero:
-                if rec_pool:
-                    rec = rec_pool.pop()
-                    rec.mode = SRC_IMM
-                    rec.reg_class = cls
-                    rec.preg = -1
-                    rec.gen = -1
-                    rec.value = 0
-                    rec.read_done = False
-                    rec.counted = False
-                else:
-                    rec = SourceRecord(SRC_IMM, cls, -1, -1, 0, counted=False)
-                append_source(rec)
-                continue
-            table = maps[cls]
-            mapped = table.values[src.index]
-            if table.modes[src.index] == MODE_IMMEDIATE:
-                if mapped != src.expected_value:
-                    self._value_fault(
-                        "map-immediate",
-                        f"map immediate corrupt for {src!r} at #{instr.seq}: "
-                        f"map={mapped:#x} expected={src.expected_value:#x}",
-                        trace_index=instr.trace_idx,
-                        seq=instr.seq,
-                        reg_class=_CLASS_NAMES[cls],
-                        lreg=src.index,
-                        expected=src.expected_value,
-                        actual=mapped,
-                    )
-                if rec_pool:
-                    rec = rec_pool.pop()
-                    rec.mode = SRC_IMM
-                    rec.reg_class = cls
-                    rec.preg = -1
-                    rec.gen = -1
-                    rec.value = mapped
-                    rec.read_done = False
-                    rec.counted = False
-                else:
-                    rec = SourceRecord(SRC_IMM, cls, -1, -1, mapped, counted=False)
-                append_source(rec)
-                continue
-            preg = mapped
-            if preg < 0:
-                self._value_fault(
-                    "arch-map",
-                    f"unmapped logical register in {src!r}",
-                    trace_index=instr.trace_idx,
-                    seq=instr.seq,
-                    reg_class=_CLASS_NAMES[cls],
-                    lreg=src.index,
-                )
-            if preg >= _VID_FLAG:
-                # Virtual-physical mode: the source names a virtual tag.
-                v = self._vregs[preg - _VID_FLAG]
-                if v.value != src.expected_value and v.written:
-                    self._value_fault(
-                        "vtag",
-                        f"vtag table corrupt for {src!r} at #{instr.seq}",
-                        trace_index=instr.trace_idx,
-                        seq=instr.seq,
-                        reg_class=_CLASS_NAMES[cls],
-                        lreg=src.index,
-                        expected=src.expected_value,
-                        actual=v.value,
-                    )
-                rec = SourceRecord(SRC_REG, cls, preg, 0, src.expected_value,
-                                   counted=False)
-                append_source(rec)
-                if v.pred_ready > now:
-                    unready.append((cls, preg))
-                continue
-            rf = rf_map[cls]
-            if rec_pool:
-                rec = rec_pool.pop()
-                rec.mode = SRC_REG
-                rec.reg_class = cls
-                rec.preg = preg
-                rec.gen = rf.gen[preg]
-                rec.value = src.expected_value
-                rec.read_done = False
-                rec.counted = track_refs
-            else:
-                rec = SourceRecord(
-                    SRC_REG, cls, preg, rf.gen[preg], src.expected_value,
-                    counted=track_refs,
-                )
-            if track_refs:
-                self.refcounts[cls].add_consumer(preg)
-            if ideal_war:
-                self._consumer_records[cls][preg].append((rec, instr))
-            append_source(rec)
-            if rf.pred_ready[preg] > now:
-                unready.append((cls, preg))
-
-        # --- destination: allocate and update the map.
-        if dest is not None and self._vp:
-            table = maps[dest_cls]
-            prev = table.pointer_of(dest)
-            if prev >= _VID_FLAG:
-                instr.prev_vid = prev
-            if li_inline:
-                table.set_immediate(dest, op.result)
-                self.stats.inlined += 1
-                self.stats.inline_attempts += 1
-            else:
-                vid = self._new_vreg(dest_cls, instr)
-                instr.dest_vid = _VID_FLAG + vid
-                table.set_pointer(dest, instr.dest_vid)
-        elif dest is not None:
-            table = maps[dest_cls]
-            # pointer_of / set_pointer inlined: direct mode/value array
-            # access on the per-instruction path.
-            prev = -1 if table.modes[dest] == MODE_IMMEDIATE else table.values[dest]
-            instr.prev_preg = prev
-            rf = rf_map[dest_cls]
-            if prev >= 0:
-                instr.prev_gen = rf.gen[prev]
-            if li_inline:
-                table.set_immediate(dest, op.result)
-                instr.dest_preg = -1
-                self.stats.inlined += 1
-                self.stats.inline_attempts += 1
-            else:
-                preg = rf.allocate(dest, instr.seq, now)
-                if preg is None:  # checked above; defensive
-                    raise SimulationError("free list empty after check")
-                if ideal_war:
-                    # Only the ideal-WAR policy populates these lists.
-                    self._consumer_records[dest_cls][preg].clear()
-                instr.dest_preg = preg
-                instr.dest_gen = rf.gen[preg]
-                table.modes[dest] = MODE_POINTER
-                table.values[dest] = preg
-            if prev >= 0 and self._er:
-                self._maybe_free_er(dest_cls, prev)
-
-        # --- branches: predict and checkpoint.
-        if op.is_branch:
-            instr.prediction = self.branch_unit.predict(op)
-            instr.mispredicted = instr.prediction.mispredicted
-            instr.checkpoint = self.ckpts.take(
-                instr.seq, self.branch_unit.ras.snapshot(), self.branch_unit.history
-            )
-            if instr.checkpoint is None:
-                raise SimulationError("checkpoint pool exhausted after check")
-
-        if is_mem:
-            self.lsq.insert(instr)
-        sched.insert(instr, unready)
-        self.rob.append(instr)
-        return True
+            stats.renamed += renamed
 
     # ============================================================ select
 
     def _select(self) -> None:
-        if not self.sched._ready:
+        """Select up to ``width`` ready entries, oldest first, and verify
+        each one: it issues when every register source is readable now,
+        and is re-parked for a selective replay when one is not.  The
+        scheduler's pop and the select-time verification are inlined."""
+        sched = self.sched
+        ready_heap = sched._ready
+        if not ready_heap:
             return
-        slots = self._width
-        pop_ready = self.sched.pop_ready
-        verify_and_issue = self._verify_and_issue
-        while slots:
-            instr = pop_ready()
-            if instr is None:
-                return
-            ok = verify_and_issue(instr)
-            slots -= 1
-            if not ok:
-                self.stats.issue_replays += 1
-                instr.replays += 1
-
-    def _verify_and_issue(self, instr: InFlight) -> bool:
-        """Select-time verification; issue on success, re-park on failure."""
         now = self.now
         rf_map = self.rf
-        never_waits: Optional[List[Tuple[RegClass, int]]] = None
-        finite_waits: Optional[List[int]] = None
-        for rec in instr.sources:
-            if rec.mode != SRC_REG or rec.read_done:
+        stats = self.stats
+        slots = self._width
+        while slots and ready_heap:
+            instr = heappop(ready_heap)[1]
+            if instr.squashed or not instr.in_scheduler or instr.issued:
                 continue
-            preg = rec.preg
-            if preg >= _VID_FLAG:
-                # Virtual tags are never reused: only readiness to check.
-                ready = self._vregs[preg - _VID_FLAG].ready_select
+            slots -= 1
+            never_waits: Optional[List[Tuple[RegClass, int]]] = None
+            finite_waits: Optional[List[int]] = None
+            for rec in instr.sources:
+                if rec.mode != SRC_REG or rec.read_done:
+                    continue
+                preg = rec.preg
+                if preg >= _VID_FLAG:
+                    # Virtual tags are never reused: only readiness to check.
+                    ready = self._vregs[preg - _VID_FLAG].ready_select
+                    if ready > now:
+                        if ready >= NEVER:
+                            if never_waits is None:
+                                never_waits = []
+                            never_waits.append((rec.reg_class, preg))
+                        else:
+                            if finite_waits is None:
+                                finite_waits = []
+                            finite_waits.append(ready)
+                    continue
+                rf = rf_map[rec.reg_class]
+                if rf.gen[preg] != rec.gen or rf.state[preg] == _REG_FREE:
+                    # The producer's register was reclaimed before this
+                    # consumer read it: Figure 6's WAR violation.
+                    if self._replay_war:
+                        stats.war_replays += 1
+                        if rec.counted:
+                            rec.counted = False
+                            self.refcounts[rec.reg_class].drop_consumer(preg)
+                        rec.patch_to_immediate(rec.value)
+                        if finite_waits is None:
+                            finite_waits = []
+                        finite_waits.append(now + self.cfg.war_replay_penalty)
+                        continue
+                    self._value_fault(
+                        "war-select",
+                        f"WAR violation: p{preg} reclaimed under "
+                        f"{self.cfg.pri.war_policy} before #{instr.seq} read it",
+                        trace_index=instr.trace_idx,
+                        seq=instr.seq,
+                        reg_class=_CLASS_NAMES[rec.reg_class],
+                        preg=preg,
+                        expected=rec.value,
+                    )
+                ready = rf.ready_select[preg]
                 if ready > now:
                     if ready >= NEVER:
                         if never_waits is None:
@@ -861,57 +981,25 @@ class Machine:
                         if finite_waits is None:
                             finite_waits = []
                         finite_waits.append(ready)
-                continue
-            rf = rf_map[rec.reg_class]
-            if rf.gen[preg] != rec.gen or rf.state[preg] == RegState.FREE:
-                # The producer's register was reclaimed before this
-                # consumer read it: Figure 6's WAR violation.
-                if self._replay_war:
-                    self.stats.war_replays += 1
-                    if rec.counted:
-                        rec.counted = False
-                        self.refcounts[rec.reg_class].drop_consumer(preg)
-                    rec.patch_to_immediate(rec.value)
-                    if finite_waits is None:
-                        finite_waits = []
-                    finite_waits.append(now + self.cfg.war_replay_penalty)
-                    continue
-                self._value_fault(
-                    "war-select",
-                    f"WAR violation: p{preg} reclaimed under "
-                    f"{self.cfg.pri.war_policy} before #{instr.seq} read it",
-                    trace_index=instr.trace_idx,
-                    seq=instr.seq,
-                    reg_class=_CLASS_NAMES[rec.reg_class],
-                    preg=preg,
-                    expected=rec.value,
+            if never_waits is not None or finite_waits is not None:
+                token = sched.park(
+                    instr,
+                    never_waits if never_waits is not None else (),
+                    extra_missing=0 if finite_waits is None else len(finite_waits),
                 )
-            ready = rf.ready_select[preg]
-            if ready > now:
-                if ready >= NEVER:
-                    if never_waits is None:
-                        never_waits = []
-                    never_waits.append((rec.reg_class, preg))
-                else:
-                    if finite_waits is None:
-                        finite_waits = []
-                    finite_waits.append(ready)
-        if never_waits is not None or finite_waits is not None:
-            token = self.sched.park(
-                instr,
-                never_waits if never_waits is not None else (),
-                extra_missing=0 if finite_waits is None else len(finite_waits),
-            )
-            if finite_waits is not None:
-                for cycle in finite_waits:
-                    self._schedule(cycle, _EV_TIMER, (instr, token))
-            return False
-        if self._vp and instr.dest_vid >= 0 and instr.dest_preg < 0:
-            if not self._bind_dest_preg(instr):
-                self.stats.vp_alloc_stalls += 1
-                return False
-        self._issue(instr)
-        return True
+                if finite_waits is not None:
+                    for cycle in finite_waits:
+                        self._schedule(cycle, _EV_TIMER, (instr, token))
+                stats.issue_replays += 1
+                instr.replays += 1
+                continue
+            if (self._vp and instr.dest_vid >= 0 and instr.dest_preg < 0
+                    and not self._bind_dest_preg(instr)):
+                stats.vp_alloc_stalls += 1
+                stats.issue_replays += 1
+                instr.replays += 1
+                continue
+            self._issue(instr)
 
     def _bind_dest_preg(self, instr: InFlight) -> bool:
         """Virtual-physical mode: claim a physical register at issue.
@@ -995,7 +1083,10 @@ class Machine:
     def _issue(self, instr: InFlight) -> None:
         now = self.now
         op = instr.op
-        self.sched.release_entry(instr)
+        # Scheduler.release_entry, inlined.
+        if instr.in_scheduler:
+            instr.in_scheduler = False
+            self.sched.occupancy -= 1
         instr.issued = True
         instr.issue_cycle = now
         token = instr.issue_token + 1
@@ -1004,7 +1095,7 @@ class Machine:
         latency = LATENCY_BY_CLASS[op.op]
         assumed = actual = latency
         if op.is_load:
-            assumed = latency + self.memory.dl1_hit_latency
+            assumed = latency + self._dl1_hit
             if self.lsq.forwarding_store(instr):
                 self.lsq.forwards += 1
                 actual = assumed
@@ -1128,7 +1219,10 @@ class Machine:
                     actual=rf.value[preg],
                 )
             rec.read_done = True
-            rf.read_stamp(preg, now)
+            # PhysRegFile.read_stamp, inlined.
+            last = rf.last_read[preg]
+            if last is None or now > last:
+                rf.last_read[preg] = now
             if rec.counted:
                 rec.counted = False
                 self.refcounts[cls].drop_consumer(preg)
@@ -1174,14 +1268,18 @@ class Machine:
             # The vtag is the value's home: mark it written even when the
             # physical backing store was stolen (dest_preg == -1).
             self._vregs[instr.dest_vid - _VID_FLAG].written = True
-        if instr.dest_preg >= 0:
+        preg = instr.dest_preg
+        if preg >= 0:
             rf = self.rf[op.dest_class]
-            rf.write(instr.dest_preg, op.result, now)
+            # PhysRegFile.write, inlined.
+            rf.state[preg] = _REG_WRITTEN
+            rf.value[preg] = op.result
+            rf.write_cycle[preg] = now
             if not self._vp and self._pri_enabled:
                 # Pin against ER release until the retire-stage PRI check.
-                rf.retire_pending[instr.dest_preg] = True
+                rf.retire_pending[preg] = True
             if self._er:
-                self._maybe_free_er(op.dest_class, instr.dest_preg)
+                self._maybe_free_er(op.dest_class, preg)
         if op.is_branch:
             self.branch_unit.resolve(op, instr.prediction)
             if instr.mispredicted:
@@ -1189,8 +1287,8 @@ class Machine:
                 self._recover(instr)
             # Resolved branches can never be recovery targets again, so
             # their shadow maps free immediately (out of order).
-            self.ckpts.release(instr.checkpoint, self._after_unref)
-        if self._pri_enabled and instr.dest_preg >= 0:
+            self.ckpts.release(instr.checkpoint, self._resolve_unref())
+        if self._pri_enabled and preg >= 0:
             self._schedule(
                 now + self._retire_offset, _EV_RETIRE, (instr, instr.issue_token)
             )
@@ -1205,7 +1303,7 @@ class Machine:
         if self._vp:
             # Virtual-physical mode: consumers read through the vtag
             # table, so an inlined register frees unconditionally.
-            if cls == RegClass.FP and not self.cfg.pri.inline_fp:
+            if cls == _FP and not self._inline_fp:
                 return
             if not table.value_fits(op.result):
                 return
@@ -1221,24 +1319,23 @@ class Machine:
                 v.preg = -1
             return
         preg = instr.dest_preg
-        rf_dest = self.rf[cls]
-        rf_dest.retire_pending[preg] = False
-        if cls == RegClass.FP and not self.cfg.pri.inline_fp:
-            if self.cfg.early_release:
+        rf = self.rf[cls]
+        rf.retire_pending[preg] = False
+        if cls == _FP and not self._inline_fp:
+            if self._er:
                 self._maybe_free_er(cls, preg)
             return
         if not table.value_fits(op.result):
-            if self.cfg.early_release:
+            if self._er:
                 self._maybe_free_er(cls, preg)
             return
         self.stats.inline_attempts += 1
         if not table.try_inline(op.dest, preg, op.result):
             self.stats.inline_waw_dropped += 1  # Figure 7: entry remapped
-            if self.cfg.early_release:
+            if self._er:
                 self._maybe_free_er(cls, preg)
             return
         self.stats.inlined += 1
-        rf = self.rf[cls]
         rf.inline_pending[preg] = True
         if self._lazy_ckpt:
             self.ckpts.patch_inlined(cls, preg, op.result)
@@ -1271,9 +1368,11 @@ class Machine:
     def _try_pri_free(self, cls: RegClass, preg: int) -> bool:
         """Free an inlined register if no references pin it."""
         rf = self.rf[cls]
-        if not rf.inline_pending[preg] or rf.state[preg] == RegState.FREE:
+        if not rf.inline_pending[preg] or rf.state[preg] == _REG_FREE:
             return False
-        if self.maps[cls].pointer_of(rf.lreg[preg]) == preg:
+        table = self.maps[cls]
+        lreg = rf.lreg[preg]
+        if table.modes[lreg] != MODE_IMMEDIATE and table.values[lreg] == preg:
             # A misprediction recovery restored a checkpoint from before
             # the late map update, so this register is the live mapping
             # again: the inline is void.  The register will be freed by
@@ -1281,9 +1380,9 @@ class Machine:
             rf.inline_pending[preg] = False
             return False
         counts = self.refcounts[cls]
-        if not self._replay_war and counts.consumers(preg) > 0:
+        if not self._replay_war and counts._consumer[preg] > 0:
             return False
-        if counts.checkpoint_refs(preg) > 0:
+        if counts._checkpoint[preg] > 0:
             return False
         self._release_preg(cls, preg)
         self.stats.pri_early_frees += 1
@@ -1293,14 +1392,16 @@ class Machine:
         """Early release (prior work): complete + unmapped everywhere +
         all renamed consumers have read."""
         rf = self.rf[cls]
-        if rf.state[preg] != RegState.WRITTEN or rf.inline_pending[preg]:
+        if rf.state[preg] != _REG_WRITTEN or rf.inline_pending[preg]:
             return
         if rf.retire_pending[preg]:
             return  # PRI's retire-stage check has not run yet (see regfile)
-        if self.maps[cls].pointer_of(rf.lreg[preg]) == preg:
+        table = self.maps[cls]
+        lreg = rf.lreg[preg]
+        if table.modes[lreg] != MODE_IMMEDIATE and table.values[lreg] == preg:
             return  # still the current mapping
         counts = self.refcounts[cls]
-        if counts.consumers(preg) > 0 or counts.er_checkpoint_refs(preg) > 0:
+        if counts._consumer[preg] > 0 or counts._er_checkpoint[preg] > 0:
             return
         self._release_preg(cls, preg)
         self.stats.er_early_frees += 1
@@ -1308,12 +1409,21 @@ class Machine:
     def _after_unref(self, cls: RegClass, preg: int) -> None:
         """A reference dropped: an inlined or dead register may now free."""
         rf = self.rf[cls]
-        if rf.state[preg] == RegState.FREE:
+        if rf.state[preg] == _REG_FREE:
             return
         if rf.inline_pending[preg]:
             self._try_pri_free(cls, preg)
-        elif self.cfg.early_release:
+        elif self._er:
             self._maybe_free_er(cls, preg)
+
+    def _resolve_unref(self):
+        """The handler for a checkpoint's dropped resolve-scoped
+        references.  Only a PRI free can follow such a drop: ER's
+        condition also needs the commit-scoped reference, which the same
+        checkpoint holds until its branch commits or is squashed, and
+        that drop comes later and goes to :meth:`_after_unref`.  So a
+        machine without PRI needs no handler at all."""
+        return self._try_pri_free if self._pri_enabled else None
 
     def _release_preg(self, cls: RegClass, preg: int) -> None:
         name = _CLASS_NAMES[cls]
@@ -1342,20 +1452,22 @@ class Machine:
         rob = self.rob
         if not rob:
             return
-        budget = self._width
+        head = rob[0]
         now = self.now
         retire_offset = self._retire_offset
+        # Most cycles commit nothing: leave before any other set-up.
+        if not head.completed or now < head.complete_cycle + retire_offset:
+            return
+        budget = self._width
         oracle = self.oracle
         vp = self._vp
         recycle_recs = not vp and not self._ideal_war
+        rf_map = self.rf
         popleft = rob.popleft
         pool = self._pool
         rec_pool = self._rec_pool
         committed = 0
-        while budget and rob:
-            head = rob[0]
-            if not head.completed or now < head.complete_cycle + retire_offset:
-                break
+        while True:
             popleft()
             head.committed = True
             op = head.op
@@ -1377,11 +1489,11 @@ class Machine:
                 cls = op.dest_class
                 v = self._vregs.pop(head.prev_vid - _VID_FLAG, None)
                 if (v is not None and v.preg >= 0
-                        and self.rf[cls].gen_matches(v.preg, v.preg_gen)):
+                        and rf_map[cls].gen[v.preg] == v.preg_gen):
                     self._release_preg(cls, v.preg)
             elif head.prev_preg >= 0:
                 cls = op.dest_class
-                if self.rf[cls].gen_matches(head.prev_preg, head.prev_gen):
+                if rf_map[cls].gen[head.prev_preg] == head.prev_gen:
                     self._release_preg(cls, head.prev_preg)
             committed += 1
             budget -= 1
@@ -1395,13 +1507,22 @@ class Machine:
             # policy, whose associative payload index may still reference
             # them (it discriminates by read_done, which a recycled
             # record resets).
-            if not vp and all(rec.read_done for rec in head.sources):
-                if recycle_recs:
-                    rec_pool.extend(head.sources)
-                pool.append(head)
-        if committed:
-            self.stats.committed += committed
-            self._last_commit_cycle = now
+            if not vp:
+                sources = head.sources
+                for rec in sources:
+                    if not rec.read_done:
+                        break
+                else:
+                    if recycle_recs:
+                        rec_pool.extend(sources)
+                    pool.append(head)
+            if not budget or not rob:
+                break
+            head = rob[0]
+            if not head.completed or now < head.complete_cycle + retire_offset:
+                break
+        self.stats.committed += committed
+        self._last_commit_cycle = now
 
     # ========================================================== recovery
 
@@ -1411,7 +1532,8 @@ class Machine:
         while self.rob and self.rob[-1].seq > branch.seq:
             self._squash(self.rob.pop())
         self._fetch_buffer.clear()
-        self.ckpts.recover(branch.checkpoint, self._after_unref)
+        self.ckpts.recover(branch.checkpoint, self._after_unref,
+                           self._resolve_unref())
         self.branch_unit.ras.restore(branch.checkpoint.ras)
         self.branch_unit.history = branch.checkpoint.history
         self._fetch_idx = branch.trace_idx + 1
@@ -1426,7 +1548,8 @@ class Machine:
         if instr.checkpoint is not None:
             # Covers branches that resolved (stack-released) but still
             # hold commit-scoped ER references; idempotent otherwise.
-            self.ckpts.discard(instr.checkpoint, self._after_unref)
+            self.ckpts.discard(instr.checkpoint, self._after_unref,
+                               self._resolve_unref())
         for rec in instr.sources:
             if rec.counted:
                 rec.counted = False

@@ -11,6 +11,7 @@ Figures 1, 8 and 11.
 from __future__ import annotations
 
 import enum
+from heapq import heappop
 from typing import List, Optional
 
 from repro.core.stats import LifetimeStats
@@ -89,9 +90,16 @@ class PhysRegFile:
 
     def allocate(self, lreg: int, owner_seq: int, cycle: int) -> Optional[int]:
         """Take a register off the free list for ``lreg``; None if empty."""
-        preg = self.free_list.allocate()
-        if preg is None:
+        # FreeList.allocate, inlined: this runs for every renamed writer.
+        free_list = self.free_list
+        queue = free_list._queue
+        if not queue:
             return None
+        if free_list.policy == "ordered":
+            preg = heappop(queue)
+        else:
+            preg = queue.popleft()
+        free_list._free.discard(preg)
         self.state[preg] = _ALLOC
         self.gen[preg] += 1
         self.lreg[preg] = lreg

@@ -31,11 +31,16 @@ be two C-level list copies, not per-entry object construction.
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import not_
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.isa.opcodes import RegClass
 from repro.rename.map_table import MODE_POINTER, RenameMapTable
 from repro.rename.refcount import RefCountTable
+
+#: ``_MAPPED(v)`` is ``v >= 0`` for a map value: a register, not unmapped.
+_MAPPED = (-1).__lt__
 
 if TYPE_CHECKING:
     from repro.core.regfile import PhysRegFile
@@ -160,36 +165,50 @@ class CheckpointManager:
     def take(self, branch_seq: int, ras: List[int], history: int) -> Optional[Checkpoint]:
         """Checkpoint the current rename state; None when full (the
         renamer must stall)."""
-        if self.full:
+        stack = self._stack
+        if len(stack) >= self.capacity:
             return None
-        snapshots = {cls: table.snapshot() for cls, table in self.maps.items()}
-        gens = None
-        if self.regfiles is not None:
-            gens = {}
-            for cls, (modes, values) in snapshots.items():
-                gen_table = self.regfiles[cls].gen
+        # One pass per class: copy the table, then (when references are
+        # tracked) collect its pinned pointers and count them, both
+        # scopes in one loop.  A checkpoint is taken per renamed branch.
+        track_refs = self.track_refs
+        track_er = self.track_er_refs
+        regfiles = self.regfiles
+        snapshots = {}
+        pins = {} if track_refs else None
+        gens = {} if regfiles is not None else None
+        for cls, table in self.maps.items():
+            modes = table.modes[:]
+            values = table.values[:]
+            snapshots[cls] = (modes, values)
+            if gens is not None:
+                gen_table = regfiles[cls].gen
                 gens[cls] = [
                     gen_table[v] if m == MODE_POINTER and v >= 0 else -1
                     for m, v in zip(modes, values)
                 ]
-        ckpt = Checkpoint(branch_seq, snapshots, ras, history, gens)
-        if self.track_refs:
-            pins = {}
-            track_er = self.track_er_refs
-            for cls, (modes, values) in snapshots.items():
-                pinned = [
-                    v for m, v in zip(modes, values)
-                    if m == MODE_POINTER and v >= 0
-                ]
+            if track_refs:
+                # The POINTER entries' registers, skipping unmapped (-1)
+                # ones, without a Python-level loop: MODE_POINTER is 0,
+                # so ``not mode`` selects them.
+                pinned = list(filter(_MAPPED, compress(values, map(not_, modes))))
                 pins[cls] = pinned
                 counts = self.refcounts[cls]
-                counts.add_checkpoint_refs(pinned)
+                checkpoint_counts = counts._checkpoint
                 if track_er:
-                    counts.add_er_checkpoint_refs(pinned)
+                    er_counts = counts._er_checkpoint
+                    for preg in pinned:
+                        checkpoint_counts[preg] += 1
+                        er_counts[preg] += 1
+                else:
+                    for preg in pinned:
+                        checkpoint_counts[preg] += 1
+        ckpt = Checkpoint(branch_seq, snapshots, ras, history, gens)
+        if track_refs:
             ckpt.pins = pins
             if track_er:
                 self._er_pending.append(ckpt)
-        self._stack.append(ckpt)
+        stack.append(ckpt)
         self.taken += 1
         return ckpt
 
@@ -247,21 +266,25 @@ class CheckpointManager:
         """The branch committed: drop the ER (commit-scoped) references."""
         self._drop_commit_refs(ckpt, on_unref)
 
-    def discard(self, ckpt: Checkpoint, on_unref: Optional[Unref] = None) -> None:
-        """The branch was squashed: drop everything."""
-        self._drop_resolve_refs(ckpt, on_unref)
+    def discard(self, ckpt: Checkpoint, on_unref: Optional[Unref] = None,
+                on_resolve_unref: Optional[Unref] = None) -> None:
+        """The branch was squashed: drop everything.  ``on_unref`` hears
+        the commit-scoped drops, ``on_resolve_unref`` the resolve-scoped
+        ones (as :meth:`commit_retire` and :meth:`release` would)."""
+        self._drop_resolve_refs(ckpt, on_resolve_unref)
         self._drop_commit_refs(ckpt, on_unref)
 
-    def recover(self, ckpt: Checkpoint, on_unref: Optional[Unref] = None) -> None:
+    def recover(self, ckpt: Checkpoint, on_unref: Optional[Unref] = None,
+                on_resolve_unref: Optional[Unref] = None) -> None:
         """Misprediction recovery to ``ckpt``: restore the maps from its
-        shadow copies and discard every *younger* checkpoint.  ``ckpt``
-        itself stays in the stack — the machine releases it right after
-        (the branch has resolved)."""
+        shadow copies and discard every *younger* checkpoint (handlers as
+        in :meth:`discard`).  ``ckpt`` itself stays in the stack — the
+        machine releases it right after (the branch has resolved)."""
         index = self._stack.index(ckpt)
         for cls, table in self.maps.items():
             table.restore(ckpt.snapshots[cls])
         for discarded in self._stack[index + 1:]:
-            self._drop_resolve_refs(discarded, on_unref)
+            self._drop_resolve_refs(discarded, on_resolve_unref)
             self._drop_commit_refs(discarded, on_unref)
         del self._stack[index + 1:]
 

@@ -79,16 +79,12 @@ class RefCountTable:
 
     # -------------------------------------------------- bulk operations
     #
-    # Checkpoint take/release touches every pinned pointer of a class at
+    # Checkpoint release touches every pinned pointer of a class at
     # once; these bulk forms keep that on the fast path (one call per
-    # class instead of one per register).  The drop forms return the
-    # registers whose count reached zero, which is exactly the set the
-    # free policies can act on.
-
-    def add_checkpoint_refs(self, pregs: List[int]) -> None:
-        counts = self._checkpoint
-        for preg in pregs:
-            counts[preg] += 1
+    # class instead of one per register).  They return the registers
+    # whose count reached zero, which is exactly the set the free
+    # policies can act on.  (Checkpoint take adds its references inline,
+    # in the same pass that collects them.)
 
     def drop_checkpoint_refs(self, pregs: List[int]) -> List[int]:
         """Drop one checkpoint ref per entry; return registers now at zero."""
@@ -103,11 +99,6 @@ class RefCountTable:
             if count == 0:
                 zeroed.append(preg)
         return zeroed
-
-    def add_er_checkpoint_refs(self, pregs: List[int]) -> None:
-        counts = self._er_checkpoint
-        for preg in pregs:
-            counts[preg] += 1
 
     def drop_er_checkpoint_refs(self, pregs: List[int]) -> List[int]:
         """Drop one ER checkpoint ref per entry; return registers now at zero."""

@@ -258,7 +258,7 @@ class ColumnEngine:
             # instruction the donor stalled on (its free list is not
             # empty), with the budget the donor had left, then runs the
             # rest of the cycle the donor had not reached yet.
-            cm._rename_budget(budget_left)
+            cm._rename(budget_left)
             cm._fetch()
             self._end_cycle(cm)
         except SimulationError as err:

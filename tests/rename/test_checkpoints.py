@@ -83,6 +83,26 @@ class TestReleaseScopes:
         assert seen == [(RegClass.INT, 5), (RegClass.INT, 5)]
         assert not hasattr(mgr, "on_unref")  # handlers are never stored
 
+    def test_discard_and_recover_split_handlers_by_scope(self):
+        mgr, maps, _ = _manager()
+        table = maps[RegClass.INT]
+        table.set_pointer(0, 5)
+        resolved, committed = [], []
+
+        def on_resolve(cls, preg):
+            resolved.append(preg)
+
+        def on_commit(cls, preg):
+            committed.append(preg)
+
+        mgr.discard(mgr.take(1, [], 0), on_commit, on_resolve)
+        assert resolved == [5] and committed == [5]
+        older = mgr.take(2, [], 0)
+        table.set_pointer(0, 6)
+        mgr.take(3, [], 0)
+        mgr.recover(older, on_commit, on_resolve)
+        assert resolved == [5, 6] and committed == [5, 6]
+
 
 class TestRecovery:
     def test_recover_restores_maps_and_keeps_own_checkpoint(self):
