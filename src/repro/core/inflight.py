@@ -71,7 +71,6 @@ class InFlight:
         "rename_cycle",
         "issue_cycle",
         "complete_cycle",
-        "not_before",
         "missing",
         "in_scheduler",
         "issued",
@@ -85,7 +84,6 @@ class InFlight:
         "checkpoint",
         "mispredicted",
         "mem_latency",
-        "store_data_ready",
     )
 
     def __init__(self, op: MicroOp, seq: int, trace_idx: int, fetch_cycle: int) -> None:
@@ -117,7 +115,6 @@ class InFlight:
         self.rename_cycle = -1
         self.issue_cycle = -1
         self.complete_cycle = -1
-        self.not_before = 0
         self.missing = 0
         self.in_scheduler = False
         self.issued = False
@@ -129,7 +126,6 @@ class InFlight:
         self.checkpoint = None
         self.mispredicted = False
         self.mem_latency = 0
-        self.store_data_ready = False
 
     @property
     def alive(self) -> bool:

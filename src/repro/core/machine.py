@@ -307,8 +307,7 @@ class Machine:
         # Quiet cycles are fast-forwarded (see _quiet_until) only while
         # nothing looks at individual cycles.  Without a hook at the
         # start nothing can attach one later.
-        skipping = (not cycle_hooks and not observed
-                    and self._pressure_hook is None)
+        skipping = not cycle_hooks and not observed
         try:
             while stats.committed < target:
                 now = self.now

@@ -50,7 +50,10 @@ from repro.workloads.trace import Trace
 #: are stored in delivery order), _EV_TIMER payloads carry the wait
 #: generation token, scheduler waiter entries are [seq, token] pairs, and
 #: in-flight instructions serialize ``wait_token``.
-SNAPSHOT_VERSION = 2
+#:
+#: v3: in-flight instructions no longer carry ``not_before`` and
+#: ``store_data_ready``, which nothing read.
+SNAPSHOT_VERSION = 3
 
 _CLASSES = ((RegClass.INT, "int"), (RegClass.FP, "fp"))
 
@@ -87,7 +90,6 @@ def _dump_instr(instr: InFlight) -> Dict:
         "rename_cycle": instr.rename_cycle,
         "issue_cycle": instr.issue_cycle,
         "complete_cycle": instr.complete_cycle,
-        "not_before": instr.not_before,
         "missing": instr.missing,
         "in_scheduler": instr.in_scheduler,
         "issued": instr.issued,
@@ -107,7 +109,6 @@ def _dump_instr(instr: InFlight) -> Dict:
         ),
         "mispredicted": instr.mispredicted,
         "mem_latency": instr.mem_latency,
-        "store_data_ready": instr.store_data_ready,
     }
 
 
@@ -307,7 +308,6 @@ def _load_instr(trace: Trace, data: Dict) -> InFlight:
     instr.rename_cycle = data["rename_cycle"]
     instr.issue_cycle = data["issue_cycle"]
     instr.complete_cycle = data["complete_cycle"]
-    instr.not_before = data["not_before"]
     instr.missing = data["missing"]
     instr.in_scheduler = data["in_scheduler"]
     instr.issued = data["issued"]
@@ -322,7 +322,6 @@ def _load_instr(trace: Trace, data: Dict) -> InFlight:
         instr.prediction = BranchPrediction(*pred)
     instr.mispredicted = data["mispredicted"]
     instr.mem_latency = data["mem_latency"]
-    instr.store_data_ready = data["store_data_ready"]
     return instr
 
 

@@ -18,8 +18,8 @@ in, say, physical register file size (the Figure 9 PRF sweep) or an
 inline-width override resolve to different keys and can never collide in
 one journal file.
 
-On-disk format (version 3) — **append-style checksummed lines** via
-:mod:`repro.store`: one header record followed by one record per
+On-disk format (version 3) — a :class:`~repro.store.integrity.CheckedLog`
+(:data:`SWEEP_LOG`): one header record followed by one record per
 finished cell, each line independently framed as
 ``<sha256-16hex> <json>`` and fsynced as it is appended.  Recording a
 cell therefore costs O(1) I/O (the v2 journal rewrote the whole
@@ -30,7 +30,11 @@ record for the same key supersedes the earlier one, which is how
 re-runs heal failed cells.  Interior corruption — damage before the
 last line — raises :class:`~repro.store.errors.DigestMismatch` and is
 repairable with ``python -m repro.store fsck --repair`` (the valid
-prefix is salvaged).
+prefix is salvaged).  Those rules are the log's; this module owns what
+its records mean, and :func:`check_journal_record`, the one check of a
+record's shape that the writer, the loader and fsck share: a
+digest-valid record it rejects fails the load with
+:class:`~repro.store.errors.MalformedRecord`.
 
 Besides cell records (``{"key": ..., "cell": ...}``), a journal may
 carry **lease records** (``{"lease": {...}}``) — the durable audit
@@ -57,13 +61,9 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.config import MachineConfig, config_digest
 from repro.core.stats import SimStats
-from repro.store.atomic import atomic_writer, durable_replace
-from repro.store.errors import DigestMismatch, MalformedRecord
-from repro.store.integrity import (
-    append_checked_line,
-    checked_line,
-    read_checked_lines,
-)
+from repro.store.atomic import durable_replace
+from repro.store.errors import MalformedRecord, SchemaMismatch
+from repro.store.integrity import CheckedLog, LogFormat
 
 _VERSION = 3
 
@@ -79,7 +79,7 @@ JOURNAL_FORMAT = "repro-sweep-journal"
 #: (graceful drain or spot eviction) without completing it.
 LEASE_STATES = ("leased", "heartbeat", "completed", "abandoned", "released")
 
-#: Fields every journaled lease record must carry (fsck validates them).
+#: Fields every journaled lease record must carry.
 LEASE_FIELDS = ("key", "state", "worker", "ts")
 
 
@@ -123,8 +123,47 @@ def cell_key(
     )
 
 
-def _header_record() -> Dict:
-    return {"format": JOURNAL_FORMAT, "version": _VERSION}
+def check_journal_record(record) -> Optional[str]:
+    """Why ``record`` is not a sweep-journal record, or ``None`` when it
+    is one: a cell record carries ``key`` and ``cell``, a lease record
+    carries :data:`LEASE_FIELDS` and one of :data:`LEASE_STATES`.  The
+    writer, the loader and fsck all ask this one function."""
+    if not isinstance(record, dict):
+        return "journal record is not an object"
+    if "lease" not in record:
+        if "key" not in record or "cell" not in record:
+            return "journal record lacks key/cell fields"
+        return None
+    lease = record["lease"]
+    if not isinstance(lease, dict):
+        return "lease record is not an object"
+    missing = [f for f in LEASE_FIELDS if f not in lease]
+    if missing:
+        return f"lease record lacks fields: {missing}"
+    if lease["state"] not in LEASE_STATES:
+        return f"unknown lease state {lease['state']!r}"
+    return None
+
+
+#: The sweep journal as a :class:`~repro.store.integrity.CheckedLog`.
+SWEEP_LOG = LogFormat(JOURNAL_FORMAT, _VERSION, "sweep-journal",
+                      check_journal_record)
+
+
+def _document_version(path: str):
+    """The version of a v1/v2 whole-document JSON journal; corrupt JSON
+    is typed, never a bare ``json.JSONDecodeError``."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            doc = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise MalformedRecord(
+                f"journal is not valid JSON ({exc}); run "
+                f"`python -m repro.store fsck --repair` to quarantine "
+                f"it, or delete it to start a fresh sweep",
+                path=path, kind="sweep-journal",
+            ) from exc
+    return doc.get("version") if isinstance(doc, dict) else None
 
 
 class SweepJournal:
@@ -133,107 +172,51 @@ class SweepJournal:
 
     def __init__(self, path: str, archive_incompatible: bool = False) -> None:
         self.path = path
+        self._log = CheckedLog(path, SWEEP_LOG)
         self._cells: Dict[str, Dict] = {}
         #: Every lease transition journaled so far, in append order (the
         #: sweep farm's audit trail; see :data:`LEASE_STATES`).
         self.lease_events: List[Dict] = []
         #: Path the incompatible predecessor was moved to, if any.
         self.archived: Optional[str] = None
+        self._load(path, archive_incompatible)
         #: ``(line, reason)`` of a torn tail dropped at load, if any.
-        self.salvaged: Optional[Tuple[int, str]] = None
-        self._initialized = False
-        if os.path.exists(path):
-            self._load(path, archive_incompatible)
+        self.salvaged: Optional[Tuple[int, str]] = self._log.salvaged
 
     # ------------------------------------------------------------ load
 
     def _load(self, path: str, archive_incompatible: bool) -> None:
-        with open(path, "rb") as handle:
-            head = handle.read(64).lstrip()
-        if head.startswith(b"{"):
-            self._load_legacy_document(path, archive_incompatible)
-            return
-        result = read_checked_lines(path)
-        if not result.records:
-            if result.total_lines == 0 or (result.bad_line == 1
-                                           and result.torn_tail):
-                # Empty file or a crash while the header was being
-                # written: nothing recorded yet, start fresh.
+        if os.path.exists(path):
+            with open(path, "rb") as handle:
+                head = handle.read(64).lstrip()
+            if head.startswith(b"{"):
+                # A v1/v2 whole-document journal: incompatible by
+                # construction, since v3 is the line format.
+                self._incompatible(_document_version(path),
+                                   archive_incompatible)
                 return
-            raise MalformedRecord(
-                f"journal header line is damaged "
-                f"({result.bad_reason}); run "
-                f"`python -m repro.store fsck --repair` or delete it",
-                path=path, kind="sweep-journal", line=result.bad_line,
-            )
-        header = result.records[0]
-        if not isinstance(header, dict) or header.get("format") != JOURNAL_FORMAT:
-            raise MalformedRecord(
-                "first record is not a sweep-journal header",
-                path=path, kind="sweep-journal", line=1,
-            )
-        version = header.get("version")
-        if version != _VERSION:
-            if not archive_incompatible:
-                raise ValueError(
-                    f"journal {path!r} has version {version}, expected "
-                    f"{_VERSION}; delete it, move it aside, or pass "
-                    f"archive_incompatible=True to archive it and start "
-                    f"a fresh sweep"
-                )
-            self._archive(path, version)
+        try:
+            records = self._log.load()
+        except SchemaMismatch as exc:
+            self._incompatible(exc.found, archive_incompatible)
             return
-        if not result.clean and not result.torn_tail:
-            raise DigestMismatch(
-                f"journal record is damaged before the final line "
-                f"({result.bad_reason}); the valid prefix "
-                f"({len(result.records) - 1} cell records) is salvageable "
-                f"with `python -m repro.store fsck --repair`",
-                path=path, kind="sweep-journal", line=result.bad_line,
-            )
-        for record in result.records[1:]:
-            if isinstance(record, dict) and "lease" in record:
+        for record in records:
+            if "lease" in record:
                 self.lease_events.append(record["lease"])
-                continue
-            if (
-                not isinstance(record, dict)
-                or "key" not in record
-                or "cell" not in record
-            ):
-                raise MalformedRecord(
-                    "journal record lacks key/cell fields",
-                    path=path, kind="sweep-journal",
-                )
-            self._cells[record["key"]] = record["cell"]
-        self._initialized = True
-        if not result.clean:  # torn tail: drop it from disk too
-            self.salvaged = (result.bad_line, result.bad_reason)
-            self._rewrite()
+            else:
+                self._cells[record["key"]] = record["cell"]
 
-    def _load_legacy_document(self, path: str, archive_incompatible: bool) -> None:
-        """A v1/v2 whole-document JSON journal: incompatible by
-        construction (v3 is the line format), so apply the standard
-        archive-or-raise policy; corrupt JSON is typed, never a bare
-        ``json.JSONDecodeError``."""
-        with open(path, encoding="utf-8") as handle:
-            try:
-                doc = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecord(
-                    f"journal is not valid JSON ({exc}); run "
-                    f"`python -m repro.store fsck --repair` to quarantine "
-                    f"it, or delete it to start a fresh sweep",
-                    path=path, kind="sweep-journal",
-                ) from exc
-        version = doc.get("version") if isinstance(doc, dict) else None
+    def _incompatible(self, version, archive_incompatible: bool) -> None:
+        """Another version's journal: raise, or move it aside and start
+        fresh."""
         if not archive_incompatible:
             raise ValueError(
-                f"journal {path!r} has version {version}, expected "
+                f"journal {self.path!r} has version {version}, expected "
                 f"{_VERSION}; delete it, move it aside, or pass "
                 f"archive_incompatible=True to archive it and start "
                 f"a fresh sweep"
             )
-        self._archive(path, version)
+        self._archive(self.path, version)
 
     def _archive(self, path: str, version) -> None:
         # The rename must be made durable *here*: the caller is told the
@@ -295,31 +278,9 @@ class SweepJournal:
         broker is the only writer.  ``durable=False`` skips the fsync —
         used for throttled heartbeat lines, where losing the last one in
         a crash costs nothing (the next load still sees the grant)."""
-        missing = [f for f in LEASE_FIELDS if f not in event]
-        if missing:
-            raise ValueError(f"lease record lacks fields: {missing}")
-        if event["state"] not in LEASE_STATES:
-            raise ValueError(f"unknown lease state {event['state']!r}")
+        self._log.append({"lease": event}, durable=durable)
         self.lease_events.append(event)
-        self._append({"lease": event}, durable=durable)
 
     def _record(self, key: str, cell: Dict) -> None:
+        self._log.append({"key": key, "cell": cell})
         self._cells[key] = cell
-        self._append({"key": key, "cell": cell})
-
-    def _append(self, record: Dict, *, durable: bool = True) -> None:
-        if not self._initialized:
-            self._rewrite()
-            return
-        append_checked_line(self.path, record, durable=durable)
-
-    def _rewrite(self) -> None:
-        """Atomically (re)write the whole journal: first record, or
-        compaction after a salvage."""
-        with atomic_writer(self.path) as handle:
-            handle.write(checked_line(_header_record()))
-            for key, cell in self._cells.items():
-                handle.write(checked_line({"key": key, "cell": cell}))
-            for event in self.lease_events:
-                handle.write(checked_line({"lease": event}))
-        self._initialized = True

@@ -222,11 +222,7 @@ class CheckpointManager:
         if not self.track_refs:
             return
         for cls in ckpt.snapshots:
-            pinned = (
-                ckpt.pins[cls] if ckpt.pins is not None
-                else ckpt.pointer_entries(cls)
-            )
-            zeroed = self.refcounts[cls].drop_checkpoint_refs(pinned)
+            zeroed = self.refcounts[cls].drop_checkpoint_refs(ckpt.pins[cls])
             if on_unref is not None:
                 for preg in zeroed:
                     on_unref(cls, preg)
@@ -242,11 +238,7 @@ class CheckpointManager:
         except ValueError:
             pass
         for cls in ckpt.snapshots:
-            pinned = (
-                ckpt.pins[cls] if ckpt.pins is not None
-                else ckpt.pointer_entries(cls)
-            )
-            zeroed = self.refcounts[cls].drop_er_checkpoint_refs(pinned)
+            zeroed = self.refcounts[cls].drop_er_checkpoint_refs(ckpt.pins[cls])
             if on_unref is not None:
                 for preg in zeroed:
                     on_unref(cls, preg)

@@ -15,29 +15,23 @@ the key (:func:`~repro.farm.lease.cid_of`), so resubmitting a job is
 idempotent: you get the same id back.
 
 The **job journal** (``jobs.json`` in the serve root) records every job
-transition — ``queued`` → ``running`` → ``done`` | ``failed`` — as the
-same checksummed v3-style lines the sweep journal uses
-(:func:`~repro.store.integrity.append_checked_line`): one fsynced line
-per transition, torn tails salvaged on load, any interior byte of
-corruption a typed error.  A restarted server replays the journal and
-re-enqueues every job whose latest state is non-terminal, so a SIGKILL
-mid-queue loses no acknowledged submission.
+transition — ``queued`` → ``running`` → ``done`` | ``failed`` — in the
+same :class:`~repro.store.integrity.CheckedLog` the sweep journal is
+(:data:`JOBS_LOG`): one fsynced checksummed line per transition, torn
+tails salvaged on load, any interior byte of corruption a typed error,
+and every record checked by :func:`check_job_record` on write, on load
+and in fsck.  A restarted server replays the journal and re-enqueues
+every job whose latest state is non-terminal, so a SIGKILL mid-queue
+loses no acknowledged submission.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.config import MachineConfig
-from repro.store.errors import DigestMismatch, MalformedRecord
-from repro.store.integrity import (
-    append_checked_line,
-    checked_line,
-    read_checked_lines,
-)
-from repro.store.atomic import atomic_writer
+from repro.store.integrity import CheckedLog, LogFormat
 
 #: ``format`` tag of the job-journal header record (fsck's sniffing key).
 JOBS_FORMAT = "repro-serve-jobs"
@@ -49,7 +43,7 @@ JOBS_VERSION = 1
 #: ``failed`` — the simulation raised (terminal, but resubmittable).
 JOB_STATES = ("queued", "running", "done", "failed")
 
-#: Fields every journaled job record must carry (fsck validates them).
+#: Fields every journaled job record must carry.
 JOB_FIELDS = ("id", "key", "state", "ts")
 
 #: Issue widths with a Table 1 machine.
@@ -187,71 +181,39 @@ def parse_job(data: Dict) -> JobSpec:
 # ============================================================== journal
 
 
-def _header_record() -> Dict:
-    return {"format": JOBS_FORMAT, "version": JOBS_VERSION}
+def check_job_record(record) -> Optional[str]:
+    """Why ``record`` is not a job-journal record, or ``None`` when it
+    is one: a ``job`` object carrying :data:`JOB_FIELDS` and one of
+    :data:`JOB_STATES`.  The writer, the loader and fsck all ask this
+    one function."""
+    if not isinstance(record, dict) or not isinstance(record.get("job"), dict):
+        return "job journal record lacks a job object"
+    job = record["job"]
+    missing = [f for f in JOB_FIELDS if f not in job]
+    if missing:
+        return f"job record lacks fields: {missing}"
+    if job["state"] not in JOB_STATES:
+        return f"unknown job state {job['state']!r}"
+    return None
+
+
+#: The job journal as a :class:`~repro.store.integrity.CheckedLog`.
+JOBS_LOG = LogFormat(JOBS_FORMAT, JOBS_VERSION, "serve-job-journal",
+                     check_job_record)
 
 
 class JobJournal:
-    """Append-only, checksummed record of every job transition.
-
-    The write path is the sweep journal's: one fsynced
-    :func:`~repro.store.integrity.checked_line` per transition, a header
-    record first, torn tails dropped (and compacted away) at load,
-    interior damage a hard :class:`~repro.store.errors.DigestMismatch`
-    pointing at ``python -m repro.store fsck --repair``.
-    """
+    """Append-only, checksummed record of every job transition: a
+    :class:`~repro.store.integrity.CheckedLog` of ``{"job": event}``
+    records, one per transition."""
 
     def __init__(self, path: str) -> None:
         self.path = path
+        self._log = CheckedLog(path, JOBS_LOG)
         #: Every transition in append order (replay gives latest-wins).
-        self.events: List[Dict] = []
+        self.events: List[Dict] = [r["job"] for r in self._log.load()]
         #: ``(line, reason)`` of a torn tail dropped at load, if any.
-        self.salvaged: Optional[Tuple[int, str]] = None
-        self._initialized = False
-        if os.path.exists(path):
-            self._load(path)
-
-    def _load(self, path: str) -> None:
-        result = read_checked_lines(path)
-        if not result.records:
-            if result.total_lines == 0 or (result.bad_line == 1
-                                           and result.torn_tail):
-                return  # nothing durably recorded yet: start fresh
-            raise MalformedRecord(
-                f"job journal header line is damaged ({result.bad_reason}); "
-                f"run `python -m repro.store fsck --repair` or delete it",
-                path=path, kind="serve-job-journal", line=result.bad_line,
-            )
-        header = result.records[0]
-        if (not isinstance(header, dict)
-                or header.get("format") != JOBS_FORMAT):
-            raise MalformedRecord(
-                "first record is not a serve-job-journal header",
-                path=path, kind="serve-job-journal", line=1,
-            )
-        if header.get("version") != JOBS_VERSION:
-            raise ValueError(
-                f"job journal {path!r} has version {header.get('version')}, "
-                f"expected {JOBS_VERSION}; delete it or move it aside"
-            )
-        if not result.clean and not result.torn_tail:
-            raise DigestMismatch(
-                f"job journal record is damaged before the final line "
-                f"({result.bad_reason}); the valid prefix is salvageable "
-                f"with `python -m repro.store fsck --repair`",
-                path=path, kind="serve-job-journal", line=result.bad_line,
-            )
-        for record in result.records[1:]:
-            if not isinstance(record, dict) or "job" not in record:
-                raise MalformedRecord(
-                    "job journal record lacks a job field",
-                    path=path, kind="serve-job-journal",
-                )
-            self.events.append(record["job"])
-        self._initialized = True
-        if not result.clean:  # torn tail: drop it from disk too
-            self.salvaged = (result.bad_line, result.bad_reason)
-            self._rewrite()
+        self.salvaged: Optional[Tuple[int, str]] = self._log.salvaged
 
     # --------------------------------------------------------- queries
 
@@ -267,20 +229,5 @@ class JobJournal:
     def record(self, event: Dict, *, durable: bool = True) -> None:
         """Append one job transition.  ``event`` must carry at least
         :data:`JOB_FIELDS` and a known state."""
-        missing = [f for f in JOB_FIELDS if f not in event]
-        if missing:
-            raise ValueError(f"job record lacks fields: {missing}")
-        if event["state"] not in JOB_STATES:
-            raise ValueError(f"unknown job state {event['state']!r}")
+        self._log.append({"job": event}, durable=durable)
         self.events.append(event)
-        if not self._initialized:
-            self._rewrite()
-            return
-        append_checked_line(self.path, {"job": event}, durable=durable)
-
-    def _rewrite(self) -> None:
-        with atomic_writer(self.path) as handle:
-            handle.write(checked_line(_header_record()))
-            for event in self.events:
-                handle.write(checked_line({"job": event}))
-        self._initialized = True

@@ -11,7 +11,8 @@ this layer, which provides:
 * **integrity framing** (:mod:`repro.store.integrity`) — a
   length/SHA-256/trailer envelope for JSON artifacts and per-line
   digests for append-style journals, so any single corrupted byte is
-  *detected* at load time;
+  *detected* at load time; :class:`~repro.store.integrity.CheckedLog`
+  is the one implementation of a headed, append-only log of such lines;
 * **a typed error taxonomy** (:mod:`repro.store.errors`) —
   :class:`TruncatedArtifact` / :class:`DigestMismatch` /
   :class:`SchemaMismatch` / :class:`MalformedRecord` under

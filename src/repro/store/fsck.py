@@ -8,7 +8,8 @@ reports structured findings.  In repair mode it
 
 * deletes concurrent-writer leftovers (``*.tmp``),
 * salvages the valid prefix of damaged append-style journals
-  (rewriting them atomically so they load again),
+  (:func:`~repro.store.integrity.salvage_checked_lines`, the rewrite a
+  journal's own load does for a torn tail),
 * quarantines unrecoverable artifacts to ``<name>.quarantine/``
   (or deletes them with ``delete=True``),
 
@@ -27,13 +28,13 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
-from repro.store.atomic import TMP_SUFFIX, atomic_writer, quarantine_path
+from repro.store.atomic import TMP_SUFFIX, quarantine_path
 from repro.store.errors import ArtifactError, SchemaMismatch
 from repro.store.integrity import (
     ENVELOPE_MAGIC,
     LINE_DIGEST_HEX,
-    checked_line,
     read_checked_lines,
+    salvage_checked_lines,
     verify_envelope,
 )
 
@@ -138,121 +139,33 @@ def _verify_envelope(path: str, finding: Finding) -> None:
     finding.kind = meta.kind
 
 
-def _verify_journal_records(path: str, records) -> None:
-    """Semantic validation of a digest-clean sweep journal: every record
-    after the header must be a cell record (``key``/``cell``) or a
-    well-formed lease record (``lease`` with the farm's required fields
-    and a known state)."""
-    from repro.experiments.journal import LEASE_FIELDS, LEASE_STATES
-
-    for index, record in enumerate(records[1:], start=2):
-        if not isinstance(record, dict):
-            raise ArtifactError(
-                "journal record is not an object", path=path,
-                kind="sweep-journal", line=index,
-            )
-        if "lease" in record:
-            lease = record["lease"]
-            if not isinstance(lease, dict):
-                raise ArtifactError(
-                    "lease record is not an object", path=path,
-                    kind="sweep-journal", line=index,
-                )
-            missing = [f for f in LEASE_FIELDS if f not in lease]
-            if missing:
-                raise ArtifactError(
-                    f"lease record lacks fields {missing}", path=path,
-                    kind="sweep-journal", line=index,
-                )
-            if lease["state"] not in LEASE_STATES:
-                raise ArtifactError(
-                    f"lease record has unknown state {lease['state']!r}",
-                    path=path, kind="sweep-journal", line=index,
-                )
-        elif "key" not in record or "cell" not in record:
-            raise ArtifactError(
-                "journal record lacks key/cell fields", path=path,
-                kind="sweep-journal", line=index,
-            )
-
-
-def _verify_job_records(path: str, records) -> None:
-    """Semantic validation of a digest-clean serve job journal: every
-    record after the header must wrap a job transition carrying the
-    required fields and a known state."""
-    from repro.serve.jobs import JOB_FIELDS, JOB_STATES
-
-    for index, record in enumerate(records[1:], start=2):
-        if not isinstance(record, dict) or not isinstance(
-                record.get("job"), dict):
-            raise ArtifactError(
-                "job journal record lacks a job object", path=path,
-                kind="serve-job-journal", line=index,
-            )
-        job = record["job"]
-        missing = [f for f in JOB_FIELDS if f not in job]
-        if missing:
-            raise ArtifactError(
-                f"job record lacks fields {missing}", path=path,
-                kind="serve-job-journal", line=index,
-            )
-        if job["state"] not in JOB_STATES:
-            raise ArtifactError(
-                f"job record has unknown state {job['state']!r}",
-                path=path, kind="serve-job-journal", line=index,
-            )
-
-
 def _verify_checked_lines(path: str, finding: Finding) -> None:
-    """An append-style checksummed-line file (the sweep journal or the
-    serve job journal — told apart by their header ``format`` tags)."""
-    from repro.experiments.journal import JOURNAL_FORMAT
-    from repro.serve.jobs import JOBS_FORMAT
+    """An append-style checksummed-line file: the sweep journal or the
+    serve job journal, told apart by their header ``format`` tags, each
+    record checked by its format's own check."""
+    from repro.experiments.journal import SWEEP_LOG
+    from repro.serve.jobs import JOBS_LOG
 
     result = read_checked_lines(path)
     header = result.records[0] if result.records else None
-    header_format = header.get("format") if isinstance(header, dict) else None
-    if header_format == JOURNAL_FORMAT:
-        finding.kind = "sweep-journal"
-    elif header_format == JOBS_FORMAT:
-        finding.kind = "serve-job-journal"
-    else:
-        finding.kind = "checked-lines"
-    if result.clean and finding.kind == "sweep-journal":
-        _verify_journal_records(path, result.records)
-        return
-    if result.clean and finding.kind == "serve-job-journal":
-        _verify_job_records(path, result.records)
-        return
-    if result.clean:
+    tag = header.get("format") if isinstance(header, dict) else None
+    fmt = {log.tag: log for log in (SWEEP_LOG, JOBS_LOG)}.get(tag)
+    finding.kind = fmt.kind if fmt is not None else "checked-lines"
+    if not result.clean:
+        # Any damage in an append-style file leaves its valid prefix
+        # salvageable — provided the header survived.
+        finding.status = SALVAGEABLE if header is not None else CORRUPT
+        raise ArtifactError(
+            f"line {result.bad_line}: {result.bad_reason}"
+            + (" (torn tail)" if result.torn_tail else ""),
+            path=path, kind=finding.kind, line=result.bad_line,
+        )
+    if fmt is None:
         raise ArtifactError(
             "checksummed-line file has no recognizable journal header",
             path=path, kind=finding.kind, line=1,
         )
-    # Any damage in an append-style file leaves its valid prefix
-    # salvageable — provided the header survived.
-    finding.status = SALVAGEABLE if header is not None else CORRUPT
-    raise ArtifactError(
-        f"line {result.bad_line}: {result.bad_reason}"
-        + (" (torn tail)" if result.torn_tail else ""),
-        path=path, kind=finding.kind, line=result.bad_line,
-    )
-
-
-# ================================================================ repair
-
-
-def _salvage_journal(path: str, finding: Finding) -> None:
-    """Rewrite a damaged append-style journal with its valid prefix."""
-    result = read_checked_lines(path)
-    kept = len(result.records)
-    with atomic_writer(path) as handle:
-        for record in result.records:
-            handle.write(checked_line(record))
-    finding.action = (
-        f"salvaged: kept the {kept}-record valid prefix, dropped "
-        f"line {result.bad_line}+"
-    )
+    fmt.check_records(path, result.records[1:])
 
 
 def fsck_tree(
@@ -353,7 +266,11 @@ def _repair_file(finding: Finding, delete: bool) -> None:
             os.unlink(finding.path)
             finding.action = "deleted"
         elif finding.status == SALVAGEABLE:
-            _salvage_journal(finding.path, finding)
+            result = salvage_checked_lines(finding.path)
+            finding.action = (
+                f"salvaged: kept the {len(result.records)}-record valid "
+                f"prefix, dropped line {result.bad_line}+"
+            )
         elif delete:
             os.unlink(finding.path)
             finding.action = "deleted"

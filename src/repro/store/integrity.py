@@ -22,10 +22,13 @@ so without it a bit flip in the header could go unnoticed.  The
 trailer sentinel catches torn tails: a crash that wrote the header and
 part of the payload, or appended trailing garbage.
 
-**Checksummed line records** (the append-style sweep journal) — each
-line is independently framed as ``<sha256-hex16> <json>``, so a crash
+**Checksummed line records** (the append-style journals) — each line
+is independently framed as ``<sha256-hex16> <json>``, so a crash
 mid-append damages only the final line and the valid prefix is
-salvageable (:func:`read_checked_lines`).
+salvageable (:func:`read_checked_lines`, :func:`salvage_checked_lines`).
+:class:`CheckedLog` holds the one set of rules for a log of such lines
+behind a ``{format, version}`` header; the sweep journal and the serve
+job journal are two :class:`LogFormat` values of it.
 
 An unframed file is never guessed at: it fails as a typed
 :class:`SchemaMismatch` (or :class:`TruncatedArtifact` when empty).
@@ -37,9 +40,9 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
-from repro.store.atomic import atomic_write_bytes, notify_io
+from repro.store.atomic import atomic_write_bytes, atomic_writer, notify_io
 from repro.store.errors import (
     DigestMismatch,
     MalformedRecord,
@@ -341,3 +344,124 @@ def append_checked_line(path: str, payload: Any, *, durable: bool = True) -> Non
             fh.flush()
             os.fsync(fh.fileno())
             notify_io(op="fsync", path=path)
+
+
+def salvage_checked_lines(
+    path: str, result: Optional[SalvageResult] = None
+) -> SalvageResult:
+    """Atomically rewrite a damaged checked-line file with its valid
+    prefix (``result``, when the caller has already read the file), and
+    return what was read."""
+    if result is None:
+        result = read_checked_lines(path)
+    with atomic_writer(path) as handle:
+        for record in result.records:
+            handle.write(checked_line(record))
+    return result
+
+
+# ============================================================ the log
+
+
+@dataclass(frozen=True)
+class LogFormat:
+    """One append-only log format: the ``format`` tag and ``version`` of
+    its header, the ``kind`` its errors name, and ``check``, which says
+    why a record is not one of this format's (``None`` when it is)."""
+
+    tag: str
+    version: int
+    kind: str
+    check: Callable[[Any], Optional[str]]
+
+    def check_records(self, path: str, records: List[Any]) -> None:
+        """Raise :class:`MalformedRecord` at the first of ``records``
+        (the lines after the header) that :attr:`check` rejects."""
+        for line, record in enumerate(records, start=2):
+            problem = self.check(record)
+            if problem is not None:
+                raise MalformedRecord(problem, path=path, kind=self.kind,
+                                      line=line)
+
+
+class CheckedLog:
+    """An append-only file of :func:`checked_line` records behind a
+    ``{format, version}`` header.
+
+    :meth:`load` starts the log fresh when there is no file, or it is
+    empty, or a crash tore its header; salvages a torn tail (the valid
+    prefix is rewritten, the damage noted in :attr:`salvaged`); and
+    raises :class:`MalformedRecord` for a damaged or foreign header or a
+    record :attr:`LogFormat.check` rejects, :class:`SchemaMismatch` for
+    another version and :class:`DigestMismatch` for damage before the
+    final line.  :meth:`append` writes the header together with the
+    first record.
+    """
+
+    def __init__(self, path: str, fmt: LogFormat) -> None:
+        self.path = path
+        self.fmt = fmt
+        #: ``(line, reason)`` of a torn tail dropped at load, if any.
+        self.salvaged: Optional[Tuple[int, str]] = None
+        self._started = False
+
+    def load(self) -> List[Any]:
+        """The records after the header, checked (none for a fresh log)."""
+        path, fmt = self.path, self.fmt
+        if not os.path.exists(path):
+            return []
+        result = read_checked_lines(path)
+        if not result.records:
+            if result.total_lines == 0 or (result.bad_line == 1
+                                           and result.torn_tail):
+                # Empty file or a crash while the header was being
+                # written: nothing recorded yet, start fresh.
+                return []
+            raise MalformedRecord(
+                f"{fmt.kind} header line is damaged ({result.bad_reason}); "
+                f"run `python -m repro.store fsck --repair` or delete it",
+                path=path, kind=fmt.kind, line=result.bad_line,
+            )
+        header = result.records[0]
+        if not isinstance(header, dict) or header.get("format") != fmt.tag:
+            raise MalformedRecord(
+                f"first record is not a {fmt.kind} header",
+                path=path, kind=fmt.kind, line=1,
+            )
+        version = header.get("version")
+        if version != fmt.version:
+            raise SchemaMismatch(
+                f"{fmt.kind} has version {version}, expected "
+                f"{fmt.version}; delete it or move it aside",
+                path=path, kind=fmt.kind, found=version, expected=fmt.version,
+            )
+        if not result.clean and not result.torn_tail:
+            raise DigestMismatch(
+                f"{fmt.kind} record is damaged before the final line "
+                f"({result.bad_reason}); the valid prefix "
+                f"({len(result.records) - 1} records) is salvageable with "
+                f"`python -m repro.store fsck --repair`",
+                path=path, kind=fmt.kind, line=result.bad_line,
+            )
+        records = result.records[1:]
+        fmt.check_records(path, records)
+        self._started = True
+        if not result.clean:  # torn tail: drop it from disk too
+            self.salvaged = (result.bad_line, result.bad_reason)
+            salvage_checked_lines(path, result)
+        return records
+
+    def append(self, record: Any, *, durable: bool = True) -> None:
+        """Check and append one record; ``durable=False`` skips the
+        fsync.  The first record is written atomically with the header."""
+        problem = self.fmt.check(record)
+        if problem is not None:
+            raise ValueError(problem)
+        if self._started:
+            append_checked_line(self.path, record, durable=durable)
+            return
+        with atomic_writer(self.path) as handle:
+            handle.write(checked_line({"format": self.fmt.tag,
+                                       "version": self.fmt.version}))
+            handle.write(checked_line(record))
+        self._started = True

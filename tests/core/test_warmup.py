@@ -222,9 +222,10 @@ def test_vector_column_on_warmed_trace_matches_scalar():
 #: sha256 of ``json.dumps(machine.snapshot())`` at cycle 300 of the
 #: four-wide PRI machine on gzip (600 ops, seed 7, 3000-op warmup),
 #: recorded before the warm-state memo and the component state codec
-#: existed.
+#: existed, and re-pinned for snapshot v3 as the v2 image with
+#: ``not_before``/``store_data_ready`` dropped from every ROB entry.
 _SNAPSHOT_DIGEST = (
-    "f930788bd18c5044d6bedcdf0c225107ddf6cf9fc2d5fb713d48d8c0f88c0515")
+    "549676e27b7022577fbce9f0ef1d026959213ebd446f757b1905eea2a0bce37c")
 
 
 def test_snapshot_bytes_pinned(count_warmups):
