@@ -264,10 +264,6 @@ class MachineConfig:
             fp_regs = int_regs
         return replace(self, int_phys_regs=int_regs, fp_phys_regs=fp_regs)
 
-    def with_alloc_policy(self, policy: str) -> "MachineConfig":
-        """Copy with a different free-list allocation policy."""
-        return replace(self, alloc_policy=policy)
-
 
 def four_wide() -> MachineConfig:
     """The paper's conservative 4-wide machine (Table 1, left column)."""

@@ -433,9 +433,6 @@ class Machine:
         Used by the fault-injection harness and tests."""
         self._cycle_hooks.append(hook)
 
-    def remove_cycle_hook(self, hook) -> None:
-        self._cycle_hooks.remove(hook)
-
     def inflight_window(self) -> Tuple[int, int, int]:
         """(oldest seq, youngest seq, occupancy) of the ROB — the window
         the audit diagnostics report."""

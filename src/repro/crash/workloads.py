@@ -276,7 +276,7 @@ _FARM_SPEC = {"length": 100, "warmup": 0, "seed": 1}
 
 @_register("farm-lease",
            "lease protocol: publish, O_EXCL claim, heartbeats, result, "
-           "release, then a broker-style fence-bump reclaim")
+           "release, then the broker's fence-bump reclaim")
 class _FarmLease:
     @staticmethod
     def run(root: str, ack: Callable) -> None:
@@ -296,9 +296,9 @@ class _FarmLease:
         ack("result-1", cid=cell.cid, attempt=1, worker="w0")
         fsl.release(paths, lease)
         ack("release-1", cid=cell.cid)
-        # Second cell: claimed, then reclaimed broker-style — the spec
-        # rewrite with the bumped attempt (the fence) strictly precedes
-        # the lease unlink.
+        # Second cell: claimed, then taken back by the broker's own
+        # reclaim — the spec rewrite with the bumped attempt (the fence)
+        # strictly precedes the lease unlink.
         cell2 = CellSpec(cid=cid_of("k2"), key="k2", benchmark="mesa",
                          scheme="ER", width=4, spec=dict(_FARM_SPEC))
         fsl.write_cell(paths, cell2)
@@ -306,9 +306,8 @@ class _FarmLease:
         lease2 = fsl.claim(paths, cell2, "w1", ttl=30.0)
         assert lease2 is not None
         cell2.attempt = 2
-        fsl.write_cell(paths, cell2)
+        fsl.reclaim(paths, cell2)
         ack("fence-2", cid=cell2.cid, attempt=2)
-        remove_file(paths.lease(cell2.cid))
 
     @staticmethod
     def recover(root: str) -> None:

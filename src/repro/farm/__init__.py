@@ -13,9 +13,10 @@ notice with a checkpoint-and-release grace budget; and a deterministic
 fault-injection registry (:mod:`repro.farm.inject`) lets the chaos
 suite kill, stall, orphan, evict, and double-lease workers on purpose.
 
-Every protocol step is an operation on the shared directory, grouped
-as :class:`~repro.farm.transport.FsTransport`: ``O_EXCL`` claims, atomic
-envelope rewrites, and the cell's attempt number as the fencing token.
+Every protocol step is a function of :mod:`repro.farm.lease` over the
+shared directory — its worker half and its broker half: ``O_EXCL``
+claims, atomic envelope rewrites, and the cell's attempt number as the
+fencing token.  Broker and workers call it directly.
 
 Entry points: ``run_cells(cells, spec, farm=FarmSpec(root))`` (or
 ``run_matrix``, its one-width view) drives any sweep through one farm;
@@ -34,11 +35,9 @@ from repro.farm.lease import (
     FarmSpec,
     Lease,
     LeaseLost,
-    backoff_delay,
     cid_of,
 )
-from repro.farm.transport import FsTransport
-from repro.farm.worker import WorkerOptions, worker_loop
+from repro.farm.worker import worker_loop
 
 __all__ = [
     "Aggregator",
@@ -53,10 +52,7 @@ __all__ = [
     "FarmSpec",
     "Lease",
     "LeaseLost",
-    "backoff_delay",
     "cid_of",
-    "FsTransport",
-    "WorkerOptions",
     "worker_loop",
     "run_cells_farm",
 ]

@@ -27,34 +27,36 @@ import time
 from repro.farm.inject import FAULTS
 from repro.farm.lease import (
     FarmPaths,
+    FarmSpec,
     list_cells,
     list_leases,
     list_results,
     read_lease,
 )
-from repro.farm.worker import WorkerOptions, worker_loop
+from repro.farm.worker import worker_loop
 from repro.store import ArtifactError
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:
-    options = WorkerOptions(
+    farm = FarmSpec(
+        root=args.root,
         lease_ttl=args.lease_ttl,
         heartbeat_interval=args.heartbeat,
         poll_interval=args.poll,
         checkpoint_every=args.checkpoint_every,
-        oneshot=args.oneshot,
     )
-    worker_id = args.name or f"w{os.getpid()}"
-    return worker_loop(args.root, worker_id, options)
+    return worker_loop(farm, args.name or f"w{os.getpid()}")
 
 
 def _journal_tail(path: str):
     """Lease history from the journal, without ever writing to it (a
     live broker owns the file; SweepJournal's torn-tail salvage would
     rewrite it underneath them).  Returns ``(events, note)`` where
-    ``note`` describes any salvage the reader had to do: a torn final
-    line (crash mid-append) is expected damage and costs one record;
-    interior damage truncates the usable history at that line."""
+    ``note`` describes any damage the reader met: a torn final line
+    (crash mid-append) is expected and costs one record; interior
+    damage, a foreign header, or a record the sweep journal's own check
+    rejects (what fsck calls corrupt) truncates the history there."""
+    from repro.experiments.journal import SWEEP_LOG
     from repro.store.integrity import read_checked_lines
 
     if not os.path.exists(path):
@@ -63,19 +65,30 @@ def _journal_tail(path: str):
         result = read_checked_lines(path)
     except OSError as exc:
         return [], f"journal unreadable: {exc}"
+    fsck = "run `python -m repro.store fsck` for details"
     note = None
-    if not result.clean:
-        if result.torn_tail:
-            note = (f"torn journal tail salvaged (line {result.bad_line} "
-                    f"of {result.total_lines} damaged mid-append; "
-                    f"{len(result.records)} records recovered)")
-        else:
-            note = (f"journal damaged at line {result.bad_line} of "
-                    f"{result.total_lines} ({result.bad_reason}); history "
-                    f"truncated there — run `python -m repro.experiments "
-                    f"fsck` for details")
-    events = [r["lease"] for r in result.records
-              if isinstance(r, dict) and "lease" in r]
+    if result.torn_tail:
+        note = (f"torn journal tail salvaged (line {result.bad_line} "
+                f"of {result.total_lines} damaged mid-append; "
+                f"{len(result.records)} records recovered)")
+    elif not result.clean:
+        note = (f"journal damaged at line {result.bad_line} of "
+                f"{result.total_lines} ({result.bad_reason}); history "
+                f"truncated there — {fsck}")
+    records = result.records
+    if not records:
+        return [], note
+    header = records[0]
+    if not isinstance(header, dict) or header.get("format") != SWEEP_LOG.tag:
+        return [], f"journal line 1 is not a sweep journal header — {fsck}"
+    events = []
+    for line, record in enumerate(records[1:], start=2):
+        problem = SWEEP_LOG.check(record)
+        if problem is not None:
+            return events, (f"journal record at line {line} is corrupt "
+                            f"({problem}); history truncated there — {fsck}")
+        if "lease" in record:
+            events.append(record["lease"])
     return events, note
 
 
@@ -155,8 +168,6 @@ def main(argv=None) -> int:
     worker.add_argument("--poll", type=float, default=0.2)
     worker.add_argument("--checkpoint-every", type=int, default=2000,
                         metavar="CYCLES")
-    worker.add_argument("--oneshot", action="store_true",
-                        help="exit after completing one cell")
     worker.set_defaults(func=_cmd_worker)
 
     status = sub.add_parser("status", help="read-only farm progress")

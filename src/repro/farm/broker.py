@@ -9,7 +9,7 @@ concurrency story auditable:
   ``leased``/``heartbeat``/``completed``/``abandoned``/``released``
   line in the sweep journal for each transition it observes, so
   ``fsck`` round-trips the whole history;
-* **watch** — polls the transport's lease views; journals new grants,
+* **watch** — polls the farm's lease views; journals new grants,
   relays throttled heartbeat lines (non-durable — losing the last one
   costs nothing), detects expiry (no heartbeat within the TTL) and
   wall-clock timeout, and scrubs fence-stale debris (a lease file
@@ -21,10 +21,11 @@ concurrency story auditable:
   ``abandoned`` (or ``released``); a timed-out cell's local worker is
   killed and replaced rather than left computing it.  The cell's
   attempt is bumped and fenced with a jittered, capped backoff
-  (:func:`~repro.retry.backoff_delay`), and — crucially — the transport
-  makes the bumped spec visible *before* the lease becomes claimable
-  again, so no worker can claim the stale attempt in between and an
-  in-flight heartbeat deterministically loses.  If a checkpoint exists
+  (:func:`~repro.retry.backoff_delay`), and — crucially —
+  :func:`~repro.farm.lease.reclaim` makes the bumped spec visible
+  *before* the lease becomes claimable again, so no worker can claim
+  the stale attempt in between and an in-flight heartbeat
+  deterministically loses.  If a checkpoint exists
   at reclaim time the attempt is marked *must-resume*: a subsequent
   completion that started from cycle 0 is counted as a ``cold_restart``
   (the chaos suite pins that counter to zero).  When the retry budget
@@ -43,8 +44,9 @@ concurrency story auditable:
 Local workers are fork-spawned processes; *attached* workers (other
 shells, or other hosts on a shared mount — ``python -m repro.farm
 worker <root>``) participate identically, because every protocol step
-above is a :class:`~repro.farm.transport.FsTransport` operation on the
-shared directory, never an in-process one.
+above is a :mod:`repro.farm.lease` function over the shared directory,
+never an in-process one.  Local workers read their budgets from the
+broker's own :class:`~repro.farm.lease.FarmSpec`.
 """
 
 from __future__ import annotations
@@ -56,12 +58,13 @@ import time
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.stats import SimStats
+from repro.farm import lease as fsl
 from repro.farm.aggregate import Aggregator, FarmReport
 from repro.farm.inject import chaos_for_worker, normalize_plans
 from repro.farm.lease import CellResult, CellSpec, FarmSpec, cid_of
-from repro.farm.transport import FsTransport
-from repro.farm.worker import WorkerOptions, _worker_entry
+from repro.farm.worker import worker_loop
 from repro.retry import backoff_delay
+from repro.store import ArtifactError
 
 
 def _mp_context():
@@ -93,26 +96,25 @@ def run_cells_farm(
     from repro.experiments.runner import CellError, checkpoint_path
 
     plans = normalize_plans(farm.inject)
-    transport = FsTransport(farm.root, durable=farm.durable)
-    ckpt_spec = dataclasses.replace(
-        spec, checkpoint_dir=transport.checkpoint_dir)
+    paths = farm.paths.ensure()
+    ckpt_spec = dataclasses.replace(spec, checkpoint_dir=paths.checkpoints)
 
     # ---------------------------------------------------------- publish
     published: Dict[str, CellSpec] = {}
     for benchmark, scheme, width in cells:
         key = cell_key(benchmark, scheme, width, spec)
         cid = cid_of(key)
-        published[cid] = transport.publish(CellSpec(
+        published[cid] = fsl.publish(paths, CellSpec(
             cid=cid, key=key, benchmark=benchmark, scheme=scheme,
             width=width, spec=dataclasses.asdict(spec),
-        ))
+        ), durable=farm.durable)
     # Prune cells from an earlier sweep that are no longer wanted (for
     # example, already journaled as complete) so workers never run them.
-    transport.prune(set(published))
+    fsl.prune(paths, set(published))
     # A result this build cannot read (another schema, or damaged) would
     # still count its cell as done for the workers while the broker can
     # never fold it: move it aside so the cell runs again.
-    transport.set_aside_unreadable_results(set(published))
+    fsl.set_aside_unreadable_results(paths, set(published))
 
     report = FarmReport(cells=len(published))
     agg = Aggregator(report)
@@ -129,13 +131,6 @@ def run_cells_farm(
 
     # ---------------------------------------------------- local workers
     ctx = _mp_context()
-    options = WorkerOptions(
-        lease_ttl=farm.lease_ttl,
-        heartbeat_interval=farm.heartbeat_interval,
-        poll_interval=farm.poll_interval,
-        checkpoint_every=farm.checkpoint_every,
-        durable=farm.durable,
-    )
     procs: Dict[str, object] = {}
     spawned: Set[str] = set()
     next_index = 0
@@ -149,8 +144,8 @@ def run_cells_farm(
         spawned.add(worker_id)
         chaos = chaos_for_worker(plans, next_index)
         proc = ctx.Process(
-            target=_worker_entry,
-            args=(farm.root, worker_id, options, chaos, cell_fn),
+            target=worker_loop,
+            args=(farm, worker_id, chaos, cell_fn),
             daemon=True,
         )
         proc.start()
@@ -158,8 +153,19 @@ def run_cells_farm(
         next_index += 1
 
     # ------------------------------------------------------------- fold
+    seen_results: Set[str] = set()
+
     def fold_new_results() -> None:
-        for result in transport.new_results():
+        # Each result file is read once; an unreadable one is skipped,
+        # never raised (fsck surfaces it).
+        for _cid, path in fsl.iter_results(paths):
+            if path in seen_results:
+                continue
+            seen_results.add(path)
+            try:
+                result = fsl.read_result(path)
+            except (ArtifactError, OSError):
+                continue
             cid = result.cid
             if cid not in published:
                 continue
@@ -200,7 +206,7 @@ def run_cells_farm(
             # condition still converges.
             kind = "timeout" if reason == "timeout" else "crash"
             error_type = "TimeoutError" if kind == "timeout" else "LeaseExpired"
-            transport.reclaim(cell, terminal=CellResult(
+            fsl.reclaim(paths, cell, durable=farm.durable, terminal=CellResult(
                 cid=cid, key=cell.key, worker="broker",
                 attempt=lease.attempt, status="error", kind=kind,
                 error_type=error_type,
@@ -222,16 +228,16 @@ def run_cells_farm(
                     cap=farm.backoff_cap, token=cell.key,
                 )
             )
-            # The transport publishes the bumped spec (the fence) before
-            # the lease becomes claimable again: no worker can claim the
+            # reclaim publishes the bumped spec (the fence) before the
+            # lease becomes claimable again: no worker can claim the
             # stale attempt in the gap, in-flight heartbeats lose.
-            transport.reclaim(cell)
+            fsl.reclaim(paths, cell, durable=farm.durable)
         known_leases.pop(cid, None)
 
     # ------------------------------------------------------------ watch
     def scan_leases(now: float) -> int:
         active = 0
-        for view in transport.lease_views():
+        for view in fsl.lease_views(paths):
             cid = view.cid
             cell = published.get(cid)
             if cell is None:
@@ -251,7 +257,9 @@ def run_cells_farm(
                 # file.  The fence already decided that race — scrub the
                 # husk without counting a reclaim or burning retry
                 # budget, or it would block claims on the live attempt.
-                transport.scrub_fenced(view)
+                # release() is ownership-checked: only this exact husk
+                # goes, never a lease a new claim just created.
+                fsl.release(paths, lease)
                 known_leases.pop(cid, None)
                 continue
             ident = (lease.worker, lease.attempt)
@@ -303,7 +311,7 @@ def run_cells_farm(
         still hold, instead of waiting out their TTL."""
         # A worker that wrote its result and then died did not crash.
         fold_new_results()
-        for view in transport.lease_views():
+        for view in fsl.lease_views(paths):
             cell = published.get(view.cid)
             if cell is None or view.torn or agg.is_folded(view.cid):
                 continue
@@ -347,7 +355,7 @@ def run_cells_farm(
             if proc.is_alive():
                 proc.kill()
                 proc.join(5)
-        for view in transport.lease_views():
+        for view in fsl.lease_views(paths):
             cell = published.get(view.cid)
             if cell is None or view.torn or agg.is_folded(view.cid):
                 continue
@@ -371,7 +379,7 @@ def run_cells_farm(
     # cells back without burning retry budget.  A *live* lease (recent
     # heartbeat) belongs to a surviving attached/orphaned worker: leave
     # it, its result will fold like any other.
-    for view in transport.lease_views():
+    for view in fsl.lease_views(paths):
         cell = published.get(view.cid)
         if cell is None or view.torn:
             continue  # torn claim: scan_leases ages it out by mtime

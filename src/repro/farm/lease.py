@@ -35,6 +35,17 @@ and a worker that discovers its lease file gone or foreign (the
 double-lease case) downgrades itself to a *zombie* — it may finish and
 write a result, but completion folding is exactly-once in the broker,
 so a zombie's duplicate is verified bit-identical and then dropped.
+
+This module is the only code that knows the directory.  Workers call
+its **worker half** (:func:`list_cells`, :func:`claim`,
+:func:`heartbeat`, :func:`write_result`, :func:`release`); the broker
+calls its **broker half** (:func:`publish`, :func:`prune`,
+:func:`set_aside_unreadable_results`, :func:`lease_views`,
+:func:`reclaim`) and stays the only policy authority — every function
+here is mechanism.  The fencing token is the cell's attempt number:
+:func:`reclaim` rewrites the spec with a bumped attempt *before*
+unlinking the lease file, and :func:`heartbeat` checks that fence
+before writing.
 """
 
 from __future__ import annotations
@@ -44,16 +55,14 @@ import hashlib
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
-from repro.retry import backoff_delay  # noqa: F401 — canonical home is
-#                                        repro.retry; re-exported here for
-#                                        the pre-transport import sites.
 from repro.store import (
     ArtifactError,
     atomic_write_bytes,
     create_exclusive_bytes,
     envelope_bytes,
+    quarantine_path,
     read_json_artifact,
     remove_file,
 )
@@ -396,6 +405,109 @@ def iter_results(paths: FarmPaths) -> List[tuple]:
         for n in names
         if n.endswith(".json")
     )
+
+
+# ============================================================ broker half
+
+
+def publish(paths: FarmPaths, cell: CellSpec, *,
+            durable: bool = True) -> CellSpec:
+    """Publish (or re-publish) one cell; returns the authoritative
+    spec — a resumed farm keeps the prior attempt counter and backoff
+    fence when the key matches."""
+    cell_path = paths.cell(cell.cid)
+    if os.path.exists(cell_path):
+        try:
+            prior = read_cell(cell_path)
+            if prior.key == cell.key:
+                cell = prior
+        except (ArtifactError, OSError):
+            pass  # damaged spec: republish fresh
+    write_cell(paths, cell, durable=durable)
+    return cell
+
+
+def prune(paths: FarmPaths, keep: Set[str]) -> None:
+    """Withdraw cells not in ``keep`` (and their leases) so workers
+    never run work an earlier sweep already journaled."""
+    for cid in list_cells(paths):
+        if cid not in keep:
+            for stale in (paths.cell(cid), paths.lease(cid)):
+                remove_file(stale)
+
+
+def set_aside_unreadable_results(paths: FarmPaths, cids: Set[str]) -> None:
+    """Quarantine every result file of ``cids`` that does not read
+    (another farm schema, or damaged bytes): :func:`list_results` counts
+    files, so such a result would mark its cell done although the
+    broker can never fold it."""
+    for cid, path in iter_results(paths):
+        if cid in cids:
+            try:
+                read_result(path)
+            except ArtifactError:
+                quarantine_path(path)
+
+
+@dataclass
+class LeaseView:
+    """One live lease as the *broker* observes it, with liveness ages
+    on the local clock.
+
+    ``torn`` marks an unreadable lease file (a claim torn by a crash
+    mid-create); ``lease`` is None for those.
+    """
+
+    cid: str
+    lease: Optional[Lease]
+    #: Seconds since the last heartbeat (TTL expiry is ``age > ttl``).
+    age: float = 0.0
+    #: Seconds since the lease was granted (wall-clock timeout input).
+    held: float = 0.0
+    torn: bool = False
+
+
+def lease_views(paths: FarmPaths) -> List[LeaseView]:
+    """Every live lease with its ages, sorted by cid."""
+    now = time.time()
+    views: List[LeaseView] = []
+    for cid in list_leases(paths):
+        lease_path = paths.lease(cid)
+        try:
+            lease = read_lease(lease_path)
+        except FileNotFoundError:
+            continue
+        except ArtifactError:
+            # Torn claim from a worker killed mid-create: the file's
+            # mtime is the only liveness signal left.
+            try:
+                age = now - os.path.getmtime(lease_path)
+            except OSError:
+                continue
+            views.append(LeaseView(cid=cid, lease=None, age=age,
+                                   held=age, torn=True))
+            continue
+        views.append(LeaseView(
+            cid=cid, lease=lease, age=lease.age(now),
+            held=now - lease.granted_unix,
+        ))
+    return views
+
+
+def reclaim(paths: FarmPaths, cell: CellSpec, *,
+            terminal: Optional[CellResult] = None,
+            durable: bool = True) -> None:
+    """Take the lease on ``cell`` back.  With ``terminal`` the retry
+    budget is spent: the terminal error result is streamed instead of
+    the cell being re-fenced.  Otherwise ``cell`` carries the bumped
+    attempt and backoff fence, rewritten while the lease file still
+    exists — no worker can claim the stale attempt in the gap, and
+    in-flight heartbeats lose (see :func:`fence_lost`)."""
+    if terminal is not None:
+        write_result(paths, terminal, durable=durable)
+    else:
+        write_cell(paths, cell, durable=durable)
+    remove_file(paths.lease(cell.cid))
 
 
 # ========================================================= shared helpers

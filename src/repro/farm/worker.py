@@ -2,12 +2,14 @@
 
 A worker owns nothing but its process: every piece of state it needs —
 which cells exist, which are claimable, where to resume — lives in the
-shared journal directory behind its
-:class:`~repro.farm.transport.FsTransport`, so workers can be spawned
-by the broker, attached later from another shell (``python -m
-repro.farm worker <root>``), or on another host sharing the mount, and
-killing one at any instant costs at most the cycles since its cell's
-last checkpoint.
+shared journal directory, reached only through the worker half of
+:mod:`repro.farm.lease`, so workers can be spawned by the broker,
+attached later from another shell (``python -m repro.farm worker
+<root>``), or on another host sharing the mount, and killing one at
+any instant costs at most the cycles since its cell's last checkpoint.
+Its liveness budgets (TTL, heartbeat, poll and checkpoint cadence) and
+whether it fsyncs are read from the same
+:class:`~repro.farm.lease.FarmSpec` the broker holds.
 
 **Claim order**: a scan tries the pending cells in
 :func:`claim_order` — cells of the traces this worker already holds,
@@ -46,30 +48,12 @@ from __future__ import annotations
 
 import dataclasses
 import signal
-import sys
 import time
-from dataclasses import dataclass
 from typing import Callable, Collection, Dict, Hashable, List, Mapping, Optional
 
+from repro.farm import lease as fsl
 from repro.farm.inject import WorkerChaos
-from repro.farm.lease import CellResult, CellSpec, LeaseLost
-from repro.farm.transport import FsTransport
-
-
-@dataclass
-class WorkerOptions:
-    """Everything a worker needs besides the farm root."""
-
-    lease_ttl: float = 30.0
-    heartbeat_interval: float = 1.0
-    poll_interval: float = 0.2
-    #: Override the RunSpec's checkpoint cadence (None keeps it).
-    checkpoint_every: Optional[int] = 2000
-    #: Exit after the first completed cell (used by tests).
-    oneshot: bool = False
-    #: fsync claims and results (see
-    #: :attr:`~repro.farm.lease.FarmSpec.durable`).
-    durable: bool = True
+from repro.farm.lease import CellResult, CellSpec, FarmSpec, LeaseLost
 
 
 class Evicted(Exception):
@@ -103,10 +87,9 @@ def _spec_from_dict(data: dict) -> "RunSpec":
 
 
 def _execute_cell(
-    transport: FsTransport,
+    farm: FarmSpec,
     cell: CellSpec,
     lease,
-    options: WorkerOptions,
     chaos: WorkerChaos,
     evict: _EvictFlag,
     traces,
@@ -119,10 +102,11 @@ def _execute_cell(
     from repro.core.snapshot import save_snapshot, take_snapshot
     from repro.experiments.runner import _simulate_cell, checkpoint_path
 
+    paths = farm.paths
     spec = _spec_from_dict(cell.spec)
-    if options.checkpoint_every is not None:
-        spec = dataclasses.replace(spec, checkpoint_every=options.checkpoint_every)
-    spec = dataclasses.replace(spec, checkpoint_dir=transport.checkpoint_dir)
+    if farm.checkpoint_every is not None:
+        spec = dataclasses.replace(spec, checkpoint_every=farm.checkpoint_every)
+    spec = dataclasses.replace(spec, checkpoint_dir=paths.checkpoints)
     started = time.monotonic()
     state = {
         "start_cycle": 0, "zombie": False,
@@ -156,7 +140,7 @@ def _execute_cell(
         chaos.check(m)
         if chaos.drop_lease and not state["dropped"]:
             state["dropped"] = True
-            transport.release(lease)
+            fsl.release(paths, lease)
             state["zombie"] = True
         if chaos.stalled:
             time.sleep(chaos.stall_delay)
@@ -164,11 +148,12 @@ def _execute_cell(
         if state["zombie"]:
             return
         now = time.monotonic()
-        if now - state["last_hb"] >= options.heartbeat_interval:
+        if now - state["last_hb"] >= farm.heartbeat_interval:
             state["last_hb"] = now
             try:
-                transport.heartbeat(lease, cycle=m.now,
-                                    committed=m.stats.committed)
+                fsl.heartbeat(paths, lease, cycle=m.now,
+                              committed=m.stats.committed,
+                              durable=farm.durable)
             except LeaseLost:
                 state["zombie"] = True
 
@@ -219,9 +204,8 @@ def claim_order(
 
 
 def worker_loop(
-    root: str,
+    farm: FarmSpec,
     worker_id: str,
-    options: Optional[WorkerOptions] = None,
     chaos: Optional[WorkerChaos] = None,
     cell_fn: Optional[Callable] = None,
 ) -> int:
@@ -231,9 +215,9 @@ def worker_loop(
     """
     from repro.experiments.runner import TraceCache
 
-    options = options or WorkerOptions()
     chaos = chaos or WorkerChaos(())
-    transport = FsTransport(root, durable=options.durable)
+    paths = farm.paths.ensure()
+    durable = farm.durable
     evict = _EvictFlag()
     evict.install()
     traces = TraceCache()
@@ -244,65 +228,63 @@ def worker_loop(
     while True:
         if evict.requested:
             return 0
-        cells = transport.list_cells()
+        cells = fsl.list_cells(paths)
         if not cells:
             # Attached before the broker published (or mid-prune): wait
             # for cells to appear rather than declaring victory over an
             # empty directory.  SIGTERM still exits the loop above.
-            time.sleep(options.poll_interval)
+            time.sleep(farm.poll_interval)
             continue
-        done = transport.done_cids()
+        done = set(fsl.list_results(paths))
         pending = [cid for cid in cells if cid not in done]
         if not pending:
             return 0
         for cid in pending:
             if cid not in groups:
                 try:
-                    cell = transport.read_cell(cid)
+                    cell = fsl.read_cell(paths.cell(cid))
                 except Exception:
                     continue  # pruned, mid-rewrite or damaged: group unknown
                 groups[cid] = TraceCache.key(cell.benchmark,
                                              _spec_from_dict(cell.spec))
         held = {g for g in set(groups.values()) if traces.holds(g)}
-        order = claim_order(pending, groups, held, transport.leased_cids(),
-                            done)
+        order = claim_order(pending, groups, held,
+                            set(fsl.list_leases(paths)), done)
         ran_one = raced = False
         now = time.time()
         for cid in order:
             if evict.requested:
                 return 0
             try:
-                cell = transport.read_cell(cid)
-            except KeyError:
-                continue  # pruned mid-scan
+                cell = fsl.read_cell(paths.cell(cid))
             except Exception:
-                continue  # mid-rewrite or damaged: next poll
+                continue  # pruned mid-scan, mid-rewrite or damaged
             if cell.not_before > now:
                 continue
-            lease = transport.claim(cell, worker_id, options.lease_ttl)
+            lease = fsl.claim(paths, cell, worker_id, farm.lease_ttl,
+                              durable=durable)
             if lease is None:
                 # Another worker claimed it since the scan listed the
                 # leases: rescan at once, so the order sees its group
                 # as busy instead of following it there.
                 raced = True
                 break
-            if cid in transport.done_cids():
+            if cid in fsl.list_results(paths):
                 # The previous holder finished and released between our
                 # scan above and the claim; every completion writes its
                 # result *before* releasing, so this re-check (now that
                 # we hold the lease) is race-free.
-                transport.release(lease)
+                fsl.release(paths, lease)
                 continue
             try:
-                result = _execute_cell(
-                    transport, cell, lease, options, chaos, evict, traces,
-                    cell_fn=cell_fn,
-                )
+                result = _execute_cell(farm, cell, lease, chaos, evict,
+                                       traces, cell_fn=cell_fn)
             except Evicted:
                 # Checkpoint already written by the hook; hand the lease
                 # back marked released so the broker reclaims instantly.
                 try:
-                    transport.heartbeat(lease, state="released")
+                    fsl.heartbeat(paths, lease, state="released",
+                                  durable=durable)
                 except LeaseLost:
                     pass
                 return 0
@@ -312,25 +294,12 @@ def worker_loop(
                     attempt=cell.attempt, status="error", kind="error",
                     error_type=type(exc).__name__, message=str(exc),
                 )
-            transport.write_result(result)
-            transport.release(lease)
+            fsl.write_result(paths, result, durable=durable)
+            fsl.release(paths, lease)
             chaos.cell_index += 1
             chaos.stalled = False
             chaos.drop_lease = False
             ran_one = True
-            if options.oneshot:
-                return 0
             break  # rescan: claimability may have changed
         if not ran_one and not raced:
-            time.sleep(options.poll_interval)
-
-
-def _worker_entry(
-    root: str,
-    worker_id: str,
-    options: WorkerOptions,
-    chaos: WorkerChaos,
-    cell_fn: Optional[Callable] = None,
-) -> None:
-    """multiprocessing entry point for broker-spawned workers."""
-    sys.exit(worker_loop(root, worker_id, options, chaos, cell_fn))
+            time.sleep(farm.poll_interval)

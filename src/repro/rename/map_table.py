@@ -54,9 +54,6 @@ class MapEntry:
     def is_immediate(self) -> bool:
         return self.mode == EntryMode.IMMEDIATE
 
-    def as_tuple(self) -> Tuple[int, int]:
-        return (int(self.mode), self.value)
-
     def __repr__(self) -> str:
         kind = "imm" if self.is_immediate else "p"
         return f"<{kind}:{self.value}>"

@@ -100,7 +100,8 @@ def test_dropped_create_suppresses_later_data_to_that_path():
 
 
 def test_dropped_rename_suppresses_later_appends_to_destination():
-    # journal._rewrite then appends: if the rename never persisted, the
+    # CheckedLog.append writes the header with the first record
+    # atomically, then appends: if the rename never persisted, the
     # appended lines are unreachable through the journal's name.
     ops = _atomic_write("journal.json", b"header\n") + [
         Op("append", "journal.json", data=b"line\n", offset=7),

@@ -12,6 +12,7 @@ farm's three invariants:
   disk continues mid-simulation (``cold_restarts == 0``).
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -467,6 +468,8 @@ def test_farm_status_cli_is_read_only(tmp_path, capsys):
     assert "1/1 cells have results" in out
     time.sleep(0.02)
     assert main(["status", farm.root, "--json"]) == 0
+    status = json.loads(capsys.readouterr().out)
+    assert status["journal_note"] is None and status["lease_events"] > 0
     after = (os.path.getmtime(journal_path), os.path.getsize(journal_path))
     assert before == after  # status never writes
 

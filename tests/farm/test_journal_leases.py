@@ -1,4 +1,7 @@
-"""Lease records in the sweep journal, and fsck's validation of them."""
+"""Lease records in the sweep journal, fsck's validation of them, and
+``python -m repro.farm status``'s read of them."""
+
+import json
 
 import pytest
 
@@ -69,7 +72,8 @@ def test_salvage_rewrite_preserves_lease_lines(tmp_path):
     back = SweepJournal(path)
     assert back.salvaged is not None
     assert len(back.lease_events) == 1
-    # And the compacted rewrite still carries the lease line.
+    # And the valid prefix, rewritten as it stood, still carries the
+    # lease line.
     again = SweepJournal(path)
     assert len(again.lease_events) == 1
 
@@ -108,3 +112,47 @@ def test_fsck_rejects_lease_with_missing_fields(tmp_path):
         handle.write(checked_line({"lease": {"state": "leased"}}))
     report = fsck_tree(path)
     assert report.unrepaired
+
+
+# ----------------------------------------------------------- farm status
+
+
+def _status(root, capsys):
+    """``python -m repro.farm status ROOT --json``, checked read-only."""
+    from repro.farm.__main__ import main
+
+    path = root / "journal.json"
+    before = path.read_bytes()
+    assert main(["status", str(root), "--json"]) == 0
+    assert path.read_bytes() == before
+    return json.loads(capsys.readouterr().out)
+
+
+def test_status_points_interior_damage_at_store_fsck(tmp_path, capsys):
+    journal = SweepJournal(str(tmp_path / "journal.json"))
+    for state in ("leased", "heartbeat", "completed"):
+        journal.record_lease(_event(state=state))
+    lines = (tmp_path / "journal.json").read_bytes().split(b"\n")
+    lines[2] = lines[2].replace(b"heartbeat", b"heartbeaT")
+    (tmp_path / "journal.json").write_bytes(b"\n".join(lines))
+    status = _status(tmp_path, capsys)
+    note = status["journal_note"]
+    assert "journal damaged at line 3" in note
+    assert "`python -m repro.store fsck`" in note
+    assert status["lease_events"] == 1
+
+
+def test_status_stops_at_a_lease_record_fsck_calls_corrupt(tmp_path, capsys):
+    path = str(tmp_path / "journal.json")
+    journal = SweepJournal(path)
+    journal.record_lease(_event())
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(checked_line({"lease": _event(state="bogus")}))
+        handle.write(checked_line({"lease": _event(state="completed")}))
+    assert fsck_tree(path).unrepaired
+    status = _status(tmp_path, capsys)
+    note = status["journal_note"]
+    assert "line 3" in note and "unknown lease state 'bogus'" in note
+    assert "`python -m repro.store fsck`" in note
+    assert status["lease_events"] == 1
+    assert [e["state"] for e in status["recent"]] == ["leased"]

@@ -10,7 +10,6 @@ from repro.farm.lease import (
     CellSpec,
     FarmPaths,
     LeaseLost,
-    backoff_delay,
     cid_of,
     claim,
     heartbeat,
@@ -25,6 +24,7 @@ from repro.farm.lease import (
     write_cell,
     write_result,
 )
+from repro.retry import backoff_delay
 
 
 @pytest.fixture

@@ -18,10 +18,11 @@ from repro.farm.lease import (
     FarmPaths,
     Lease,
     cid_of,
+    list_results,
     read_cell,
     read_result,
+    set_aside_unreadable_results,
 )
-from repro.farm.transport import FsTransport
 from repro.store import SchemaMismatch, atomic_write_bytes, envelope_bytes
 
 _SPEC = RunSpec(length=300, warmup=600, seed=2)
@@ -60,13 +61,12 @@ def test_schema1_records_read_as_schema_mismatch(tmp_path):
 
 def test_unreadable_result_no_longer_marks_its_cell_done(tmp_path):
     key = cell_key("gcc", "base", 4, _SPEC)
-    transport = FsTransport(str(tmp_path / "farm"))
-    paths = FarmPaths(str(tmp_path / "farm"))
+    paths = FarmPaths(str(tmp_path / "farm")).ensure()
     _write_schema1(paths.result(cid_of(key), 1, "w0"), RESULT_KIND,
                    _schema1_result(key, "w0", stats={"committed": 1}))
-    assert cid_of(key) in transport.done_cids()
-    transport.set_aside_unreadable_results({cid_of(key)})
-    assert transport.done_cids() == set()
+    assert cid_of(key) in list_results(paths)
+    set_aside_unreadable_results(paths, {cid_of(key)})
+    assert list_results(paths) == []
 
 
 def test_sweep_resumes_on_a_schema1_root(tmp_path):

@@ -112,7 +112,8 @@ def test_journal_salvages_torn_tail(tmp_path):
     replayed = JobJournal(path)
     assert replayed.salvaged is not None
     assert set(replayed.latest()) == {"j1", "j2"}
-    # The salvage compacted the tail away: a third load is clean.
+    # The salvage rewrote the valid prefix as it stood, without the torn
+    # tail: a third load is clean.
     clean = JobJournal(path)
     assert clean.salvaged is None
 

@@ -37,15 +37,6 @@ def test_backoff_clamps_nonpositive_attempt():
     assert backoff_delay(0, 0.5, token="x") == backoff_delay(1, 0.5, token="x")
 
 
-def test_lease_module_reexports_the_same_function():
-    # The pre-transport import sites (isolated-cell pool, broker) were
-    # migrated onto repro.retry; the lease module's name must stay an
-    # alias, not drift back into a second implementation.
-    from repro.farm import lease
-
-    assert lease.backoff_delay is backoff_delay
-
-
 # ======================================================== call_with_retry
 
 

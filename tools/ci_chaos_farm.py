@@ -19,13 +19,18 @@ its lease and finish as a zombie (double-lease).  The run fails if:
 * any cell **diverges** from the fault-free run;
 * any reclaimed cell **cold-restarts** when a checkpoint existed;
 * the farm root (journal with lease records, cell/lease/result
-  envelopes, checkpoints) does not verify under ``fsck``.
+  envelopes, checkpoints) does not verify under ``fsck``;
+* ``python -m repro.farm status <root> --json`` disagrees with fsck: a
+  published cell without a result, or a journal note.
 
 Exit status 0 when every invariant holds, 1 otherwise.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import sys
 
 from _chaos_common import (
@@ -44,6 +49,29 @@ INJECT = (
     "evict:worker=2:cell=0:cycles=300",         # spot eviction (SIGTERM)
     "double-lease:worker=3:cell=0:cycles=200",  # zombie duplicate
 )
+
+
+def status_gate(root: str, failures: list) -> None:
+    """Run ``python -m repro.farm status ROOT --json`` in process: on a
+    root fsck passed, every published cell has a result and the status
+    reader finds nothing wrong with the journal."""
+    from repro.farm.__main__ import main as farm_main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = farm_main(["status", root, "--json"])
+    status = json.loads(out.getvalue())
+    print(f"farm status: {status['with_result']}/{status['cells']} cells "
+          f"have results, {status['lease_events']} lease events, "
+          f"journal note {status['journal_note']!r}")
+    if rc != 0:
+        failures.append(f"farm status exited {rc}")
+    if status["with_result"] != status["cells"]:
+        failures.append(f"farm status: {status['with_result']} of "
+                        f"{status['cells']} published cells have a result")
+    if status["journal_note"] is not None:
+        failures.append(f"farm status disagrees with fsck: "
+                        f"{status['journal_note']}")
 
 
 def main(argv=None) -> int:
@@ -78,11 +106,12 @@ def main(argv=None) -> int:
             f"got reclaims={report.reclaims} evictions={report.evictions}"
         )
     fsck_gate(root, failures)
+    status_gate(root, failures)
 
     return report_failures(
         failures,
         "chaos invariants hold: exactly-once completion, zero lost "
-        "work, resume-not-restart, clean fsck")
+        "work, resume-not-restart, clean fsck and status")
 
 
 if __name__ == "__main__":
