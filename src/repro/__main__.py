@@ -83,7 +83,10 @@ def main(argv=None) -> int:
                    max_cycles=args.max_cycles, audit=args.audit,
                    oracle=args.oracle, checkpoint_every=args.checkpoint_every,
                    checkpoint_dir=args.checkpoint_dir)
-    config = resolve_config(scheme, args.width, spec)
+    try:
+        config = resolve_config(scheme, args.width, spec)
+    except ValueError as err:
+        parser.error(str(err))
 
     print(f"generating {args.benchmark!r}: {args.length} timed + "
           f"{args.warmup} warmup instructions (seed {args.seed})")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import shlex
 import signal
@@ -22,7 +23,7 @@ from repro.experiments import (
     table1,
     table2,
 )
-from repro.experiments.figures import CELLS, plan
+from repro.experiments.figures import ABLATIONS, CELLS, ablation, plan
 from repro.experiments.runner import SweepInterrupted, run_cells
 
 _FIGURES = {1: figure1, 2: figure2, 8: figure8, 9: figure9,
@@ -190,41 +191,47 @@ def main(argv=None) -> int:
         # same drain path as Ctrl-C.
         raise KeyboardInterrupt
 
-    drivers = [("table", n, _TABLES[n]) for n in tables]
-    drivers += [("figure", n, _FIGURES[n]) for n in figures]
-    planned = {(kind, n): plan(f"{kind}{n}", widths)
-               if f"{kind}{n}" in CELLS else []
-               for kind, n, _ in drivers}
+    # (plan name, label, render from the results) of each output.
+    drivers = [(f"table{n}", f"table {n}", _TABLES[n]) for n in tables]
+    drivers += [(f"figure{n}", f"figure {n}", _FIGURES[n]) for n in figures]
+    if args.all and 4 in widths:
+        drivers += [(name, f"ablation {name}", functools.partial(ablation, name))
+                    for name in ABLATIONS]
+    planned = {name: plan(name, widths)
+               if name in CELLS or name in ABLATIONS else []
+               for name, _, _ in drivers}
     cells = [cell for driver_cells in planned.values() for cell in driver_cells]
 
     def render(results, which) -> bool:
         """Print (and save) each driver in ``which``; True if any failed."""
         failed = False
-        for kind, number, driver in which:
+        for name, label, driver in which:
             start = time.time()
             try:
-                if (kind, number) == ("table", 1):
+                if name == "table1":
                     result = driver()
-                elif (kind, number) == ("figure", 2):
+                elif name == "figure2":
                     result = driver(length=max(args.length, 10000),
                                     seed=args.seed)
+                elif name in ABLATIONS:
+                    result = driver(spec, results=results)
                 else:
                     result = driver(spec, widths=widths, results=results)
             except MatrixError as err:
-                print(f"{kind} {number} failed: {len(err.errors)} sweep "
+                print(f"{label} failed: {len(err.errors)} sweep "
                       "cell(s) did not complete:", file=sys.stderr)
                 for record in err.errors:
                     print(f"  {record}", file=sys.stderr)
                 failed = True
                 continue
             text = result.render()
-            print(text)
+            print(text + "\n")
             if args.output:
                 os.makedirs(args.output, exist_ok=True)
-                path = os.path.join(args.output, f"{kind}{number}.txt")
+                path = os.path.join(args.output, f"{name}.txt")
                 with open(path, "w") as handle:
                     handle.write(text + "\n")
-            print(f"[{kind} {number}: {time.time() - start:.1f}s]\n")
+            print(f"[{label}: {time.time() - start:.1f}s]", file=sys.stderr)
         return failed
 
     previous_sigterm = signal.signal(signal.SIGTERM, _sigterm)
@@ -252,8 +259,8 @@ def main(argv=None) -> int:
         if isinstance(interrupted, SweepInterrupted):
             done = interrupted.results
             try:
-                render(done, [(kind, n, driver) for kind, n, driver in drivers
-                              if all(c in done for c in planned[kind, n])])
+                render(done, [d for d in drivers
+                              if all(c in done for c in planned[d[0]])])
             except KeyboardInterrupt:
                 pass  # interrupted again: stop rendering
         if journal_path:

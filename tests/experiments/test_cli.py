@@ -28,12 +28,6 @@ def runs(monkeypatch):
     return calls
 
 
-def _numbers(text):
-    """Rendered output without the per-table/figure timing lines."""
-    return [line for line in text.splitlines()
-            if not line.startswith(("[table ", "[figure "))]
-
-
 def test_requires_a_target(capsys):
     with pytest.raises(SystemExit):
         main([])
@@ -140,7 +134,7 @@ def test_table2_and_figure9_resume_from_the_journal(runs, tmp_path, capsys):
     assert len(runs) == 105
     assert main(argv) == 0
     assert len(runs) == 105  # every cell restored, none simulated
-    assert _numbers(capsys.readouterr().out) == _numbers(first)
+    assert capsys.readouterr().out == first
 
 
 def test_failed_cells_fail_their_figure_after_the_rest_ran(tmp_path, capsys):
