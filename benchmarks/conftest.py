@@ -55,6 +55,9 @@ def widths():
 
 
 def run_once(benchmark, fn, *args, **kwargs):
-    """Run a deterministic experiment exactly once under the timer."""
-    return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1,
-                              iterations=1)
+    """Run a deterministic experiment exactly once under the timer, then
+    print the table or figure it renders."""
+    result = benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1,
+                                iterations=1)
+    print("\n" + result.render())
+    return result

@@ -27,8 +27,6 @@ def _scheme_means(data, benchmarks):
 
 def test_figure10(benchmark, spec, traces, widths):
     result = run_once(benchmark, figure10, spec, widths=widths, traces=traces)
-    print()
-    print(result.render())
 
     for width in widths:
         data = result.data[width]

@@ -13,8 +13,6 @@ from repro.experiments.report import mean
 
 def test_figure11(benchmark, spec, traces, widths):
     result = run_once(benchmark, figure11, spec, widths=widths, traces=traces)
-    print()
-    print(result.render())
 
     for width in widths:
         data = result.data[width]

@@ -14,8 +14,6 @@ from repro.experiments.report import mean
 
 def test_figure12(benchmark, spec, traces, widths):
     result = run_once(benchmark, figure12, spec, widths=widths, traces=traces)
-    print()
-    print(result.render())
 
     for width in widths:
         data = result.data[width]

@@ -14,8 +14,6 @@ from repro.experiments.report import mean
 
 def test_figure1(benchmark, spec, traces, widths):
     result = run_once(benchmark, figure1, spec, widths=widths, traces=traces)
-    print()
-    print(result.render())
 
     for width in widths:
         breakdowns = result.data[width]

@@ -15,8 +15,6 @@ from repro.experiments.report import mean
 def test_figure2(benchmark):
     result = run_once(benchmark, figure2, length=max(4 * BENCH_LENGTH, 8000),
                       seed=1)
-    print()
-    print(result.render())
 
     int_cdfs = result.data["int"]
     at10 = {name: cdf[10] for name, cdf in int_cdfs.items()}

@@ -12,8 +12,6 @@ from repro.experiments.report import mean
 
 def test_figure8(benchmark, spec, traces, widths):
     result = run_once(benchmark, figure8, spec, widths=widths, traces=traces)
-    print()
-    print(result.render())
 
     for width in widths:
         data = result.data[width]

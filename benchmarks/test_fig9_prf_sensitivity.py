@@ -15,8 +15,6 @@ from repro.experiments.report import mean
 
 def test_figure9(benchmark, spec, traces, widths):
     result = run_once(benchmark, figure9, spec, widths=widths, traces=traces)
-    print()
-    print(result.render())
 
     for width in widths:
         data = result.data[width]

@@ -14,8 +14,6 @@ from repro.workloads import get_profile
 
 def test_table2(benchmark, spec, traces, widths):
     result = run_once(benchmark, table2, spec, widths=widths, traces=traces)
-    print()
-    print(result.render())
 
     ipc = {}
     for suite in ("integer", "floating point"):

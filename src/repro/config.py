@@ -312,36 +312,10 @@ def config_to_dict(config: MachineConfig) -> Dict:
     """Canonical JSON-serializable form of a :class:`MachineConfig`.
 
     Enums become their string values; nested dataclasses become nested
-    dicts.  Inverse of :func:`config_from_dict`; the canonical rendering
-    is what :func:`config_digest` hashes, so two configs digest equal iff
+    dicts.  The canonical rendering is what :func:`config_digest` hashes, so two configs digest equal iff
     every simulation-relevant field matches.
     """
     return _to_plain(config)
-
-
-def config_from_dict(data: Dict) -> MachineConfig:
-    """Inverse of :func:`config_to_dict`.
-
-    Unknown keys raise ``TypeError`` (a digest mismatch would have caught
-    the incompatibility anyway); missing keys take the dataclass default,
-    so older snapshots load under a newer schema when fields only grew.
-    """
-    payload = dict(data)
-    pri = dict(payload.get("pri", {}))
-    if "war_policy" in pri:
-        pri["war_policy"] = WarPolicy(pri["war_policy"])
-    if "checkpoint_policy" in pri:
-        pri["checkpoint_policy"] = CheckpointPolicy(pri["checkpoint_policy"])
-    payload["pri"] = PriConfig(**pri)
-    payload["audit"] = AuditConfig(**payload.get("audit", {}))
-    payload["oracle"] = OracleConfig(**payload.get("oracle", {}))
-    payload["branch"] = BranchConfig(**payload.get("branch", {}))
-    memory = dict(payload.get("memory", {}))
-    for level in ("il1", "dl1", "l2"):
-        if level in memory:
-            memory[level] = CacheConfig(**memory[level])
-    payload["memory"] = MemoryConfig(**memory)
-    return MachineConfig(**payload)
 
 
 def config_digest(config: MachineConfig, length: int = 12) -> str:

@@ -80,13 +80,6 @@ IS_BRANCH = tuple(op in _BRANCH_CLASSES for op in OpClass)
 IS_LOAD = tuple(op in _LOAD_CLASSES for op in OpClass)
 IS_STORE = tuple(op in _STORE_CLASSES for op in OpClass)
 IS_MEM = tuple(op in _LOAD_CLASSES or op in _STORE_CLASSES for op in OpClass)
-IS_FP = tuple(op in _FP_CLASSES for op in OpClass)
-DEST_REG_CLASS = tuple(
-    RegClass.FP
-    if op in (OpClass.FP_ADD, OpClass.FP_MUL, OpClass.FP_DIV, OpClass.FP_LOAD)
-    else RegClass.INT
-    for op in OpClass
-)
 
 
 def is_branch(op: OpClass) -> bool:

@@ -133,6 +133,7 @@ def parse_job(data: Dict) -> JobSpec:
     from repro.experiments.runner import (
         FP_BENCHMARKS,
         INT_BENCHMARKS,
+        MIN_PHYS_REGS,
         SCHEMES,
     )
 
@@ -174,7 +175,7 @@ def parse_job(data: Dict) -> JobSpec:
         warmup=_int("warmup", 20000, 0, 10_000_000),
         seed=_int("seed", 1, 0, 2**31 - 1),
         max_cycles=_int("max_cycles", None, 1, 2**31 - 1, optional=True),
-        regs=_int("regs", None, 1, 65536, optional=True),
+        regs=_int("regs", None, MIN_PHYS_REGS, 65536, optional=True),
     )
 
 

@@ -63,6 +63,7 @@ def test_to_dict_round_trips_through_parse():
     {"benchmark": "gzip", "seed": True},
     {"benchmark": "gzip", "regs": 0},
     {"benchmark": "gzip", "surprise": 1},
+    {"benchmark": "gzip", "regs": 8},
 ])
 def test_parse_job_rejects(body):
     with pytest.raises(JobError):

@@ -39,6 +39,13 @@ def test_regs_override(capsys):
     assert "96 INT" in capsys.readouterr().out
 
 
+def test_regs_below_the_architected_state_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["gzip", "--length", "200", "--warmup", "400", "--regs", "8"])
+    assert exit_info.value.code == 2
+    assert "@PR=8" in capsys.readouterr().err
+
+
 def test_unknown_scheme_rejected():
     with pytest.raises(SystemExit):
         main(["gzip", "--scheme", "magic"])
