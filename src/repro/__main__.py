@@ -55,14 +55,6 @@ def main(argv=None) -> int:
                              "outcome, or memory effect that diverges from "
                              "in-order execution aborts the run with a "
                              "structured OracleDivergence")
-    parser.add_argument("--checkpoint-every", type=int, default=None,
-                        metavar="N",
-                        help="snapshot the full machine state every N "
-                             "cycles; an interrupted run resumes from its "
-                             "last checkpoint on the next invocation")
-    parser.add_argument("--checkpoint-dir", default=None, metavar="DIR",
-                        help="directory for checkpoint files "
-                             "(default: .repro-checkpoints)")
     parser.add_argument("--max-cycles", type=int, default=None, metavar="N",
                         help="abort if the run needs more than N cycles")
     parser.add_argument("--list", action="store_true",
@@ -81,8 +73,7 @@ def main(argv=None) -> int:
         scheme += f"@PR={args.regs}"
     spec = RunSpec(length=args.length, warmup=args.warmup, seed=args.seed,
                    max_cycles=args.max_cycles, audit=args.audit,
-                   oracle=args.oracle, checkpoint_every=args.checkpoint_every,
-                   checkpoint_dir=args.checkpoint_dir)
+                   oracle=args.oracle)
     try:
         config = resolve_config(scheme, args.width, spec)
     except ValueError as err:

@@ -111,9 +111,8 @@ class BranchUnit:
 
     def state(self) -> Dict:
         """Immutable image of the history, accuracy counters, predictor
-        tables, BTB and RAS (tuples all the way down): the ``branch``
-        section of a machine snapshot (:mod:`repro.core.snapshot`) and
-        the branch half of a trace's warm-state memo
+        tables, BTB and RAS (tuples all the way down): the branch half
+        of a trace's warm-state memo
         (:meth:`repro.core.machine.Machine.warmup`).  Untouched BTB sets
         are shared with the unit, which never writes to a tuple."""
         data = {
@@ -137,8 +136,6 @@ class BranchUnit:
         btb = data["btb"]
         if len(btb) != self.btb.num_sets:
             raise ValueError("BTB geometry does not match the machine")
-        if btb.__class__ is not tuple:  # decoded from a snapshot file
-            btb = tuple(tuple(map(tuple, entries)) for entries in btb)
         self.history = data["history"]
         self.predictions = data["predictions"]
         self.direction_mispredicts = data["direction_mispredicts"]

@@ -321,9 +321,8 @@ def config_to_dict(config: MachineConfig) -> Dict:
 def config_digest(config: MachineConfig, length: int = 12) -> str:
     """Short stable hex digest over every field of ``config``.
 
-    Used by the sweep journal's cell keys (two cells with different
-    machine configurations must never collide) and by snapshot/restore
-    (a checkpoint must only restore into the machine that wrote it).
+    Used by the sweep journal's cell keys: two cells with different
+    machine configurations must never collide.
     """
     canonical = json.dumps(config_to_dict(config), sort_keys=True)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:length]

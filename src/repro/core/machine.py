@@ -185,7 +185,7 @@ class Machine:
         self._perfect_icache = config.perfect_icache
         self._il1_shift = self.memory.il1.line_shift
         # Line of the last IL1 access, for the fetch fast path; -1 means
-        # "unknown" (fresh machine or restored snapshot).
+        # "unknown" (a fresh machine).
         self._il1_last_line = -1
         self._il1_hit = config.memory.il1.latency
         self._dl1_hit = config.memory.dl1.latency
@@ -261,24 +261,6 @@ class Machine:
         self._cycle_limit = max_cycles if max_cycles is not None else NEVER
         return self._run_loop()
 
-    def resume(self, max_cycles: Optional[int] = None) -> SimStats:
-        """Continue a run restored from a snapshot (see :meth:`restore`).
-
-        Runs until the original commit target, or ``max_cycles`` (an
-        *absolute* cycle number, like the limit given to :meth:`run`).
-        As with :meth:`run`, ``None`` means unbounded — a cycle limit the
-        snapshotted attempt ran under is not inherited.
-        """
-        if self.trace is None:
-            raise SimulationError(
-                "resume() requires a restored machine: call restore() first"
-            )
-        self._cycle_limit = max_cycles if max_cycles is not None else NEVER
-        if self.stats.committed >= self._committed_target:
-            self._finalize()
-            return self.stats
-        return self._run_loop()
-
     def _run_loop(self) -> SimStats:
         target = self._committed_target
         limit = self._cycle_limit
@@ -298,7 +280,7 @@ class Machine:
         fetch = self._fetch
         # Occupancy integrals accumulate in locals and flush to the stats
         # object once per observation (hooks/auditor/oracle see current
-        # values — snapshots taken mid-run must be exact) or at loop exit.
+        # values) or at loop exit.
         occ_int = 0
         occ_fp = 0
         # Appended/removed in place, never rebound — aliasing is safe.
@@ -411,22 +393,6 @@ class Machine:
             if commit_cycle < until:
                 until = commit_cycle
         return until - 1
-
-    def snapshot(self) -> dict:
-        """Versioned, pickle-free image of the full machine (and oracle)
-        state, suitable for ``json.dumps``.  See :mod:`repro.core.snapshot`."""
-        from repro.core.snapshot import take_snapshot  # lazy: avoids cycle
-
-        return take_snapshot(self)
-
-    def restore(self, data: dict, trace: Trace) -> "Machine":
-        """Install a :meth:`snapshot` image into this (freshly built,
-        never-run) machine.  ``trace`` must be the same trace the
-        snapshotted run used; continue with :meth:`resume`."""
-        from repro.core.snapshot import restore_snapshot  # lazy: avoids cycle
-
-        restore_snapshot(self, data, trace)
-        return self
 
     def add_cycle_hook(self, hook) -> None:
         """Register ``hook(machine)`` to run at the end of every cycle.

@@ -13,7 +13,7 @@ Both containers use ``__slots__`` — the cycle-level core updates these
 counters for every fetched/renamed/issued/committed micro-op, and the
 attribute-dict overhead of an open class is measurable at that rate.
 ``to_dict``/``from_dict`` preserve the exact (deep) JSON layout the
-dataclass versions produced, so journals and snapshots round-trip
+dataclass versions produced, so journals and farm results round-trip
 unchanged.
 """
 
@@ -101,7 +101,7 @@ class LifetimeStats:
 
 #: (name, default) for every scalar counter, in serialization order —
 #: the order the old dataclass declared its fields, which is the order
-#: ``to_dict`` emits and journals/snapshots already store.
+#: ``to_dict`` emits and journals/farm results already store.
 _SCALAR_FIELDS = (
     ("cycles", 0),
     ("committed", 0),
@@ -180,7 +180,7 @@ class SimStats:
         return self.lifetimes[reg_class]
 
     def to_dict(self) -> Dict:
-        """Deep JSON-serializable form (journal cells, snapshots).
+        """Deep JSON-serializable form (journal cells, farm results).
 
         Field order matches the historical dataclass layout exactly.
         """

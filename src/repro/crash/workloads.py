@@ -17,9 +17,6 @@ store-envelope      after :func:`write_json_artifact` returns, the
 journal-append      after ``record_ok`` returns, the cell is in the
                     journal and survives any crash; a torn tail costs
                     only un-acked records
-snapshot-checkpoint a checkpoint file always holds a *complete*
-                    snapshot at the latest acked cycle; completion may
-                    retire it but never tear it
 farm-lease          the cell spec's attempt number (the fence) never
                     regresses below an acked value; acked results stay
                     readable; lease files may vanish (liveness) but
@@ -43,7 +40,6 @@ import json
 import os
 from typing import Callable, Dict, List
 
-from repro.core.snapshot import load_snapshot, save_snapshot
 from repro.core.stats import SimStats
 from repro.crash.harness import Workload
 from repro.crash.oplog import Op
@@ -56,7 +52,6 @@ from repro.store import (
     MalformedRecord,
     atomic_write_text,
     read_json_artifact,
-    remove_file,
     write_json_artifact,
 )
 from repro.store.__main__ import main as store_main
@@ -202,71 +197,6 @@ class _JournalAppend:
             if key not in known:
                 problems.append(f"phantom journal cell {key}")
         return problems
-
-
-# ==================================================== snapshot-checkpoint
-
-@_register("snapshot-checkpoint",
-           "checkpoint overwrite then completion: snapshot twice, write "
-           "result, retire the checkpoint")
-class _SnapshotCheckpoint:
-    @staticmethod
-    def run(root: str, ack: Callable) -> None:
-        ckpt = os.path.join(root, "cell.ckpt")
-        result = os.path.join(root, "result.json")
-        save_snapshot({"cycle": 100, "payload": "a" * 64}, ckpt)
-        ack("ckpt-100", cycle=100)
-        save_snapshot({"cycle": 200, "payload": "b" * 64}, ckpt)
-        ack("ckpt-200", cycle=200)
-        write_json_artifact(result, "farm-result", 1,
-                            {"status": "ok", "cycles": 200})
-        ack("completed")
-        remove_file(ckpt)  # un-acked retirement: may or may not persist
-
-    @staticmethod
-    def recover(root: str) -> None:
-        _store_repair(root)
-
-    @staticmethod
-    def check(root: str, acked: List[Op]) -> List[str]:
-        problems: List[str] = []
-        ckpt = os.path.join(root, "cell.ckpt")
-        result = os.path.join(root, "result.json")
-        ckpt_cycles = [op.info["cycle"] for op in acked
-                       if op.label.startswith("ckpt-")]
-        if _acked(acked, "completed"):
-            try:
-                data, _ = read_json_artifact(result, "farm-result")
-                if data.get("cycles") != 200:
-                    problems.append("acked result holds wrong payload")
-            except (OSError, ArtifactError) as exc:
-                problems.append(f"acked result lost: {exc}")
-            # The checkpoint may already be retired; if it survives it
-            # must still be the complete latest acked snapshot.
-            if os.path.exists(ckpt) and _snapshot_cycle(ckpt) != 200:
-                problems.append("stale checkpoint outlived completion")
-        elif ckpt_cycles:
-            latest = max(ckpt_cycles)
-            if not os.path.exists(ckpt):
-                problems.append(f"acked checkpoint (cycle {latest}) lost")
-            else:
-                cycle = _snapshot_cycle(ckpt)
-                if cycle is None:
-                    problems.append("acked checkpoint unreadable")
-                elif cycle < latest:
-                    problems.append(
-                        f"checkpoint rolled back to cycle {cycle} after "
-                        f"cycle {latest} was acked")
-                elif cycle not in (100, 200):
-                    problems.append(f"checkpoint holds phantom cycle {cycle}")
-        return problems
-
-
-def _snapshot_cycle(path: str):
-    try:
-        return load_snapshot(path).get("cycle")
-    except (OSError, ArtifactError):
-        return None
 
 
 # ============================================================= farm-lease

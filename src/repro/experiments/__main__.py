@@ -64,14 +64,6 @@ def main(argv=None) -> int:
                         help="run every cell under the golden-model "
                              "differential oracle (repro.oracle): value "
                              "divergence at commit fails the cell loudly")
-    parser.add_argument("--checkpoint-every", type=int, default=None,
-                        metavar="N",
-                        help="snapshot each cell's machine state every N "
-                             "cycles so a crashed cell resumes "
-                             "mid-simulation on the next run")
-    parser.add_argument("--checkpoint-dir", default=None, metavar="DIR",
-                        help="directory for cell checkpoint files "
-                             "(default: .repro-checkpoints)")
     parser.add_argument("--max-cycles", type=int, default=None, metavar="N",
                         help="per-cell cycle watchdog: fail a cell that "
                              "does not finish within N cycles")
@@ -88,8 +80,8 @@ def main(argv=None) -> int:
     parser.add_argument("--farm", default=None, metavar="DIR",
                         help="run the sweep through the fault-tolerant "
                              "farm (repro.farm) rooted at DIR: cells "
-                             "become durable leases, workers heartbeat "
-                             "and checkpoint, crashes resume mid-cell; "
+                             "become durable leases, workers heartbeat, "
+                             "a crashed cell reruns on another worker; "
                              "attach extra workers from other shells "
                              "with `python -m repro.farm worker DIR`")
     parser.add_argument("--farm-workers", type=int, default=2, metavar="N",
@@ -104,7 +96,7 @@ def main(argv=None) -> int:
                         help="farm worker heartbeat cadence (default 1)")
     parser.add_argument("--grace", type=float, default=5.0, metavar="SEC",
                         help="seconds an evicted/drained farm worker "
-                             "gets to checkpoint and release (default 5)")
+                             "gets to release its lease (default 5)")
     parser.add_argument("--farm-inject", action="append", default=[],
                         metavar="FAULT[:worker=N][:cell=N][:cycles=N]",
                         help="deterministically inject a farm fault "
@@ -115,7 +107,6 @@ def main(argv=None) -> int:
             ("--length", args.length, 1), ("--warmup", args.warmup, 0),
             ("--jobs", args.jobs, 1), ("--retries", args.retries, 0),
             ("--max-cycles", args.max_cycles, 1),
-            ("--checkpoint-every", args.checkpoint_every, 1),
             ("--farm-workers", args.farm_workers, 0),
             ("--grace", args.grace, 0)):
         if value is not None and value < low:
@@ -136,9 +127,7 @@ def main(argv=None) -> int:
 
     spec = RunSpec(length=args.length, warmup=args.warmup, seed=args.seed,
                    max_cycles=args.max_cycles, audit=args.audit,
-                   oracle=args.oracle,
-                   checkpoint_every=args.checkpoint_every,
-                   checkpoint_dir=args.checkpoint_dir)
+                   oracle=args.oracle)
     widths = (args.width,) if args.width else (4, 8)
     matrix_opts = {}
     journal_path = args.journal or (
@@ -164,14 +153,10 @@ def main(argv=None) -> int:
     if args.farm:
         from repro.farm import FarmSpec
 
-        farm_kwargs = {}
-        if args.checkpoint_every is not None:
-            farm_kwargs["checkpoint_every"] = args.checkpoint_every
         matrix_opts["farm"] = FarmSpec(
             root=args.farm, workers=args.farm_workers,
             lease_ttl=args.lease_ttl, heartbeat_interval=args.heartbeat,
             grace=args.grace, inject=tuple(args.farm_inject),
-            **farm_kwargs,
         )
 
         def farm_progress(report, active) -> None:

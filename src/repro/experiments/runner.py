@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import dataclasses
 import gc
-import os
 import shutil
 import tempfile
 import threading
@@ -32,11 +31,10 @@ from repro.config import (
     CheckpointPolicy,
     MachineConfig,
     WarPolicy,
-    config_digest,
     eight_wide,
     four_wide,
 )
-from repro.core.machine import Machine, SimulationError, simulate
+from repro.core.machine import Machine, SimulationError
 from repro.core.stats import SimStats
 from repro.experiments.journal import SweepJournal, cell_key
 from repro.farm.lease import FarmSpec
@@ -117,15 +115,6 @@ class RunSpec:
     #: memory effect that diverges from in-order execution fails the cell
     #: with a structured :class:`~repro.oracle.OracleDivergence`.
     oracle: bool = False
-    #: Snapshot the full machine state every N cycles
-    #: (:mod:`repro.core.snapshot`).  A cell that crashes mid-simulation
-    #: (OOM kill, power loss, Ctrl-C) resumes from its last checkpoint on
-    #: the next run instead of starting over; the checkpoint file is
-    #: removed once the cell completes.  None disables checkpointing.
-    checkpoint_every: Optional[int] = None
-    #: Directory for checkpoint files (created on demand).  Defaults to
-    #: ``.repro-checkpoints`` under the working directory.
-    checkpoint_dir: Optional[str] = None
 
 
 #: The fewest physical registers per class that hold the architected
@@ -212,89 +201,6 @@ def resolve_config(scheme: str, width: int, spec: "RunSpec") -> MachineConfig:
     return config
 
 
-def checkpoint_path(benchmark: str, scheme: str, width: int, spec: RunSpec) -> str:
-    """Where :func:`run_one` keeps this cell's mid-run snapshot.  The
-    file name embeds the resolved config digest, so a stale checkpoint
-    from a differently configured run is never even opened."""
-    digest = config_digest(resolve_config(scheme, width, spec))
-    directory = spec.checkpoint_dir or ".repro-checkpoints"
-    return os.path.join(
-        directory,
-        f"{benchmark}-{scheme}-w{width}-n{spec.length}-s{spec.seed}"
-        f"-{digest}.ckpt.json",
-    )
-
-
-def _run_checkpointed(
-    config: MachineConfig,
-    trace: Trace,
-    path: str,
-    spec: RunSpec,
-    cycle_hook: Optional[Callable] = None,
-    on_resume: Optional[Callable[[int], None]] = None,
-) -> SimStats:
-    """Run one cell with periodic snapshots, resuming from ``path`` when
-    a compatible checkpoint survives a previous crashed attempt.
-
-    ``cycle_hook(machine)`` is attached as an extra per-cycle hook —
-    the sweep farm uses it for lease heartbeats, eviction checks, and
-    fault injection.  ``on_resume(cycle)`` reports the cycle the run
-    actually started from: 0 for a cold start, the checkpoint's cycle
-    when a previous attempt's snapshot was restored.
-    """
-    from repro.core.snapshot import (  # lazy: optional machinery
-        SnapshotError,
-        load_snapshot,
-        restore_snapshot,
-        save_snapshot,
-        take_snapshot,
-    )
-
-    from repro.store import ArtifactError, SchemaMismatch, quarantine_path
-
-    machine = Machine(config)
-    resumed = False
-    if os.path.exists(path):
-        try:
-            restore_snapshot(machine, load_snapshot(path), trace)
-            resumed = True
-        except (SchemaMismatch, SnapshotError, KeyError, ValueError, OSError) as exc:
-            # Stale or incompatible checkpoint: start the cell from
-            # scratch (ArtifactError is a ValueError, so order matters —
-            # corruption is handled below, incompatibility here).
-            if isinstance(exc, ArtifactError) and not isinstance(exc, SchemaMismatch):
-                # Corrupt bytes, not schema drift: move the evidence
-                # aside so the next attempt does not trip over it again.
-                quarantine_path(path)
-            machine = Machine(config)
-
-    interval = spec.checkpoint_every
-
-    def hook(m) -> None:
-        if interval and m.now % interval == 0:
-            # save_snapshot is atomic and durable (repro.store): a crash
-            # at any instant leaves the previous checkpoint intact.
-            save_snapshot(take_snapshot(m), path)
-
-    machine.add_cycle_hook(hook)
-    if cycle_hook is not None:
-        # After the checkpoint hook: a cycle_hook that raises (eviction,
-        # injected fault) never skips a due snapshot at the same cycle.
-        machine.add_cycle_hook(cycle_hook)
-    if on_resume is not None:
-        on_resume(machine.now if resumed else 0)
-    if resumed:
-        stats = machine.resume(max_cycles=spec.max_cycles)
-    else:
-        stats = machine.run(trace, max_cycles=spec.max_cycles)
-    # Keep the checkpoint when the run stopped at the cycle limit short of
-    # the commit target — the caller's watchdog will fail the cell, and
-    # the next attempt resumes instead of restarting.
-    if stats.committed >= len(trace) and os.path.exists(path):
-        os.remove(path)
-    return stats
-
-
 class TraceCache:
     """Per-process FIFO cache: one trace per (benchmark, length, warmup,
     seed), at most :data:`TRACE_CACHE_LIMIT` of them.  ``spec`` is any
@@ -375,20 +281,18 @@ def _simulate_cell(
     width: int,
     spec: RunSpec,
     traces: TraceCache,
-    cycle_hook: Optional[Callable] = None,
-    on_resume: Optional[Callable[[int], None]] = None,
+    on_machine: Optional[Callable[[Machine], None]] = None,
 ) -> SimStats:
-    """:func:`run_one`'s body.  A farm worker calls it directly to add
-    its heartbeat/eviction ``cycle_hook`` and learn the cycle it resumed
-    from (see :func:`_run_checkpointed`)."""
+    """:func:`run_one`'s body.  A farm worker calls it directly:
+    ``on_machine(machine)`` sees the machine before it runs, so the
+    worker's heartbeat thread can report its progress (and a chaos
+    plan can attach its cycle hook)."""
     config = resolve_config(scheme, width, spec)
     trace = traces.get(benchmark, spec)
-    if spec.checkpoint_every or cycle_hook is not None:
-        path = checkpoint_path(benchmark, scheme, width, spec)
-        stats = _run_checkpointed(config, trace, path, spec, cycle_hook,
-                                  on_resume)
-    else:
-        stats = simulate(config, trace, max_cycles=spec.max_cycles)
+    machine = Machine(config)
+    if on_machine is not None:
+        on_machine(machine)
+    stats = machine.run(trace, max_cycles=spec.max_cycles)
     if spec.max_cycles is not None and stats.committed < len(trace):
         # The cycle-limit watchdog: never return truncated statistics.
         raise SimulationError(
@@ -412,9 +316,7 @@ def run_one(
     (attach the golden-model differential oracle), ``spec.max_cycles``
     (deadlock watchdog: a cell that fails to finish within the cycle
     budget raises :class:`SimulationError` rather than returning
-    silently-truncated statistics), and ``spec.checkpoint_every``
-    (periodic machine snapshots; a crashed cell resumes mid-simulation
-    on the next attempt).
+    silently-truncated statistics).
     """
     return _simulate_cell(benchmark, scheme, width, spec or RunSpec(),
                           traces or _GLOBAL_TRACES)
@@ -552,9 +454,9 @@ def run_cells(
     the fault-tolerant sweep farm (:mod:`repro.farm`): cells become
     durable lease records in a shared directory, stateless workers —
     broker-spawned locally, or attached from other shells/hosts with
-    ``python -m repro.farm worker <root>`` — lease, heartbeat, and
-    checkpoint them, and expired leases are reclaimed and resumed from
-    the latest checkpoint rather than restarted.  The journal defaults
+    ``python -m repro.farm worker <root>`` — lease and heartbeat them,
+    and expired leases are reclaimed and the cell rerun from cycle 0 on
+    another worker.  The journal defaults
     to ``<farm.root>/journal.json`` and additionally carries the lease
     audit trail.  ``farm_progress(report, active_leases)`` is invoked
     periodically with the live :class:`~repro.farm.aggregate.FarmReport`.
@@ -595,7 +497,6 @@ def run_cells(
             if farm is None:
                 local_root = tempfile.mkdtemp(prefix="repro-jobs-")
                 farm = FarmSpec(root=local_root, workers=min(jobs, len(todo)),
-                                checkpoint_every=spec.checkpoint_every,
                                 durable=False)
             from repro.farm.broker import run_cells_farm  # lazy: reverse edge
 

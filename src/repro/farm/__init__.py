@@ -3,13 +3,13 @@
 A sweep is decomposed into (benchmark x scheme x config) *cells*; a
 **broker** (:mod:`repro.farm.broker`) publishes them into a shared
 journal directory, **stateless workers** (:mod:`repro.farm.worker`)
-lease cells with a TTL, heartbeat while simulating, checkpoint mid-cell
-through :mod:`repro.core.snapshot`, and stream results back through the
-:mod:`repro.store` envelope; an **aggregator**
+lease cells with a TTL, heartbeat while simulating, and stream results
+back through the :mod:`repro.store` envelope; an **aggregator**
 (:mod:`repro.farm.aggregate`) folds each cell exactly once into the
-figures.  Expired leases are reclaimed and *resumed from the latest
-checkpoint*, never restarted; SIGTERM is treated as a spot-eviction
-notice with a checkpoint-and-release grace budget; and a deterministic
+figures.  Recovery is at cell granularity: cells are short, so an
+expired lease is reclaimed and its cell rerun from cycle 0; SIGTERM is
+treated as a spot-eviction notice — the worker drops its cell and
+releases the lease within a grace budget; and a deterministic
 fault-injection registry (:mod:`repro.farm.inject`) lets the chaos
 suite kill, stall, orphan, evict, and double-lease workers on purpose.
 

@@ -2,9 +2,9 @@
 
 ``python -m repro.farm worker <root>``
     Attach one stateless worker — from another shell, or another host
-    sharing the directory.  The worker leases cells, heartbeats,
-    checkpoints, and exits when every published cell has a result (or
-    on SIGTERM, after checkpointing).
+    sharing the directory.  The worker leases cells, heartbeats, and
+    exits when every published cell has a result (or on SIGTERM, after
+    handing its running cell's lease back).
 
 ``python -m repro.farm status <root>``
     Read-only progress report: published/leased/completed cells, live
@@ -43,7 +43,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         lease_ttl=args.lease_ttl,
         heartbeat_interval=args.heartbeat,
         poll_interval=args.poll,
-        checkpoint_every=args.checkpoint_every,
     )
     return worker_loop(farm, args.name or f"w{os.getpid()}")
 
@@ -166,8 +165,6 @@ def main(argv=None) -> int:
     worker.add_argument("--lease-ttl", type=float, default=30.0)
     worker.add_argument("--heartbeat", type=float, default=1.0)
     worker.add_argument("--poll", type=float, default=0.2)
-    worker.add_argument("--checkpoint-every", type=int, default=2000,
-                        metavar="CYCLES")
     worker.set_defaults(func=_cmd_worker)
 
     status = sub.add_parser("status", help="read-only farm progress")

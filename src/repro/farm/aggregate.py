@@ -10,16 +10,15 @@ duplicate is a real correctness finding, counted and surfaced, never
 silently dropped).
 
 The :class:`FarmReport` carries the counters the chaos suite asserts
-on: completions, failures, duplicates, divergences, reclaims,
-evictions, resumes, and — the one that must stay zero whenever a
-checkpoint existed — ``cold_restarts``.
+on: completions, failures, duplicates, divergences (which must stay
+zero), reclaims, evictions and respawns.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from repro.farm.lease import CellResult
 
@@ -42,12 +41,6 @@ class FarmReport:
     reclaims: int = 0
     #: Leases handed back voluntarily (spot eviction / graceful drain).
     evictions: int = 0
-    #: Folded attempts that resumed from a checkpoint (start_cycle > 0).
-    resumes: int = 0
-    #: Folded attempts that started from cycle 0 *despite* a checkpoint
-    #: existing when the cell was reclaimed.  The chaos suite pins this
-    #: to zero: reclaim must resume, never restart.
-    cold_restarts: int = 0
     #: Local worker processes respawned after dying.
     respawns: int = 0
     divergent_keys: List[str] = field(default_factory=list)
@@ -69,27 +62,20 @@ class FarmReport:
             parts.append(f"{self.reclaims} reclaimed")
         if self.evictions:
             parts.append(f"{self.evictions} evicted")
-        if self.resumes:
-            parts.append(f"{self.resumes} resumed")
         if self.duplicates:
             parts.append(f"{self.duplicates} deduplicated")
         if self.divergent:
             parts.append(f"{self.divergent} DIVERGENT")
-        if self.cold_restarts:
-            parts.append(f"{self.cold_restarts} COLD-RESTARTED")
         return "farm: " + ", ".join(parts)
 
 
 class Aggregator:
     """Exactly-once folding of :class:`~repro.farm.lease.CellResult`
-    envelopes, with duplicate verification and resume accounting."""
+    envelopes, with duplicate verification."""
 
     def __init__(self, report: Optional[FarmReport] = None) -> None:
         self.report = report or FarmReport()
         self.folded: Dict[str, CellResult] = {}       # cid -> first result
-        #: (cid, attempt) pairs the broker expects to resume — a
-        #: checkpoint existed when the attempt's cell was reclaimed.
-        self.expect_resume: Set[tuple] = set()
 
     def is_folded(self, cid: str) -> bool:
         return cid in self.folded
@@ -111,10 +97,6 @@ class Aggregator:
         self.folded[result.cid] = result
         if result.status == "ok":
             self.report.completed += 1
-            if result.start_cycle > 0:
-                self.report.resumes += 1
-            elif (result.cid, result.attempt) in self.expect_resume:
-                self.report.cold_restarts += 1
         else:
             self.report.failed += 1
         return "folded"
@@ -122,9 +104,9 @@ class Aggregator:
     @staticmethod
     def _identical(a: CellResult, b: CellResult) -> bool:
         """Bit-identical *outcome*: the stats payload for completions,
-        the error identity for failures.  Worker name, attempt number,
-        wall-clock, and resume point legitimately differ between the
-        folded result and a zombie's duplicate."""
+        the error identity for failures.  Worker name, attempt number
+        and wall-clock legitimately differ between the folded result and
+        a zombie's duplicate."""
         if a.status != b.status:
             return False
         if a.status == "ok":

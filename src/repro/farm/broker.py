@@ -25,21 +25,20 @@ concurrency story auditable:
   :func:`~repro.farm.lease.reclaim` makes the bumped spec visible
   *before* the lease becomes claimable again, so no worker can claim
   the stale attempt in between and an in-flight heartbeat
-  deterministically loses.  If a checkpoint exists
-  at reclaim time the attempt is marked *must-resume*: a subsequent
-  completion that started from cycle 0 is counted as a ``cold_restart``
-  (the chaos suite pins that counter to zero).  When the retry budget
-  is exhausted the broker streams a terminal error result itself, so
-  workers' exit condition (every cell has a result) still converges;
+  deterministically loses.  The next attempt reruns the cell from
+  cycle 0.  When the retry budget is exhausted the broker streams a
+  terminal error result itself, so workers' exit condition (every cell
+  has a result) still converges;
 * **fold** — streams results through
   :class:`~repro.farm.aggregate.Aggregator` exactly once per cell into
   ``on_cell_done`` (the same callback :func:`run_cells` uses for its
   serial path, so journaling and figure assembly are identical),
   verifying zombie duplicates bit-identically;
 * **drain** — on completion, Ctrl-C, or SIGTERM, live local workers get
-  a SIGTERM and ``grace`` seconds to checkpoint-and-release before
-  being killed; still-held leases are journaled ``released`` so the
-  next run reclaims them instantly instead of waiting out the TTL.
+  a SIGTERM and ``grace`` seconds to drop their cell and release its
+  lease before being killed; still-held leases are journaled
+  ``released`` so the next run reclaims them instantly instead of
+  waiting out the TTL.
 
 Local workers are fork-spawned processes; *attached* workers (other
 shells, or other hosts on a shared mount — ``python -m repro.farm
@@ -93,11 +92,10 @@ def run_cells_farm(
     # Lazy: the runner imports repro.farm.lease at module level, so the
     # reverse edge must stay function-local to avoid an import cycle.
     from repro.experiments.journal import cell_key
-    from repro.experiments.runner import CellError, checkpoint_path
+    from repro.experiments.runner import CellError
 
     plans = normalize_plans(farm.inject)
     paths = farm.paths.ensure()
-    ckpt_spec = dataclasses.replace(spec, checkpoint_dir=paths.checkpoints)
 
     # ---------------------------------------------------------- publish
     published: Dict[str, CellSpec] = {}
@@ -172,8 +170,7 @@ def run_cells_farm(
             if agg.fold(result) != "folded":
                 continue
             cell = published[cid]
-            jlease(cell, "completed", result.worker,
-                   attempt=result.attempt, start_cycle=result.start_cycle)
+            jlease(cell, "completed", result.worker, attempt=result.attempt)
             benchmark, scheme = cell.benchmark, cell.scheme
             if result.status == "ok":
                 on_cell_done((benchmark, scheme, cell.width),
@@ -216,11 +213,6 @@ def run_cells_farm(
                 elapsed=held,
             ))
         else:
-            if os.path.exists(checkpoint_path(
-                    cell.benchmark, cell.scheme, cell.width, ckpt_spec)):
-                # A checkpoint survives this attempt: the next one MUST
-                # resume from it, never restart from cycle 0.
-                agg.expect_resume.add((cid, new_attempt))
             cell.attempt = new_attempt
             cell.not_before = time.time() if voluntary else (
                 time.time() + backoff_delay(
@@ -274,8 +266,8 @@ def run_cells_farm(
                 # cleans it up if it outlives the sweep.
                 continue
             if lease.state == "released":
-                # Spot eviction hand-back: the worker checkpointed and
-                # marked the lease; reclaim with no TTL wait.
+                # Spot eviction hand-back: the worker dropped the cell
+                # and marked the lease; reclaim with no TTL wait.
                 report.evictions += 1
                 jlease(cell, "released", lease.worker,
                        attempt=lease.attempt, cycle=lease.cycle)
@@ -294,7 +286,7 @@ def run_cells_farm(
                 if timed_out and proc is not None:
                     # The abandoned cell would keep its worker busy until
                     # drain: kill it now (its lease is already reclaimed,
-                    # there is nothing to checkpoint-and-release) and let
+                    # there is nothing to release) and let
                     # reap_and_respawn replace it.
                     proc.kill()
                 continue
@@ -347,7 +339,7 @@ def run_cells_farm(
     def drain() -> None:
         alive = [p for p in procs.values() if p.is_alive()]
         for proc in alive:
-            proc.terminate()  # SIGTERM: checkpoint-and-release path
+            proc.terminate()  # SIGTERM: drop the cell, release its lease
         deadline = time.monotonic() + farm.grace
         for proc in alive:
             proc.join(max(0.0, deadline - time.monotonic()))

@@ -5,15 +5,16 @@ The third injection registry, completing the family: where
 :mod:`repro.store.inject` corrupts bytes on disk, this one breaks the
 *distributed* layer — it kills, stalls, orphans, evicts, and
 double-leases workers at deterministic points so the chaos suite can
-assert the farm's contract: exactly-once cell completion, zero lost
-work, and resume-from-checkpoint (never restart-from-cycle-0) after any
-reclaim.
+assert the farm's contract: exactly-once cell completion, no lost
+cells, and results bit-identical to a fault-free run after any
+reclaim (a reclaimed cell reruns from cycle 0).
 
 Each :class:`FarmFault` fires from inside a worker's per-cycle hook when
 its :class:`InjectPlan` matches (worker index, cell index within that
 worker's lifetime, simulation cycle) — keyed to the deterministic
 simulation clock, never to wall time, so a red chaos run is a real
-finding, not flake.
+finding, not flake.  The hook is attached only to the cells a plan is
+armed for (:meth:`WorkerChaos.armed`); every other cell runs unhooked.
 """
 
 from __future__ import annotations
@@ -85,6 +86,12 @@ class WorkerChaos:
     #: (the drop itself is done by the worker, which owns the lease).
     drop_lease: bool = False
 
+    def armed(self) -> bool:
+        """Whether a plan not yet fired targets the current cell."""
+        return any(index not in self.fired
+                   and plan.cell_index == self.cell_index
+                   for index, plan in enumerate(self.plans))
+
     def check(self, machine) -> None:
         """Fire any plan whose (cell, cycle) point has been reached."""
         for index, plan in enumerate(self.plans):
@@ -117,7 +124,8 @@ def _kill(chaos: WorkerChaos) -> None:
 
 def _evict(chaos: WorkerChaos) -> None:
     """Spot-instance eviction notice: SIGTERM self; the worker's handler
-    must checkpoint and release within the grace budget."""
+    must drop the cell and release its lease within the grace
+    budget."""
     os.kill(os.getpid(), signal.SIGTERM)
 
 
@@ -147,11 +155,11 @@ FAULTS: Dict[str, FarmFault] = {
     f.name: f
     for f in (
         FarmFault("kill", "SIGKILL the worker mid-cell (hard crash)",
-                  "broker reaps the worker; cell reclaimed and resumed "
-                  "from its latest checkpoint", _kill),
+                  "broker reaps the worker; cell reclaimed and rerun "
+                  "from cycle 0", _kill),
         FarmFault("evict", "SIGTERM the worker (spot eviction)",
-                  "worker checkpoints and releases within the grace "
-                  "budget; cell resumes elsewhere", _evict),
+                  "worker drops the cell and releases its lease within "
+                  "the grace budget; cell reruns elsewhere", _evict),
         FarmFault("orphan", "worker exits silently without releasing",
                   "broker reaps the worker; cell reclaimed", _orphan),
         FarmFault("stall", "heartbeats stop, simulation continues",

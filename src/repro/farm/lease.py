@@ -17,8 +17,6 @@ any corrupt artifact is a typed error, never silent damage::
                             other shells/hosts can attach freely
       results/<cid>.json    SimStats (or a deterministic error) streamed
                             back by whichever worker finished the cell
-      checkpoints/          mid-cell machine snapshots, keyed by cell —
-                            a reclaimed cell resumes, never restarts
 
 The lease state machine (audited into the journal, one checksummed line
 per transition)::
@@ -27,8 +25,11 @@ per transition)::
    PENDING ----------------------> LEASED --- result written --> COMPLETED
       ^                              |
       |   TTL expired / timeout /    | SIGTERM (spot eviction):
-      |   stalled heartbeat          | checkpoint + mark "released"
+      |   stalled heartbeat          | drop the cell, mark "released"
       +------- ABANDONED <-----------+
+
+Cells are short (a fraction of a second at the paper's lengths), so a
+reclaimed cell reruns from cycle 0 on whichever worker claims it next.
 
 Only the broker reclaims: workers never delete a lease they do not own,
 and a worker that discovers its lease file gone or foreign (the
@@ -109,10 +110,6 @@ class FarmPaths:
     def results(self) -> str:
         return os.path.join(self.root, "results")
 
-    @property
-    def checkpoints(self) -> str:
-        return os.path.join(self.root, "checkpoints")
-
     def cell(self, cid: str) -> str:
         return os.path.join(self.cells, f"{cid}.json")
 
@@ -127,8 +124,7 @@ class FarmPaths:
         return os.path.join(self.results, f"{cid}.a{attempt}-{safe}.json")
 
     def ensure(self) -> "FarmPaths":
-        for directory in (self.root, self.cells, self.leases,
-                          self.results, self.checkpoints):
+        for directory in (self.root, self.cells, self.leases, self.results):
             os.makedirs(directory, exist_ok=True)
         return self
 
@@ -356,9 +352,6 @@ class CellResult:
     kind: Optional[str] = None
     error_type: Optional[str] = None
     message: Optional[str] = None
-    #: Cycle the simulation started from: 0 for a cold start, the
-    #: checkpoint's cycle when the attempt resumed a reclaimed cell.
-    start_cycle: int = 0
     elapsed: float = 0.0
 
     def to_dict(self) -> Dict:
@@ -366,7 +359,12 @@ class CellResult:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "CellResult":
-        return cls(**data)
+        # Fields an older build wrote and this one dropped are ignored,
+        # so a farm root that build left behind still folds.
+        return cls(**{k: v for k, v in data.items() if k in _RESULT_FIELDS})
+
+
+_RESULT_FIELDS = frozenset(f.name for f in dataclasses.fields(CellResult))
 
 
 def write_result(paths: FarmPaths, result: CellResult, *,
@@ -527,11 +525,8 @@ class FarmSpec:
     heartbeat_interval: float = 1.0
     #: Broker/worker filesystem poll cadence.
     poll_interval: float = 0.2
-    #: Snapshot each cell every N cycles (None: keep the RunSpec's own
-    #: setting).  Checkpoints are what make reclaim resume, not restart.
-    checkpoint_every: Optional[int] = 2000
-    #: Grace budget (seconds) an evicted/drained worker gets to
-    #: checkpoint and release before it is killed outright.
+    #: Grace budget (seconds) an evicted/drained worker gets to release
+    #: its lease before it is killed outright.
     grace: float = 5.0
     #: Deterministic fault plans (see :mod:`repro.farm.inject`).
     inject: tuple = ()

@@ -1,14 +1,15 @@
 """Stateless farm workers: lease, heartbeat, simulate, stream back.
 
 A worker owns nothing but its process: every piece of state it needs —
-which cells exist, which are claimable, where to resume — lives in the
-shared journal directory, reached only through the worker half of
+which cells exist and which are claimable — lives in the shared journal
+directory, reached only through the worker half of
 :mod:`repro.farm.lease`, so workers can be spawned by the broker,
 attached later from another shell (``python -m repro.farm worker
 <root>``), or on another host sharing the mount, and killing one at
-any instant costs at most the cycles since its cell's last checkpoint.
-Its liveness budgets (TTL, heartbeat, poll and checkpoint cadence) and
-whether it fsyncs are read from the same
+any instant costs at most the cell it was running, which reruns from
+cycle 0 wherever it is claimed next (cells take a fraction of a second
+at the paper's lengths).  Its liveness budgets (TTL, heartbeat and
+poll cadence) and whether it fsyncs are read from the same
 :class:`~repro.farm.lease.FarmSpec` the broker holds.
 
 **Claim order**: a scan tries the pending cells in
@@ -22,20 +23,23 @@ unchanged.
 Per cell, the worker:
 
 1. claims the lease (the filesystem arbitrates races: O_EXCL create);
-2. simulates with a per-cycle hook that (a) heartbeats the lease every
-   ``heartbeat_interval`` seconds, piggybacking live progress,
-   (b) checkpoints through :mod:`repro.core.snapshot` every
-   ``checkpoint_every`` cycles into the shared checkpoint directory, so
-   a reclaimed cell resumes wherever it is claimed next — and (c) fires
-   any injected chaos;
+2. simulates it exactly as a serial run does — no cycle hook, so the
+   cycle loop fast-forwards quiet cycles — while a timer thread
+   (:class:`_Heartbeat`) renews the lease every ``heartbeat_interval``
+   seconds, carrying the machine's live progress;
 3. streams the final :class:`~repro.core.stats.SimStats` (or a
    deterministic error) back as a checksummed envelope;
-4. releases the lease — only if it still owns it.
+4. releases the lease — only if it still owns it, and under the
+   heartbeat's lock, so no heartbeat lands after the release.
 
-**Spot eviction**: SIGTERM means "you have ``grace`` seconds".  The
-handler sets a flag; the cycle hook raises, the worker snapshots the
-machine *at that exact cycle*, marks its lease ``released``, and exits
-cleanly — whoever reclaims the cell resumes mid-simulation.
+**Chaos**: only a cell that a fault of this worker's
+:class:`~repro.farm.inject.WorkerChaos` is planned for carries a cycle
+hook, which fires the fault at its simulation cycle.
+
+**Spot eviction**: SIGTERM means "you have ``grace`` seconds".  Mid-cell
+the handler raises out of the simulation; the worker drops the cell,
+marks its lease ``released`` (no retry budget spent) and exits.
+Between cells it just exits.
 
 **Lost leases**: a worker whose lease vanishes or changes hands (broker
 reclaim after a stall, or an injected double-lease) downgrades to a
@@ -48,6 +52,7 @@ from __future__ import annotations
 
 import dataclasses
 import signal
+import threading
 import time
 from typing import Callable, Collection, Dict, Hashable, List, Mapping, Optional
 
@@ -56,27 +61,93 @@ from repro.farm.inject import WorkerChaos
 from repro.farm.lease import CellResult, CellSpec, FarmSpec, LeaseLost
 
 
-class Evicted(Exception):
-    """Raised from the cycle hook when SIGTERM arrived: carries the
-    machine so the worker can checkpoint it at that exact cycle."""
-
-    def __init__(self, machine) -> None:
-        super().__init__("worker evicted")
-        self.machine = machine
+class _CellDropped(BaseException):
+    """Raised out of a running cell by the SIGTERM handler.  A
+    ``BaseException``, like ``KeyboardInterrupt``, so that no
+    ``except Exception`` on the way up can swallow it."""
 
 
 class _EvictFlag:
     """SIGTERM latch.  A module-level handler would be racy under
-    multiprocessing fork; each worker installs its own instance."""
+    multiprocessing fork; each worker installs its own instance.  While
+    ``in_cell`` is set the handler also raises :class:`_CellDropped`
+    out of the running cell: the cell reruns from cycle 0 wherever it
+    is claimed next, so nothing of it is worth the grace budget."""
 
     def __init__(self) -> None:
         self.requested = False
+        self.in_cell = False
 
     def install(self) -> None:
         signal.signal(signal.SIGTERM, self._handle)
 
     def _handle(self, signum, frame) -> None:
         self.requested = True
+        if self.in_cell:
+            self.in_cell = False
+            raise _CellDropped()
+
+
+class _Heartbeat:
+    """A timer thread that renews one lease every
+    ``heartbeat_interval`` seconds while its cell runs, carrying the
+    progress of ``machine`` (None until the cell's machine is built).
+
+    The thread writes the lease only under ``lock`` and while ``live``;
+    :meth:`release` clears ``live`` under the same lock, so no
+    heartbeat lands after a release.  A heartbeat that finds the lease
+    gone or foreign stops the thread: the worker is a zombie, which
+    finishes its cell but never touches the lease again."""
+
+    def __init__(self, farm: FarmSpec, lease) -> None:
+        self.farm = farm
+        self.lease = lease
+        self.machine = None
+        self.live = True
+        self.lock = threading.Lock()
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._run, daemon=True)
+        self._thread.start()
+
+    def _run(self) -> None:
+        while not self._stop.wait(self.farm.heartbeat_interval):
+            with self.lock:
+                if not self.live:
+                    return
+                machine = self.machine
+                try:
+                    fsl.heartbeat(
+                        self.farm.paths, self.lease,
+                        cycle=machine.now if machine else 0,
+                        committed=machine.stats.committed if machine else 0,
+                        durable=self.farm.durable)
+                except LeaseLost:
+                    self.live = False
+                    return
+
+    def silence(self) -> None:
+        """Stop heartbeating but keep the lease (the ``stall`` fault)."""
+        with self.lock:
+            self.live = False
+
+    def release(self, state: Optional[str] = None) -> None:
+        """Stop heartbeating and hand the lease back, if this worker
+        still owns it: delete it, or with ``state="released"`` mark it
+        so the broker reclaims it at once without spending retry
+        budget.  Idempotent."""
+        with self.lock:
+            self.live = False
+            self.machine = None
+            if state is None:
+                fsl.release(self.farm.paths, self.lease)
+            else:
+                try:
+                    fsl.heartbeat(self.farm.paths, self.lease, state=state,
+                                  durable=self.farm.durable)
+                except LeaseLost:
+                    pass
+        self._stop.set()
+        self._thread.join()
 
 
 def _spec_from_dict(data: dict) -> "RunSpec":
@@ -87,84 +158,54 @@ def _spec_from_dict(data: dict) -> "RunSpec":
 
 
 def _execute_cell(
-    farm: FarmSpec,
     cell: CellSpec,
-    lease,
+    beat: _Heartbeat,
     chaos: WorkerChaos,
     evict: _EvictFlag,
     traces,
     cell_fn: Optional[Callable] = None,
 ) -> CellResult:
-    """Run one leased cell to completion (or deterministic error).
+    """Run one leased cell to completion (or deterministic error) while
+    ``beat`` heartbeats its lease.  SIGTERM raises
+    :class:`_CellDropped` out of it."""
+    from repro.experiments.runner import _simulate_cell
 
-    Raises :class:`Evicted` on SIGTERM — after checkpointing.
-    """
-    from repro.core.snapshot import save_snapshot, take_snapshot
-    from repro.experiments.runner import _simulate_cell, checkpoint_path
-
-    paths = farm.paths
     spec = _spec_from_dict(cell.spec)
-    if farm.checkpoint_every is not None:
-        spec = dataclasses.replace(spec, checkpoint_every=farm.checkpoint_every)
-    spec = dataclasses.replace(spec, checkpoint_dir=paths.checkpoints)
     started = time.monotonic()
-    state = {
-        "start_cycle": 0, "zombie": False,
-        "last_hb": time.monotonic(), "dropped": False,
-    }
 
-    if cell_fn is not None:
-        # Test hook: an injected cell callable (run_one's signature)
-        # replaces the checkpointed path wholesale; heartbeats pause for
-        # the duration, so keep injected cells shorter than the TTL.
-        stats = cell_fn(cell.benchmark, cell.scheme, cell.width, spec, None)
-        return CellResult(
-            cid=cell.cid, key=cell.key, worker=lease.worker,
-            attempt=cell.attempt, status="ok", stats=stats.to_dict(),
-            start_cycle=0, elapsed=time.monotonic() - started,
-        )
-
-    ckpt = checkpoint_path(cell.benchmark, cell.scheme, cell.width, spec)
-
-    def on_resume(cycle: int) -> None:
-        state["start_cycle"] = cycle
-
-    def cycle_hook(m) -> None:
-        if evict.requested:
-            # Snapshot *now*, at a consistent end-of-cycle boundary —
-            # the whole point of the grace budget.
-            save_snapshot(take_snapshot(m), ckpt)
-            raise Evicted(m)
+    def chaos_hook(m) -> None:
         if m.now & 31:
             return
         chaos.check(m)
-        if chaos.drop_lease and not state["dropped"]:
-            state["dropped"] = True
-            fsl.release(paths, lease)
-            state["zombie"] = True
+        if chaos.drop_lease:
+            chaos.drop_lease = False
+            beat.release()
         if chaos.stalled:
+            beat.silence()
             time.sleep(chaos.stall_delay)
-            return
-        if state["zombie"]:
-            return
-        now = time.monotonic()
-        if now - state["last_hb"] >= farm.heartbeat_interval:
-            state["last_hb"] = now
-            try:
-                fsl.heartbeat(paths, lease, cycle=m.now,
-                              committed=m.stats.committed,
-                              durable=farm.durable)
-            except LeaseLost:
-                state["zombie"] = True
 
-    stats = _simulate_cell(
-        cell.benchmark, cell.scheme, cell.width, spec, traces,
-        cycle_hook=cycle_hook, on_resume=on_resume,
-    )
+    def on_machine(machine) -> None:
+        beat.machine = machine
+        if chaos.armed():
+            # Only a cell a fault is planned for carries a cycle hook:
+            # every other cell keeps the quiet-cycle fast-forward.
+            machine.add_cycle_hook(chaos_hook)
+
+    evict.in_cell = True
+    try:
+        if cell_fn is not None:
+            # Test hook: an injected cell callable (run_one's signature)
+            # replaces the simulation; the heartbeat thread still runs.
+            stats = cell_fn(cell.benchmark, cell.scheme, cell.width, spec,
+                            None)
+        else:
+            stats = _simulate_cell(cell.benchmark, cell.scheme, cell.width,
+                                   spec, traces, on_machine=on_machine)
+    finally:
+        evict.in_cell = False
     return CellResult(
-        cid=cell.cid, key=cell.key, worker=lease.worker,
+        cid=cell.cid, key=cell.key, worker=beat.lease.worker,
         attempt=cell.attempt, status="ok", stats=stats.to_dict(),
-        start_cycle=state["start_cycle"],
         elapsed=time.monotonic() - started,
     )
 
@@ -210,7 +251,7 @@ def worker_loop(
     cell_fn: Optional[Callable] = None,
 ) -> int:
     """Scan, claim, simulate, repeat — until every published cell has a
-    result, or this worker is evicted (after checkpoint-and-release).
+    result, or this worker is evicted (after releasing its lease).
     Returns the exit status, 0.
     """
     from repro.experiments.runner import TraceCache
@@ -276,17 +317,14 @@ def worker_loop(
                 # we hold the lease) is race-free.
                 fsl.release(paths, lease)
                 continue
+            beat = _Heartbeat(farm, lease)
             try:
-                result = _execute_cell(farm, cell, lease, chaos, evict,
-                                       traces, cell_fn=cell_fn)
-            except Evicted:
-                # Checkpoint already written by the hook; hand the lease
-                # back marked released so the broker reclaims instantly.
-                try:
-                    fsl.heartbeat(paths, lease, state="released",
-                                  durable=durable)
-                except LeaseLost:
-                    pass
+                result = _execute_cell(cell, beat, chaos, evict, traces,
+                                       cell_fn=cell_fn)
+            except _CellDropped:
+                # SIGTERM mid-cell: hand the lease back marked released
+                # so the broker reclaims it at once.
+                beat.release(state="released")
                 return 0
             except Exception as exc:  # deterministic failure: report it
                 result = CellResult(
@@ -295,10 +333,9 @@ def worker_loop(
                     error_type=type(exc).__name__, message=str(exc),
                 )
             fsl.write_result(paths, result, durable=durable)
-            fsl.release(paths, lease)
+            beat.release()
             chaos.cell_index += 1
             chaos.stalled = False
-            chaos.drop_lease = False
             ran_one = True
             break  # rescan: claimability may have changed
         if not ran_one and not raced:

@@ -114,8 +114,8 @@ class Cache:
 
     def state(self) -> Dict:
         """Immutable image of the LRU-ordered sets (a tuple of tag
-        tuples) and the hit/miss counters: one cache of a machine
-        snapshot's ``memory`` section.  Untouched sets are shared with
+        tuples) and the hit/miss counters: one cache of a trace's
+        warm-state memo.  Untouched sets are shared with
         the cache, which never writes to a tuple."""
         return {
             "sets": tuple(map(tuple, self._sets)),
@@ -130,10 +130,8 @@ class Cache:
         never written.  Raises ValueError when the set count differs."""
         sets = data["sets"]
         if len(sets) != self.num_sets:
-            raise ValueError(f"{self.name}: snapshot geometry does not match "
+            raise ValueError(f"{self.name}: image geometry does not match "
                              f"the machine")
-        if sets.__class__ is not tuple:  # decoded from a snapshot file
-            sets = tuple(map(tuple, sets))
         self._sets = list(sets)
         self.hits = data["hits"]
         self.misses = data["misses"]

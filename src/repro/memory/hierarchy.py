@@ -41,7 +41,7 @@ class MemoryHierarchy:
 
     def state(self) -> Dict:
         """Every level's :meth:`Cache.state`, by level name: the
-        ``memory`` section of a machine snapshot."""
+        memory half of a trace's warm-state memo."""
         return {"il1": self.il1.state(), "dl1": self.dl1.state(),
                 "l2": self.l2.state()}
 

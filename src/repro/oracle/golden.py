@@ -143,23 +143,6 @@ class GoldenModel:
             self.stores += 1
         self.index += 1
 
-    def snapshot(self) -> Dict:
-        """JSON-serializable state (machine checkpointing)."""
-        return {
-            "index": self.index,
-            "int_regs": list(self.int_regs),
-            "fp_regs": list(self.fp_regs),
-            "memory": [[addr, value] for addr, value in self.memory.items()],
-            "stores": self.stores,
-        }
-
-    def restore(self, data: Dict) -> None:
-        self.index = data["index"]
-        self.int_regs = list(data["int_regs"])
-        self.fp_regs = list(data["fp_regs"])
-        self.memory = {addr: value for addr, value in data["memory"]}
-        self.stores = data["stores"]
-
 
 class CommitOracle:
     """Differential checker attached to one machine run."""

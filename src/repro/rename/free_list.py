@@ -133,22 +133,3 @@ class FreeList:
                 heapq.heappush(self._queue, preg)
         else:
             self._queue.extend(fresh)
-
-    # --------------------------------------------------- (de)serialization
-
-    def serialize(self) -> List[int]:
-        """Policy-appropriate list form for snapshots: FIFO order for
-        ``fifo``, heap-array order for ``ordered`` (a heap's own backing
-        list restores to an identical heap)."""
-        return list(self._queue)
-
-    def restore(self, entries: Iterable[int]) -> None:
-        """Install a :meth:`serialize` image (same policy assumed —
-        snapshot compatibility is guarded upstream by the config
-        digest)."""
-        entries = list(entries)
-        if self.policy == "ordered":
-            self._queue = entries  # a heap's list is already a heap
-        else:
-            self._queue = deque(entries)
-        self._free = set(entries)

@@ -6,8 +6,8 @@ as the same knobs the sweep drivers take — benchmark, scheme, width, the
 optional PRF capacity override.  Its **key** is the existing sweep-cell
 identity (:func:`~repro.experiments.journal.cell_key`): the workload
 knobs plus a digest of the fully resolved
-:class:`~repro.config.MachineConfig` — i.e. the config digest + trace
-identity the snapshot layer has used since PR 3.  Two submissions whose
+:class:`~repro.config.MachineConfig` — the config digest and trace
+identity the sweep journal keys cells by.  Two submissions whose
 keys match are, by construction, the same simulation; the key is
 therefore what the result cache is addressed by and what in-flight
 deduplication collapses on.  The job **id** is the filename-safe hash of

@@ -1,9 +1,9 @@
 """Crash-safe file replacement and quarantine.
 
 One implementation of write-to-temp + fsync + :func:`os.replace` +
-directory fsync, shared by every artifact producer (snapshots,
-journals, reproducers) — previously `runner.py`, `snapshot.py`, and
-`journal.py` each had an ad-hoc copy, none of which fsynced, so the
+directory fsync, shared by every artifact producer (journals,
+reproducers, farm and serve records) — previously several modules each
+had an ad-hoc copy, none of which fsynced, so the
 "atomic" rename could still land an empty or partial file after a power
 cut (the rename is durable before the data on many filesystems).
 

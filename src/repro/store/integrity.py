@@ -5,7 +5,7 @@ file is *detected* at read time as a typed
 :class:`~repro.store.errors.ArtifactError` rather than surfacing as a
 bogus simulation result or a bare exception:
 
-**Framed JSON envelope** (snapshots, fuzz reproducers) — one header
+**Framed JSON envelope** (farm records, fuzz reproducers) — one header
 line, the JSON payload, one trailer sentinel::
 
     %repro-artifact v1 kind=<kind> schema=<int> len=<bytes> sha256=<hex> hdr=<hex16>
@@ -14,7 +14,7 @@ line, the JSON payload, one trailer sentinel::
 
 The header declares the payload length (truncation detection without
 hashing), the SHA-256 of the payload (bit-level corruption detection),
-the artifact kind (a snapshot handed to the reproducer loader is a
+the artifact kind (a farm result handed to the reproducer loader is a
 :class:`SchemaMismatch`, not garbage), and the artifact's own schema
 version.  ``hdr`` is a truncated SHA-256 of the header fields
 themselves — kind/schema/len are outside the payload digest's reach,

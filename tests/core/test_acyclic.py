@@ -9,8 +9,6 @@ machine and asserts that a collection under ``gc.DEBUG_SAVEALL`` finds
 nothing to collect.
 """
 
-import json
-
 import pytest
 
 from repro.config import four_wide
@@ -44,22 +42,3 @@ def test_virtual_physical_machine_is_acyclic(trace, cyclic_garbage):
         assert Machine(config).run(trace).committed == len(trace)
 
     assert cyclic_garbage(run) == 0
-
-
-def test_restored_and_resumed_machine_is_acyclic(trace, cyclic_garbage):
-    config = SCHEMES["PRI+ER"](four_wide()).with_audit()
-    captured = {}
-
-    def hook(m):
-        if m.now == 100 and not captured:
-            captured["image"] = json.loads(json.dumps(m.snapshot()))
-
-    def run():
-        machine = Machine(config)
-        machine.add_cycle_hook(hook)
-        machine.run(trace)
-        resumed = Machine(config).restore(captured["image"], trace).resume()
-        assert resumed.committed == len(trace)
-
-    assert cyclic_garbage(run) == 0
-    assert captured

@@ -17,7 +17,6 @@ EXPECTED = {
     "journal-append",
     "journal-archive",
     "serve-jobs",
-    "snapshot-checkpoint",
     "store-envelope",
 }
 

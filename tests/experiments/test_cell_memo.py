@@ -18,6 +18,7 @@ from repro.experiments.runner import (
     _simulate_cell,
     run_one,
 )
+from repro.farm.inject import InjectPlan, WorkerChaos
 
 
 @pytest.fixture
@@ -51,20 +52,26 @@ def test_watchdog_hit_raises_the_same_error(runs):
     assert "gzip/base committed only" in messages[0]
 
 
-def test_checkpointed_and_hooked_cells_always_simulate(runs, tmp_path):
+def test_chaos_hooked_cells_always_simulate(runs):
+    """A cell a chaos plan is armed for carries a cycle hook (which
+    turns off the quiet-cycle fast-forward): it still simulates on
+    every call and gets the unhooked cell's statistics."""
     traces = TraceCache()
-    checkpointed = _spec(checkpoint_every=50, checkpoint_dir=str(tmp_path))
-    reference = run_one("gzip", "base", 4, checkpointed, traces)
-    run_one("gzip", "base", 4, checkpointed, traces)
-    assert len(runs) == 2
-    hooked = _spec(checkpoint_dir=str(tmp_path))
+    reference = run_one("gzip", "base", 4, _spec(), traces)
+    chaos = WorkerChaos((InjectPlan("stall", after_cycles=10 ** 9),))
+    assert chaos.armed()
+
+    def hook_chaos(machine):
+        machine.add_cycle_hook(chaos.check)
+
     for _ in range(2):
-        stats = _simulate_cell("gzip", "base", 4, hooked, traces,
-                               cycle_hook=lambda machine: None)
+        stats = _simulate_cell("gzip", "base", 4, _spec(), traces,
+                               on_machine=hook_chaos)
         assert stats == reference
-    assert len(runs) == 4
+    assert len(runs) == 3
+    assert not chaos.fired
     assert run_one("gzip", "base", 4, _spec(), traces) == reference
-    assert len(runs) == 5
+    assert len(runs) == 4
 
 
 def test_fresh_copy_starts_with_an_empty_memo(runs):

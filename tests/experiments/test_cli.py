@@ -53,7 +53,7 @@ def test_single_figure_tiny(capsys):
 @pytest.mark.parametrize(("flag", "value"), [
     ("--length", "0"), ("--warmup", "-1"), ("--jobs", "-2"),
     ("--retries", "-1"), ("--max-cycles", "0"),
-    ("--checkpoint-every", "0"), ("--cell-timeout", "0"),
+    ("--cell-timeout", "0"),
     ("--cell-timeout", "-1"), ("--lease-ttl", "0"), ("--heartbeat", "0"),
     ("--grace", "-1"), ("--farm-workers", "-1"),
 ])
@@ -69,16 +69,11 @@ def test_rejects_unknown_figure():
         main(["--figure", "3"])  # Figure 3 is a structural diagram
 
 
-def test_figure_with_oracle_and_checkpoints(tmp_path, capsys):
-    import os
-
+def test_figure_with_oracle(capsys):
     code = main(["--figure", "1", "--length", "120", "--warmup", "300",
-                 "--width", "4", "--oracle",
-                 "--checkpoint-every", "500",
-                 "--checkpoint-dir", str(tmp_path)])
+                 "--width", "4", "--oracle"])
     assert code == 0
     assert "Figure 1" in capsys.readouterr().out
-    assert not os.listdir(str(tmp_path)), "completed cells left checkpoints"
 
 
 def test_incompatible_journal_is_reported(tmp_path, capsys):

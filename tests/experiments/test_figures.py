@@ -108,13 +108,13 @@ class TestFigure9Spec:
 
     def test_audit_and_oracle_reach_every_config(self, cache, monkeypatch):
         configs = []
-        simulate = runner.simulate
 
-        def recording(config, trace, **kwargs):
-            configs.append(config)
-            return simulate(config, trace, **kwargs)
+        class Recording(runner.Machine):
+            def __init__(self, config):
+                configs.append(config)
+                super().__init__(config)
 
-        monkeypatch.setattr(runner, "simulate", recording)
+        monkeypatch.setattr(runner, "Machine", Recording)
         spec = RunSpec(length=350, warmup=700, seed=2, audit=True,
                        oracle=True)
         figure9(spec, widths=(4,), benchmarks=("gzip",), sizes=(40, 64),

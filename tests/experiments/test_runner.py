@@ -65,6 +65,12 @@ class TestRunning:
         assert stats.committed == 400
         assert stats.ipc > 0
 
+    def test_run_one_oracle_spec(self):
+        spec = RunSpec(length=300, warmup=600, seed=2, oracle=True)
+        stats = run_one("gzip", "base", 4, spec)
+        assert stats.committed == 300
+        assert stats.oracle_commits == 300
+
     def test_trace_cache_reuses(self):
         cache = TraceCache()
         a = cache.get("gzip", _SPEC)

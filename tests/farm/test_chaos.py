@@ -6,10 +6,11 @@ farm's three invariants:
 
 * **exactly-once completion** — every cell is folded into the results
   exactly once, duplicates verified bit-identical;
-* **zero lost work** — the final matrix equals a fault-free run
-  bit-for-bit, whatever was killed, stalled, orphaned, or evicted;
-* **resume, never restart** — a reclaimed cell with a checkpoint on
-  disk continues mid-simulation (``cold_restarts == 0``).
+* **no lost cells** — every cell completes, whatever was killed,
+  stalled, orphaned, or evicted;
+* **bit-identical reruns** — a reclaimed cell reruns from cycle 0 on
+  another attempt, and the final matrix equals a fault-free run
+  bit-for-bit.
 """
 
 import json
@@ -20,12 +21,15 @@ import time
 
 import pytest
 
+from repro.core.machine import Machine
 from repro.core.stats import SimStats
-from repro.experiments import RunSpec, SweepJournal, run_matrix, run_one
+from repro.experiments import RunSpec, SweepJournal, run_cells, run_matrix, run_one
 from repro.experiments.runner import FIGURE10_SCHEMES, CellError
 from repro.farm import FarmSpec
+from repro.farm import lease as fsl
 from repro.farm.aggregate import Aggregator
 from repro.farm.lease import CellResult
+from repro.farm.worker import _Heartbeat
 
 _SPEC = RunSpec(length=300, warmup=600, seed=2)
 _PRI = "PRI-refcount+ckptcount"
@@ -34,7 +38,7 @@ _BENCH = ("gcc", "mesa")
 
 def _farm(tmp_path, **kw):
     defaults = dict(workers=2, lease_ttl=1.0, heartbeat_interval=0.1,
-                    poll_interval=0.05, checkpoint_every=120, grace=4.0)
+                    poll_interval=0.05, grace=4.0)
     defaults.update(kw)
     return FarmSpec(root=str(tmp_path / "farm"), **defaults)
 
@@ -65,12 +69,19 @@ def test_farm_matches_plain_run(tmp_path, plain_small):
     assert report.completed == 4
     assert report.failed == 0
     assert report.divergent == 0
-    assert report.cold_restarts == 0
+
+
+def _held(benchmark, scheme, width, spec, traces=None):
+    """``run_one``, after holding the cell for a few broker polls: the
+    broker journals the leases it sees at a poll, and a plain cell this
+    short can finish between two of them."""
+    time.sleep(0.3)
+    return run_one(benchmark, scheme, width, spec, traces)
 
 
 def test_farm_journals_lease_audit_trail(tmp_path, plain_small):
     farm = _farm(tmp_path)
-    run_matrix(_BENCH, ("base", _PRI), 4, _SPEC, farm=farm)
+    run_matrix(_BENCH, ("base", _PRI), 4, _SPEC, farm=farm, cell_fn=_held)
     journal = SweepJournal(os.path.join(farm.root, "journal.json"))
     states = [e["state"] for e in journal.lease_events]
     assert states.count("completed") == 4
@@ -89,9 +100,6 @@ def test_farm_journals_lease_audit_trail(tmp_path, plain_small):
 def test_two_width_sweep_is_one_farm(tmp_path, capsys):
     """Both widths go through one farm: no width's broker prunes the
     other's cells, so every cell stays published with its result."""
-    import json
-
-    from repro.experiments import run_cells
     from repro.farm.__main__ import main
 
     cells = [(b, s, w) for w in (4, 8) for b in _BENCH for s in ("base", _PRI)]
@@ -104,45 +112,139 @@ def test_two_width_sweep_is_one_farm(tmp_path, capsys):
     assert status["cells"] == status["with_result"] == len(cells)
 
 
-# ======================================================== kill (sat. 3)
+# ============================================ the plain worker path
 
 
-def test_sigkill_between_checkpoints_resumes(tmp_path, plain_small):
-    """SIGKILL a worker between checkpoints: the reclaimed cell must
-    resume from the last snapshot — not cycle 0 — and the final stats
-    must be bit-identical to an uninterrupted run."""
+def test_plain_worker_cells_carry_no_hook_and_skip_quiet_cycles(tmp_path,
+                                                                monkeypatch):
+    """With no chaos plan, a ``--jobs 2`` worker runs each cell exactly
+    as a serial run does: its machine has no cycle hook, so the cycle
+    loop fast-forwards quiet cycles."""
+    log = tmp_path / "machines.log"
+    run, quiet_until = Machine.run, Machine._quiet_until
+
+    def counted_quiet_until(self):
+        self.quiet_calls = getattr(self, "quiet_calls", 0) + 1
+        return quiet_until(self)
+
+    def logged_run(self, *args, **kwargs):
+        stats = run(self, *args, **kwargs)
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {len(self._cycle_hooks)} "
+                     f"{getattr(self, 'quiet_calls', 0)}\n")
+        return stats
+
+    # Forked workers inherit the patched class.
+    monkeypatch.setattr(Machine, "_quiet_until", counted_quiet_until)
+    monkeypatch.setattr(Machine, "run", logged_run)
+    cells = [(b, s, 4) for b in _BENCH for s in ("base", _PRI)]
+    results = run_cells(cells, _SPEC, jobs=2)
+    assert all(isinstance(results[c], SimStats) for c in cells)
+    runs = [tuple(map(int, line.split()))
+            for line in log.read_text().splitlines()]
+    assert len(runs) == len(cells)
+    assert all(pid != os.getpid() for pid, _, _ in runs)
+    assert all(hooks == 0 for _, hooks, _ in runs)
+    assert all(quiet > 0 for _, _, quiet in runs)
+
+
+def test_heartbeat_runs_while_a_slow_cell_simulates(tmp_path):
+    """The heartbeat is a timer thread, not a cycle hook: a cell that
+    takes three lease TTLs keeps its lease and completes on attempt 1."""
+    def slow(benchmark, scheme, width, spec, traces=None):
+        time.sleep(3 * farm.lease_ttl)
+        return run_one(benchmark, scheme, width, spec, traces)
+
+    farm = _farm(tmp_path, workers=1)
+    result = run_matrix(("gcc",), ("base",), 4, _SPEC, farm=farm,
+                        cell_fn=slow)
+    assert isinstance(result["gcc"]["base"], SimStats)
+    assert farm.report.reclaims == 0
+    journal = SweepJournal(os.path.join(farm.root, "journal.json"))
+    assert [e["attempt"] for e in journal.lease_events
+            if e["state"] == "completed"] == [1]
+
+
+def test_heartbeat_carries_progress_and_stops_at_release(tmp_path):
+    """Heartbeats carry the machine's cycle and commit count (what
+    ``farm status`` shows); once a lease is released, no heartbeat
+    recreates its file.  More heartbeat threads than cores, at a short
+    switch interval, so a heartbeat racing a release would show."""
+    from types import SimpleNamespace
+
+    from repro.farm.lease import CellSpec, cid_of
+
+    farm = _farm(tmp_path, heartbeat_interval=0.001)
+    paths = farm.paths.ensure()
+    beats = []
+    for index in range(8):
+        cell = CellSpec(cid=cid_of(f"k{index}"), key=f"k{index}",
+                        benchmark="gcc", scheme="base", width=4, spec={})
+        fsl.write_cell(paths, cell, durable=False)
+        lease = fsl.claim(paths, cell, "w0", farm.lease_ttl, durable=False)
+        beat = _Heartbeat(farm, lease)
+        beat.machine = SimpleNamespace(
+            now=100 + index, stats=SimpleNamespace(committed=index))
+        beats.append(beat)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        deadline = time.monotonic() + 30
+        for index, beat in enumerate(beats):
+            path = paths.lease(beat.lease.cid)
+            while fsl.read_lease(path).cycle != 100 + index:
+                assert time.monotonic() < deadline, "no progress heartbeat"
+                time.sleep(0.001)
+            assert fsl.read_lease(path).committed == index
+        for beat in beats:
+            beat.release()
+            assert not beat._thread.is_alive()
+        time.sleep(0.05)
+    finally:
+        sys.setswitchinterval(interval)
+    assert fsl.list_leases(paths) == []
+
+
+# ========================================================= kill, evict
+
+
+def test_sigkill_mid_cell_reruns_and_folds_identically(tmp_path, plain_small):
+    """SIGKILL a worker mid-cell: the broker reclaims the lease, the
+    cell reruns from cycle 0 on a later attempt, and the final stats
+    are bit-identical to an uninterrupted run."""
     farm = _farm(tmp_path, inject=("kill:worker=0:cell=0:cycles=400",))
     result = run_matrix(_BENCH, ("base", _PRI), 4, _SPEC,
                         farm=farm, retries=3)
     _assert_identical(result, plain_small)
     report = farm.report
-    assert report.reclaims >= 1          # the SIGKILLed lease expired
-    assert report.resumes >= 1           # ... and its cell resumed
-    assert report.cold_restarts == 0     # ... from the checkpoint
+    assert report.reclaims >= 1          # the SIGKILLed lease was reclaimed
     assert report.respawns >= 1          # the dead worker was replaced
     assert report.divergent == 0
     journal = SweepJournal(os.path.join(farm.root, "journal.json"))
     states = [e["state"] for e in journal.lease_events]
     assert "abandoned" in states
-    # The reclaimed cell's completion records a mid-simulation start.
-    resumed = [e for e in journal.lease_events
-               if e["state"] == "completed" and e.get("start_cycle", 0) > 0]
-    assert resumed
+    # The reclaimed cell completed on a later attempt.
+    assert any(e["state"] == "completed" and e["attempt"] > 1
+               for e in journal.lease_events)
 
 
-def test_eviction_checkpoints_within_grace(tmp_path, plain_small):
-    """SIGTERM (spot eviction) must checkpoint-and-release promptly; the
-    cell then resumes elsewhere from that exact cycle."""
+def test_eviction_releases_within_grace_and_reruns(tmp_path, plain_small):
+    """SIGTERM (spot eviction) mid-cell: the worker drops the cell and
+    marks its lease released; the cell reruns elsewhere and folds
+    bit-identically.  A release spends no retry budget, so the default
+    ``retries=0`` still completes every cell."""
     farm = _farm(tmp_path, inject=("evict:worker=1:cell=0:cycles=300",))
-    result = run_matrix(_BENCH, ("base", _PRI), 4, _SPEC,
-                        farm=farm, retries=3)
+    result = run_matrix(_BENCH, ("base", _PRI), 4, _SPEC, farm=farm)
     _assert_identical(result, plain_small)
     report = farm.report
     assert report.evictions >= 1
-    assert report.resumes >= 1
-    assert report.cold_restarts == 0
+    assert report.failed == 0
     journal = SweepJournal(os.path.join(farm.root, "journal.json"))
-    assert any(e["state"] == "released" for e in journal.lease_events)
+    released = {e["key"] for e in journal.lease_events
+                if e["state"] == "released"}
+    assert released
+    assert any(e["state"] == "completed" and e["key"] in released
+               and e["attempt"] > 1 for e in journal.lease_events)
 
 
 def test_stalled_heartbeat_is_reclaimed(tmp_path, plain_small):
@@ -155,7 +257,6 @@ def test_stalled_heartbeat_is_reclaimed(tmp_path, plain_small):
     _assert_identical(result, plain_small)
     report = farm.report
     assert report.reclaims >= 1
-    assert report.cold_restarts == 0
     assert report.divergent == 0
 
 
@@ -166,7 +267,6 @@ def test_orphaned_worker_is_reclaimed_and_respawned(tmp_path, plain_small):
     _assert_identical(result, plain_small)
     assert farm.report.reclaims >= 1
     assert farm.report.respawns >= 1
-    assert farm.report.cold_restarts == 0
 
 
 def test_double_lease_completes_exactly_once(tmp_path, plain_small):
@@ -192,8 +292,7 @@ def test_figure10_shaped_sweep_under_continuous_chaos(tmp_path):
     with continuous fault injection — worker SIGKILLs, one simulated
     spot eviction, one stalled heartbeat, one double-lease — completes
     with every cell's SimStats identical to a fault-free run_matrix
-    run, and no cell ever re-simulates from cycle 0 when a checkpoint
-    existed."""
+    run."""
     schemes = ("base",) + FIGURE10_SCHEMES
     plain = run_matrix(_BENCH, schemes, 4, _SPEC)
     farm = _farm(
@@ -213,7 +312,6 @@ def test_figure10_shaped_sweep_under_continuous_chaos(tmp_path):
     assert report.completed == report.cells      # exactly-once, no loss
     assert report.failed == 0
     assert report.divergent == 0
-    assert report.cold_restarts == 0             # resume, never restart
     assert report.reclaims + report.evictions >= 2
 
 
@@ -323,8 +421,7 @@ def test_aggregator_folds_exactly_once_and_verifies_duplicates():
     assert agg.fold(_result()) == "folded"
     assert agg.report.completed == 1
     # A zombie's bit-identical re-completion: dropped, counted.
-    assert agg.fold(_result(worker="w1", attempt=2, start_cycle=240)) \
-        == "duplicate"
+    assert agg.fold(_result(worker="w1", attempt=2)) == "duplicate"
     assert agg.report.duplicates == 1
     assert agg.report.completed == 1
     # A differing duplicate is a real finding.
@@ -332,18 +429,6 @@ def test_aggregator_folds_exactly_once_and_verifies_duplicates():
         == "divergent"
     assert agg.report.divergent == 1
     assert agg.report.divergent_keys == ["k1"]
-
-
-def test_aggregator_flags_cold_restart():
-    agg = Aggregator()
-    agg.expect_resume.add(("c1", 2))
-    agg.fold(_result(attempt=2, start_cycle=0))
-    assert agg.report.cold_restarts == 1
-    agg2 = Aggregator()
-    agg2.expect_resume.add(("c1", 2))
-    agg2.fold(_result(attempt=2, start_cycle=240))
-    assert agg2.report.cold_restarts == 0
-    assert agg2.report.resumes == 1
 
 
 # ======================================= fence-stale lease (satellite 2)
@@ -402,7 +487,7 @@ def test_broker_crash_resume_burns_no_retry_budget(tmp_path):
         "from repro.farm import FarmSpec\n"
         f"farm = FarmSpec(root={farm_root!r}, workers=2, lease_ttl=1.0,\n"
         "                heartbeat_interval=0.1, poll_interval=0.05,\n"
-        "                checkpoint_every=150, grace=3.0)\n"
+        "                grace=3.0)\n"
         f"run_matrix(('gcc', 'mesa'), ('base', {_PRI!r}), 4,\n"
         "           RunSpec(length=1200, warmup=2400, seed=2), farm=farm)\n"
     )
@@ -436,7 +521,7 @@ def test_externally_attached_worker_completes_cells(tmp_path, plain_small):
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.farm", "worker", farm.root,
          "--name", "attached", "--lease-ttl", "2", "--heartbeat", "0.1",
-         "--poll", "0.05", "--checkpoint-every", "120"],
+         "--poll", "0.05"],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
     try:

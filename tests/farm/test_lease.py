@@ -6,6 +6,8 @@ import os
 import pytest
 
 from repro.farm.lease import (
+    FARM_SCHEMA,
+    RESULT_KIND,
     CellResult,
     CellSpec,
     FarmPaths,
@@ -25,6 +27,7 @@ from repro.farm.lease import (
     write_result,
 )
 from repro.retry import backoff_delay
+from repro.store import atomic_write_bytes, envelope_bytes
 
 
 @pytest.fixture
@@ -174,9 +177,9 @@ def test_lease_expiry_clock(paths):
 def test_result_roundtrip_and_duplicates_coexist(paths):
     cell = _cell()
     first = CellResult(cid=cell.cid, key=cell.key, worker="w0", attempt=1,
-                       status="ok", stats={"committed": 300}, start_cycle=0)
+                       status="ok", stats={"committed": 300})
     zombie = CellResult(cid=cell.cid, key=cell.key, worker="w1", attempt=2,
-                        status="ok", stats={"committed": 300}, start_cycle=120)
+                        status="ok", stats={"committed": 300})
     write_result(paths, first)
     write_result(paths, zombie)
     # One logical cell, two physical files — duplicates must coexist so
@@ -197,6 +200,18 @@ def test_error_result_roundtrip(paths):
     back = read_result(path)
     assert back.kind == "crash"
     assert back.error_type == "LeaseExpired"
+
+
+def test_result_with_a_dropped_field_still_reads(paths):
+    """A result an older build wrote may carry a field results no
+    longer have: it still reads, so its cell folds."""
+    cell = _cell()
+    payload = CellResult(cid=cell.cid, key=cell.key, worker="w0", attempt=1,
+                         status="ok", stats={"committed": 300}).to_dict()
+    path = paths.result(cell.cid, 1, "w0")
+    atomic_write_bytes(path, envelope_bytes(
+        RESULT_KIND, FARM_SCHEMA, {**payload, "dropped_field": 120}))
+    assert read_result(path).to_dict() == payload
 
 
 # --------------------------------------------------------------- backoff

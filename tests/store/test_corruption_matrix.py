@@ -15,27 +15,30 @@ import pytest
 
 from repro.experiments.journal import SweepJournal
 from repro.core.stats import SimStats
-from repro.core.snapshot import load_snapshot, save_snapshot
+from repro.farm.lease import FARM_SCHEMA, RESULT_KIND, CellResult, read_result
 from repro.oracle.fuzz import FuzzSpec, load_reproducer, write_reproducer
 from repro.store import (
     ArtifactError,
     DigestMismatch,
     MalformedRecord,
     TruncatedArtifact,
+    atomic_write_bytes,
     corrupt,
+    envelope_bytes,
     fsck_tree,
 )
 
 # ======================================================= fixture builders
 
 
-def _build_snapshot(root):
-    path = os.path.join(root, "machine.ckpt")
-    data = {
-        "config_digest": "c" * 16, "rob": [], "cycle": 1234,
-        "pad": ["deadbeef" * 8] * 12,  # push the damage offsets into the payload
-    }
-    save_snapshot(data, path)
+def _build_result(root, name="result.json"):
+    """A farm worker's result envelope.  Its full statistics payload is
+    most of the file, so the damage offsets land in the payload."""
+    path = os.path.join(root, name)
+    result = CellResult(cid="c" * 16, key="gzip|base|w4", worker="w0",
+                        attempt=1, status="ok", stats=SimStats().to_dict())
+    atomic_write_bytes(path, envelope_bytes(RESULT_KIND, FARM_SCHEMA,
+                                            result.to_dict()))
     return path
 
 
@@ -59,13 +62,13 @@ def _build_journal(root):
 
 
 _BUILDERS = {
-    "snapshot": _build_snapshot,
+    "result": _build_result,
     "reproducer": _build_reproducer,
     "journal": _build_journal,
 }
 
 _LOADERS = {
-    "snapshot": load_snapshot,
+    "result": read_result,
     "reproducer": load_reproducer,
     "journal": SweepJournal,
 }
@@ -79,13 +82,13 @@ _LOADERS = {
 #   "intact"                   artifact unharmed (damage hit a sibling)
 
 MATRIX = {
-    ("snapshot", "truncate-half"): TruncatedArtifact,
-    ("snapshot", "truncate-tail"): TruncatedArtifact,
-    ("snapshot", "empty"): TruncatedArtifact,
-    ("snapshot", "bit-flip"): DigestMismatch,
-    ("snapshot", "zero-fill"): DigestMismatch,
-    ("snapshot", "torn-tail"): MalformedRecord,
-    ("snapshot", "tmp-leftover"): "intact",
+    ("result", "truncate-half"): TruncatedArtifact,
+    ("result", "truncate-tail"): TruncatedArtifact,
+    ("result", "empty"): TruncatedArtifact,
+    ("result", "bit-flip"): DigestMismatch,
+    ("result", "zero-fill"): DigestMismatch,
+    ("result", "torn-tail"): MalformedRecord,
+    ("result", "tmp-leftover"): "intact",
     ("reproducer", "truncate-half"): TruncatedArtifact,
     ("reproducer", "truncate-tail"): TruncatedArtifact,
     ("reproducer", "empty"): TruncatedArtifact,
@@ -149,30 +152,29 @@ def test_fsck_repair_leaves_loadable_tree(tmp_path):
     """Acceptance: after ``fsck --repair`` every surviving artifact
     loads; unrecoverable ones are quarantined, leftovers deleted."""
     root = str(tmp_path)
-    snapshot = _build_snapshot(root)
+    result = _build_result(root)
     reproducer = _build_reproducer(root)
     journal = _build_journal(root)
-    healthy = os.path.join(root, "healthy.ckpt")
-    save_snapshot({"config_digest": "c" * 16, "rob": []}, healthy)
+    healthy = _build_result(root, "healthy.json")
 
-    corrupt(snapshot, "truncate-half")  # unrecoverable -> quarantine
+    corrupt(result, "truncate-half")  # unrecoverable -> quarantine
     corrupt(reproducer, "tmp-leftover")  # sibling debris -> delete
     corrupt(journal, "zero-fill")     # append-style -> salvage prefix
 
     report = fsck_tree(root, repair=True)
     assert not report.unrepaired, report.summary()
     actions = {f.path: f.action for f in report.findings if f.action}
-    assert actions[snapshot].startswith("quarantined:")
+    assert actions[result].startswith("quarantined:")
     assert actions[reproducer + ".partial.tmp"] == "deleted"
     assert actions[journal].startswith("salvaged:")
 
     # The quarantined bytes are preserved, not destroyed.
-    assert os.path.isdir(snapshot + ".quarantine")
-    assert not os.path.exists(snapshot)
+    assert os.path.isdir(result + ".quarantine")
+    assert not os.path.exists(result)
 
     # Everything still on disk loads cleanly; a second fsck is quiet.
     assert load_reproducer(reproducer)["result"]["outcome"] == "clean"
-    assert load_snapshot(healthy)["config_digest"] == "c" * 16
+    assert read_result(healthy).worker == "w0"
     salvaged = SweepJournal(journal)
     assert salvaged.salvaged is None and len(salvaged) >= 1
     clean = fsck_tree(root)
@@ -181,7 +183,7 @@ def test_fsck_repair_leaves_loadable_tree(tmp_path):
 
 def test_fsck_repair_delete_mode(tmp_path):
     root = str(tmp_path)
-    path = _build_snapshot(root)
+    path = _build_result(root)
     corrupt(path, "bit-flip")
     report = fsck_tree(root, repair=True, delete=True)
     assert not report.unrepaired

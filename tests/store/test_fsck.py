@@ -6,14 +6,25 @@ import sys
 
 import pytest
 
-from repro.core.snapshot import save_snapshot
-from repro.store import atomic_write_text, corrupt, fsck_tree
+from repro.core.stats import SimStats
+from repro.farm.lease import FARM_SCHEMA, RESULT_KIND, CellResult
+from repro.store import (
+    atomic_write_bytes,
+    atomic_write_text,
+    corrupt,
+    envelope_bytes,
+    fsck_tree,
+)
 from repro.store.__main__ import main
 
 
-def _snapshot(root, name="snap.ckpt"):
+def _envelope(root, name="result.json"):
+    """A farm result envelope (any store-framed artifact would do)."""
     path = os.path.join(root, name)
-    save_snapshot({"config_digest": "c" * 16, "rob": [], "pad": "x" * 300}, path)
+    result = CellResult(cid="c" * 16, key="gzip|base|w4", worker="w0",
+                        attempt=1, status="ok", stats=SimStats().to_dict())
+    atomic_write_bytes(path, envelope_bytes(RESULT_KIND, FARM_SCHEMA,
+                                            result.to_dict()))
     return path
 
 
@@ -21,7 +32,7 @@ def _snapshot(root, name="snap.ckpt"):
 
 
 def test_clean_tree_reports_ok(tmp_path):
-    _snapshot(str(tmp_path))
+    _envelope(str(tmp_path))
     report = fsck_tree(str(tmp_path))
     assert report.scanned == 1 and report.ok == 1
     assert not report.corrupt and not report.unrepaired
@@ -29,7 +40,7 @@ def test_clean_tree_reports_ok(tmp_path):
 
 
 def test_single_file_scan(tmp_path):
-    path = _snapshot(str(tmp_path))
+    path = _envelope(str(tmp_path))
     assert fsck_tree(path).ok == 1
     corrupt(path, "bit-flip")
     report = fsck_tree(path)
@@ -37,7 +48,7 @@ def test_single_file_scan(tmp_path):
 
 
 def test_report_only_never_touches_disk(tmp_path):
-    path = _snapshot(str(tmp_path))
+    path = _envelope(str(tmp_path))
     corrupt(path, "bit-flip")
     before = open(path, "rb").read()
     fsck_tree(str(tmp_path))  # no repair flag
@@ -47,7 +58,7 @@ def test_report_only_never_touches_disk(tmp_path):
 def test_quarantine_dirs_are_not_rescanned(tmp_path):
     """Known-bad bytes in <name>.quarantine/ must not be re-reported —
     otherwise every later fsck of the tree fails forever."""
-    path = _snapshot(str(tmp_path))
+    path = _envelope(str(tmp_path))
     corrupt(path, "bit-flip")
     assert not fsck_tree(str(tmp_path), repair=True).unrepaired
     again = fsck_tree(str(tmp_path))
@@ -71,19 +82,19 @@ def test_unframed_json_snapshot_is_skipped(tmp_path):
 def test_nested_dirs_are_walked(tmp_path):
     deep = tmp_path / "a" / "b"
     deep.mkdir(parents=True)
-    path = _snapshot(str(deep))
+    path = _envelope(str(deep))
     corrupt(path, "truncate-half")
     report = fsck_tree(str(tmp_path))
     assert [f.path for f in report.corrupt] == [path]
 
 
 def test_progress_callback_sees_every_finding(tmp_path):
-    _snapshot(str(tmp_path), "a.ckpt")
-    _snapshot(str(tmp_path), "b.ckpt")
+    _envelope(str(tmp_path), "a.json")
+    _envelope(str(tmp_path), "b.json")
     seen = []
     fsck_tree(str(tmp_path), progress=seen.append)
     assert sorted(f.path for f in seen) == sorted(
-        os.path.join(str(tmp_path), n) for n in ("a.ckpt", "b.ckpt")
+        os.path.join(str(tmp_path), n) for n in ("a.json", "b.json")
     )
 
 
@@ -91,13 +102,13 @@ def test_progress_callback_sees_every_finding(tmp_path):
 
 
 def test_cli_clean_exit_zero(tmp_path, capsys):
-    _snapshot(str(tmp_path))
+    _envelope(str(tmp_path))
     assert main(["fsck", str(tmp_path)]) == 0
     assert "0 problem(s) remaining" in capsys.readouterr().out
 
 
 def test_cli_corrupt_exit_one_and_names_the_file(tmp_path, capsys):
-    path = _snapshot(str(tmp_path))
+    path = _envelope(str(tmp_path))
     corrupt(path, "bit-flip")
     assert main(["fsck", str(tmp_path)]) == 1
     out = capsys.readouterr().out
@@ -105,7 +116,7 @@ def test_cli_corrupt_exit_one_and_names_the_file(tmp_path, capsys):
 
 
 def test_cli_repair_fixes_and_exits_zero(tmp_path, capsys):
-    path = _snapshot(str(tmp_path))
+    path = _envelope(str(tmp_path))
     corrupt(path, "tmp-leftover")
     assert main(["fsck", "--repair", str(tmp_path)]) == 0
     assert "deleted" in capsys.readouterr().out
@@ -114,14 +125,14 @@ def test_cli_repair_fixes_and_exits_zero(tmp_path, capsys):
 
 
 def test_cli_repair_command_equals_fsck_repair(tmp_path):
-    path = _snapshot(str(tmp_path))
+    path = _envelope(str(tmp_path))
     corrupt(path, "bit-flip")
     assert main(["repair", str(tmp_path)]) == 0
     assert os.path.isdir(path + ".quarantine")
 
 
 def test_cli_repair_delete(tmp_path):
-    path = _snapshot(str(tmp_path))
+    path = _envelope(str(tmp_path))
     corrupt(path, "bit-flip")
     assert main(["repair", "--delete", str(tmp_path)]) == 0
     assert not os.path.exists(path)
@@ -135,7 +146,7 @@ def test_cli_delete_requires_repair_mode(tmp_path):
 
 
 def test_cli_quiet_prints_only_summary(tmp_path, capsys):
-    path = _snapshot(str(tmp_path))
+    path = _envelope(str(tmp_path))
     corrupt(path, "bit-flip")
     main(["fsck", "-q", str(tmp_path)])
     out = capsys.readouterr().out.strip().splitlines()
@@ -144,7 +155,7 @@ def test_cli_quiet_prints_only_summary(tmp_path, capsys):
 
 def test_module_is_executable(tmp_path):
     """``python -m repro.store fsck`` works as documented in INTERNALS."""
-    _snapshot(str(tmp_path))
+    _envelope(str(tmp_path))
     repo_root = os.path.dirname(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))))
     env = {**os.environ, "PYTHONPATH": os.path.join(repo_root, "src")}

@@ -64,19 +64,3 @@ def test_no_oracle_is_default(capsys):
                  "--no-oracle"])
     assert code == 0
     assert "oracle:" not in capsys.readouterr().out
-
-
-def test_checkpointed_run(tmp_path, capsys):
-    import os
-
-    args = ["gzip", "--length", "300", "--warmup", "600",
-            "--checkpoint-every", "200", "--checkpoint-dir", str(tmp_path)]
-    assert main(args) == 0
-    checkpointed = capsys.readouterr().out
-    assert "ipc=" in checkpointed
-    assert not os.listdir(str(tmp_path)), "completed run left a checkpoint"
-    # identical to the plain run: checkpointing must not perturb results
-    assert main(["gzip", "--length", "300", "--warmup", "600"]) == 0
-    plain = capsys.readouterr().out
-    line = next(l for l in checkpointed.splitlines() if "ipc=" in l)
-    assert line in plain

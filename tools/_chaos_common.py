@@ -8,7 +8,7 @@ shape, once:
 * :func:`compare_cells` — cell-by-cell bit-identity of a farmed sweep
   against its fault-free reference (lost and divergent cells);
 * :func:`check_report` — the universal farm-report invariants
-  (exactly-once completion, zero failed/divergent, no cold restarts);
+  (exactly-once completion, zero failed/divergent);
 * :func:`fsck_gate` — verify a root, print non-ok findings and the
   summary, append a failure when anything is unrepaired;
 * :func:`report_failures` — print the FAIL lines (or the success
@@ -35,8 +35,7 @@ def compare_cells(plain, farmed, failures: List[str]) -> None:
 def check_report(report, failures: List[str]) -> None:
     """The invariants every farm run owes, whatever the chaos plan.  A
     zombie's bit-identical duplicate is allowed on disk (the broker
-    verifies and drops it at fold time); a cold restart past an
-    existing checkpoint is not."""
+    verifies and drops it at fold time); a divergent one is not."""
     print(f"farm report: {report.to_dict()}")
     if report.completed != report.cells:
         failures.append(f"completed {report.completed}/{report.cells} cells")
@@ -46,10 +45,6 @@ def check_report(report, failures: List[str]) -> None:
         failures.append(
             f"{report.divergent} divergent duplicate(s): "
             f"{report.divergent_keys}")
-    if report.cold_restarts:
-        failures.append(
-            f"{report.cold_restarts} cell(s) restarted from cycle 0 "
-            "despite an existing checkpoint")
 
 
 def fsck_gate(root: str, failures: List[str],

@@ -6,8 +6,8 @@ Runnable locally::
     PYTHONPATH=src python tools/ci_crash_consistency.py [DIR]
 
 For every registered workload in :mod:`repro.crash.workloads` — the
-envelope store, the sweep journal's append stream, checkpoint
-write/retire, the farm lease protocol, the serve job journal and
+envelope store, the sweep journal's append stream, the farm lease
+protocol, the serve job journal and
 result cache, and the incompatible-journal archive path — the
 harness records the workload's op log, enumerates **all** reachable
 crash states (no ``--limit`` smoke mode here), runs the owning layer's

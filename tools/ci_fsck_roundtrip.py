@@ -6,10 +6,9 @@ inline workflow heredoc so it is lintable and runnable locally::
 
     PYTHONPATH=src python tools/ci_fsck_roundtrip.py [DIR]
 
-Builds a fresh tree containing a machine snapshot (an envelope) and a
-sweep journal (checksummed lines), one of each store-framed artifact
-family, then runs the fsck engine
-over it.  Exit status 0 when the tree verifies clean, 1 otherwise.
+Builds a fresh tree containing a farm result (an envelope) and a sweep
+journal (checksummed lines), one of each store-framed artifact family,
+then runs the fsck engine over it.  Exit status 0 when the tree verifies clean, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -20,14 +19,14 @@ import sys
 
 def build_tree(root: str) -> None:
     """Write one artifact of each kind under ``root``."""
-    from repro.core.snapshot import save_snapshot
     from repro.core.stats import SimStats
     from repro.experiments.journal import SweepJournal
+    from repro.farm.lease import CellResult, FarmPaths, write_result
 
-    os.makedirs(root, exist_ok=True)
-    save_snapshot(
-        {"config_digest": "ci", "rob": []}, os.path.join(root, "machine.ckpt")
-    )
+    paths = FarmPaths(root).ensure()
+    write_result(paths, CellResult(
+        cid="ci", key="cell-0", worker="w0", attempt=1, status="ok",
+        stats=SimStats().to_dict()))
     journal = SweepJournal(os.path.join(root, "sweep.json"))
     journal.record_ok("cell-0", SimStats())
 
