@@ -14,6 +14,13 @@ Scaling knobs (environment variables):
 * ``REPRO_BENCH_WIDTHS`` — comma-separated machine widths (default "4";
   set to "4,8" for the paper's full pair — roughly doubles runtime).
 
+The table, figure and ablation tests share one results table for the
+session (the ``results`` fixture).  The ``render`` fixture simulates, in
+one ``run_cells`` call, only the cells of the driver's plan entry
+(``figures.plan``) that the table does not hold yet, then renders the
+driver from the table.  A lone test therefore simulates just its own
+cells, and a whole session simulates each distinct cell once.
+
 Every benchmark uses ``benchmark.pedantic(..., rounds=1, iterations=1)``:
 a cycle-level simulation is deterministic, so repeated timing rounds
 would only waste hours.
@@ -23,7 +30,8 @@ import os
 
 import pytest
 
-from repro.experiments.runner import RunSpec, TraceCache
+from repro.experiments.figures import ABLATIONS, plan
+from repro.experiments.runner import RunSpec, TraceCache, run_cells
 
 
 def _env_int(name, default):
@@ -52,6 +60,31 @@ def traces():
 @pytest.fixture(scope="session")
 def widths():
     return BENCH_WIDTHS
+
+
+@pytest.fixture(scope="session")
+def results():
+    """The session's one results table: (benchmark, scheme, width) ->
+    stats, filled by ``render``."""
+    return {}
+
+
+@pytest.fixture
+def render(benchmark, spec, traces, widths, results):
+    """``render(name, driver)``: once, under the timer, simulate the
+    cells of ``plan(name, widths)`` missing from ``results``, then render
+    ``driver`` (``ablation`` for an ablation) from it; print and return
+    the result."""
+
+    def simulate_and_render(name, driver):
+        missing = [cell for cell in plan(name, widths) if cell not in results]
+        results.update(run_cells(missing, spec, traces))
+        if name in ABLATIONS:
+            return driver(name, results)
+        return driver(results, widths=widths)
+
+    return lambda name, driver: run_once(benchmark, simulate_and_render,
+                                         name, driver)
 
 
 def run_once(benchmark, fn, *args, **kwargs):

@@ -8,21 +8,19 @@
   speedups are smaller (Section 5.2's discussion of issue-queue limits).
 """
 
-from conftest import run_once
-
 from repro.experiments.figures import ablation
 
 
-def test_checkpoint_capacity(benchmark, spec, traces):
-    result = run_once(benchmark, ablation, "checkpoints", spec, traces)
+def test_checkpoint_capacity(render):
+    result = render("checkpoints", ablation)
     ipcs = {n: result.data["values"][str(n), "IPC"] for n in (4, 8, 16, 64)}
     # More checkpoints never hurt; the default (64) is the best point.
     assert ipcs[64] >= ipcs[4] * 0.995
     assert ipcs[64] >= ipcs[8] * 0.995
 
 
-def test_scheduler_size(benchmark, spec, traces):
-    result = run_once(benchmark, ablation, "scheduler", spec, traces)
+def test_scheduler_size(render):
+    result = render("scheduler", ablation)
     gains = {n: result.data["values"][str(n), "speedup"]
              for n in (16, 32, 128, 512)}
     # Section 5.2: with the issue-queue limit removed, limited physical

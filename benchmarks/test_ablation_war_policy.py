@@ -9,15 +9,13 @@ runs use 48 registers: fewer spare registers make reallocation (hence
 WAR exposure) common.
 """
 
-from conftest import run_once
-
 from repro.experiments.figures import ablation
 
 _BENCHMARKS = ("gzip", "mcf")
 
 
-def test_war_policy_ablation(benchmark, spec, traces):
-    result = run_once(benchmark, ablation, "war-policy", spec, traces)
+def test_war_policy_ablation(render):
+    result = render("war-policy", ablation)
     stats = result.data["stats"]
 
     for name in _BENCHMARKS:

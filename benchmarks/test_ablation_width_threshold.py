@@ -8,16 +8,14 @@ justification for "a slight increase in the map table entry size seems
 reasonable".
 """
 
-from conftest import run_once
-
 from repro.experiments.figures import ablation
 
 _THRESHOLDS = (1, 4, 7, 10, 13, 16)
 _BENCHMARKS = ("gzip", "mcf", "twolf")
 
 
-def test_width_threshold_ablation(benchmark, spec, traces):
-    result = run_once(benchmark, ablation, "width-threshold", spec, traces)
+def test_width_threshold_ablation(render):
+    result = render("width-threshold", ablation)
     speedup, stats = result.data["values"], result.data["stats"]
 
     for name in _BENCHMARKS:

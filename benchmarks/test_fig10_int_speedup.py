@@ -6,12 +6,13 @@ Shape targets from the paper:
   (paper: +7.3% at 4-wide, +14.8% at 8-wide);
 * PRI beats prior-work ER on average (paper: by 3.7% / 9.2%);
 * lazy checkpointing >= checkpoint counting; ideal payload update >=
-  reference counting (each by a small margin);
+  reference counting (each by a small margin).  Both are asserted only
+  within a 0.995 factor: at 8-wide (``REPRO_BENCH_WIDTHS=4,8``) the
+  ideal+ckptcount mean (+12.1% in EXPERIMENTS.md) sits 0.1 point below
+  refcount+ckptcount (+12.2%), and passes through that factor alone;
 * PRI+ER beats PRI alone;
 * infinite registers bound everything from above.
 """
-
-from conftest import run_once
 
 from repro.experiments.figures import figure10
 from repro.experiments.report import mean
@@ -25,8 +26,8 @@ def _scheme_means(data, benchmarks):
     }
 
 
-def test_figure10(benchmark, spec, traces, widths):
-    result = run_once(benchmark, figure10, spec, widths=widths, traces=traces)
+def test_figure10(render, widths):
+    result = render("figure10", figure10)
 
     for width in widths:
         data = result.data[width]

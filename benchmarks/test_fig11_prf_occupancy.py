@@ -5,14 +5,12 @@ the base machine; PRI+ER is lowest (or tied); occupancy stays within the
 physically possible range (31 committed + in-flight <= 64).
 """
 
-from conftest import run_once
-
 from repro.experiments.figures import figure11
 from repro.experiments.report import mean
 
 
-def test_figure11(benchmark, spec, traces, widths):
-    result = run_once(benchmark, figure11, spec, widths=widths, traces=traces)
+def test_figure11(render, widths):
+    result = render("figure11", figure11)
 
     for width in widths:
         data = result.data[width]

@@ -6,14 +6,12 @@ suite on average (paper: +12.0% vs +7.3% at 4-wide, +25.2% vs +14.8% at
 infinite registers); the scheme ordering matches Figure 10's.
 """
 
-from conftest import run_once
-
 from repro.experiments.figures import figure12
 from repro.experiments.report import mean
 
 
-def test_figure12(benchmark, spec, traces, widths):
-    result = run_once(benchmark, figure12, spec, widths=widths, traces=traces)
+def test_figure12(render, widths):
+    result = render("figure12", figure12)
 
     for width in widths:
         data = result.data[width]

@@ -6,14 +6,12 @@ after the last read, waiting for the redefiner's commit — dominates the
 average lifetime.
 """
 
-from conftest import run_once
-
 from repro.experiments.figures import figure1
 from repro.experiments.report import mean
 
 
-def test_figure1(benchmark, spec, traces, widths):
-    result = run_once(benchmark, figure1, spec, widths=widths, traces=traces)
+def test_figure1(render, widths):
+    result = render("figure1", figure1)
 
     for width in widths:
         breakdowns = result.data[width]

@@ -4,14 +4,12 @@ Shape targets: PRI cuts the average lifetime versus base; PRI+ER cuts it
 at least as much; the reduction comes out of the last-read→release phase.
 """
 
-from conftest import run_once
-
 from repro.experiments.figures import figure8
 from repro.experiments.report import mean
 
 
-def test_figure8(benchmark, spec, traces, widths):
-    result = run_once(benchmark, figure8, spec, widths=widths, traces=traces)
+def test_figure8(render, widths):
+    result = render("figure8", figure8)
 
     for width in widths:
         data = result.data[width]

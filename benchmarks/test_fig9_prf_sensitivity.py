@@ -6,15 +6,13 @@ register count, and the growth from 64 to 96 registers is modest compared
 to the growth from 40 to 64 — the paper's justification for choosing 64.
 """
 
-from conftest import run_once
-
 from repro.config import PRF_SWEEP_SIZES
 from repro.experiments.figures import figure9
 from repro.experiments.report import mean
 
 
-def test_figure9(benchmark, spec, traces, widths):
-    result = run_once(benchmark, figure9, spec, widths=widths, traces=traces)
+def test_figure9(render, widths):
+    result = render("figure9", figure9)
 
     for width in widths:
         data = result.data[width]

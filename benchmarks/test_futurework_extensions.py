@@ -8,15 +8,13 @@
   and never allocates a register.
 """
 
-from conftest import run_once
-
 from repro.experiments.figures import ablation
 
 _BENCHMARKS = ("gzip", "twolf")
 
 
-def test_virtual_physical(benchmark, spec, traces):
-    result = run_once(benchmark, ablation, "virtual-physical", spec, traces)
+def test_virtual_physical(render):
+    result = render("virtual-physical", ablation)
     stats = result.data["stats"]
     for name in _BENCHMARKS:
         base, vp, pri, both = (stats[f"{name}/40r", column]
@@ -30,8 +28,8 @@ def test_virtual_physical(benchmark, spec, traces):
                 < base.lifetime("int").avg_alloc_to_write), name
 
 
-def test_load_immediate_hint(benchmark, spec, traces):
-    result = run_once(benchmark, ablation, "load-immediate", spec, traces)
+def test_load_immediate_hint(render):
+    result = render("load-immediate", ablation)
     stats = result.data["stats"]
     for name in _BENCHMARKS:
         pri, li = stats[name, "PRI IPC"], stats[name, "PRI+hint IPC"]

@@ -6,14 +6,12 @@ memory-bound stragglers (IPC well below 1); the streaming FP codes
 and the suite-wide ordering tracks the paper's Table 2.
 """
 
-from conftest import run_once
-
 from repro.experiments.tables import table2
 from repro.workloads import get_profile
 
 
-def test_table2(benchmark, spec, traces, widths):
-    result = run_once(benchmark, table2, spec, widths=widths, traces=traces)
+def test_table2(render):
+    result = render("table2", table2)
 
     ipc = {}
     for suite in ("integer", "floating point"):

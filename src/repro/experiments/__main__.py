@@ -176,9 +176,13 @@ def main(argv=None) -> int:
         # same drain path as Ctrl-C.
         raise KeyboardInterrupt
 
-    # (plan name, label, render from the results) of each output.
+    # (plan name, label, render from the results) of each output; every
+    # plan driver renders as driver(results).
     drivers = [(f"table{n}", f"table {n}", _TABLES[n]) for n in tables]
     drivers += [(f"figure{n}", f"figure {n}", _FIGURES[n]) for n in figures]
+    drivers = [(name, label, functools.partial(driver, widths=widths)
+                if name in CELLS else driver)
+               for name, label, driver in drivers]
     if args.all and 4 in widths:
         drivers += [(name, f"ablation {name}", functools.partial(ablation, name))
                     for name in ABLATIONS]
@@ -198,10 +202,8 @@ def main(argv=None) -> int:
                 elif name == "figure2":
                     result = driver(length=max(args.length, 10000),
                                     seed=args.seed)
-                elif name in ABLATIONS:
-                    result = driver(spec, results=results)
                 else:
-                    result = driver(spec, widths=widths, results=results)
+                    result = driver(results)
             except MatrixError as err:
                 print(f"{label} failed: {len(err.errors)} sweep "
                       "cell(s) did not complete:", file=sys.stderr)

@@ -1,13 +1,17 @@
 """Per-figure experiment drivers.
 
-Each ``figureN`` function regenerates the data behind the paper's Figure
-N — the same rows and series the paper plots — and returns a result
+Each ``figureN`` function renders the data behind the paper's Figure N
+— the same rows and series the paper plots — and returns a result
 object whose ``render()`` produces a plain-text table.  Absolute numbers
 come from the synthetic-trace substrate (see DESIGN.md §4); the shape is
 what is being reproduced.
 
-:data:`CELLS` declares the cells each table and figure reads; its
-driver renders them from a results table.
+:data:`CELLS` and :data:`ABLATIONS` declare the cells each table, figure
+and ablation reads, and :func:`plan` lists them.  Their drivers only
+render: simulate a plan first, then pass the results table::
+
+    results = run_cells(plan("figure10", (4, 8)), spec)
+    figure10(results)
 """
 
 from __future__ import annotations
@@ -37,11 +41,9 @@ from repro.experiments.runner import (
     INT_BENCHMARKS,
     Cell,
     Results,
-    RunSpec,
     TraceCache,
     cells_view,
     matrix_view,
-    run_cells,
     scheme_name,
     speedups_over_base,
 )
@@ -54,11 +56,12 @@ _SPEEDUP_SCHEMES = ("base",) + FIGURE10_SCHEMES
 _LABELS = {"PRI-refcount+ckptcount": "PRI"}
 
 
-def _sized_schemes(width: int, sizes: Sequence[int] = PRF_SWEEP_SIZES):
-    """Figure 9's schemes: the base machine at each register file size,
-    ``base@PR=<n>``, spelled by :func:`~runner.scheme_name`, so the Table
-    1 size (64 at both widths) is Table 2's plain ``base`` cell."""
-    return [scheme_name(f"base@PR={n}", width) for n in sizes]
+def _sized_schemes(width: int) -> List[str]:
+    """Figure 9's schemes: the base machine at each register file size of
+    :data:`~repro.config.PRF_SWEEP_SIZES`, ``base@PR=<n>``, spelled by
+    :func:`~runner.scheme_name`, so the Table 1 size (64 at both widths)
+    is Table 2's plain ``base`` cell."""
+    return [scheme_name(f"base@PR={n}", width) for n in PRF_SWEEP_SIZES]
 
 
 #: The cells each simulating table and figure reads: its default
@@ -145,19 +148,17 @@ def _column_cells(benchmark: str, suffix: str, scheme: str,
 
 
 def plan(name: str, widths: Sequence[int],
-         benchmarks: Optional[Sequence[str]] = None,
-         schemes=None) -> List[Cell]:
+         benchmarks: Optional[Sequence[str]] = None) -> List[Cell]:
     """The (benchmark, scheme, width) cells driver ``name`` reads: its
-    :data:`CELLS` entry, unless ``benchmarks`` or ``schemes`` replace it,
-    or its :data:`ABLATIONS` entry's cells when 4 is among ``widths``."""
+    :data:`CELLS` entry, over ``benchmarks`` when given, or its
+    :data:`ABLATIONS` entry's cells when 4 is among ``widths``."""
     if name in ABLATIONS:
         table = ABLATIONS[name]
         return [cell for _, benchmark, suffix in table.rows
                 for _, _, scheme, reference in table.columns
                 for cell in _column_cells(benchmark, suffix, scheme, reference)
                 ] if 4 in widths else []
-    default_benchmarks, default_schemes = CELLS[name]
-    schemes = schemes or default_schemes
+    default_benchmarks, schemes = CELLS[name]
     return [(b, s, w) for w in widths for b in benchmarks or default_benchmarks
             for s in (schemes(w) if callable(schemes) else schemes)]
 
@@ -179,21 +180,17 @@ class FigureResult:
 # ===================================================================
 
 def figure1(
-    spec: Optional[RunSpec] = None,
+    results: Results,
     widths: Sequence[int] = _DEFAULT_WIDTHS,
     benchmarks: Sequence[str] = INT_BENCHMARKS,
-    traces: Optional[TraceCache] = None,
-    results: Optional[Results] = None,
 ) -> FigureResult:
     """Average physical register lifetime, split into alloc→write,
     write→last-read, last-read→release (stacked bars of Figure 1).
 
-    Renders ``results``, or else simulates its own cells in process; a
-    failed cell raises :class:`~repro.experiments.runner.MatrixError`.
-    The same applies to every other simulating driver."""
-    if results is None:
-        results = run_cells(plan("figure1", widths, benchmarks), spec,
-                            traces)
+    Renders the cells of ``plan("figure1", widths, benchmarks)`` from
+    ``results``; a failed cell raises
+    :class:`~repro.experiments.runner.MatrixError`.  The same applies to
+    every other driver of :data:`CELLS` and :data:`ABLATIONS`."""
     result = FigureResult(
         "Figure 1: average integer register lifetime (cycles), base machine"
     )
@@ -307,16 +304,11 @@ def figure2(
 # ===================================================================
 
 def figure8(
-    spec: Optional[RunSpec] = None,
+    results: Results,
     widths: Sequence[int] = _DEFAULT_WIDTHS,
     benchmarks: Sequence[str] = INT_BENCHMARKS,
-    traces: Optional[TraceCache] = None,
-    results: Optional[Results] = None,
 ) -> FigureResult:
     """Register lifetime for base vs PRI vs PRI+ER (Figure 8)."""
-    if results is None:
-        results = run_cells(plan("figure8", widths, benchmarks), spec,
-                            traces)
     schemes = CELLS["figure8"][1]
     labels = {s: _LABELS.get(s, s) for s in schemes}
     result = FigureResult(
@@ -354,27 +346,21 @@ def figure8(
 # ===================================================================
 
 def figure9(
-    spec: Optional[RunSpec] = None,
+    results: Results,
     widths: Sequence[int] = _DEFAULT_WIDTHS,
     benchmarks: Sequence[str] = INT_BENCHMARKS,
-    sizes: Sequence[int] = PRF_SWEEP_SIZES,
-    traces: Optional[TraceCache] = None,
-    results: Optional[Results] = None,
 ) -> FigureResult:
     """Base-machine speedup vs physical register count, normalized to the
     smallest size (Figure 9).
 
-    Each size is a scheme (``base@PR=<n>``)."""
-    if results is None:
-        results = run_cells(
-            plan("figure9", widths, benchmarks,
-                 lambda width: _sized_schemes(width, sizes)),
-            spec, traces)
+    Each size of :data:`~repro.config.PRF_SWEEP_SIZES` is a scheme
+    (``base@PR=<n>``)."""
+    sizes = PRF_SWEEP_SIZES
     result = FigureResult(
         f"Figure 9: register file sensitivity (speedup over PR={sizes[0]})"
     )
     for width in widths:
-        schemes = _sized_schemes(width, sizes)
+        schemes = _sized_schemes(width)
         matrix = matrix_view(results, benchmarks, schemes, width)
         rows = []
         data: Dict[str, Dict[int, float]] = {}
@@ -442,32 +428,22 @@ def _scheme_speedup_figure(
 
 
 def figure10(
-    spec: Optional[RunSpec] = None,
+    results: Results,
     widths: Sequence[int] = _DEFAULT_WIDTHS,
     benchmarks: Sequence[str] = INT_BENCHMARKS,
-    traces: Optional[TraceCache] = None,
-    results: Optional[Results] = None,
 ) -> FigureResult:
     """PRI speedups for the SPECint suite (Figure 10)."""
-    if results is None:
-        results = run_cells(plan("figure10", widths, benchmarks), spec,
-                            traces)
     return _scheme_speedup_figure(
         "Figure 10: PRI speed-up, SPEC2000 integer", benchmarks, widths,
         results)
 
 
 def figure12(
-    spec: Optional[RunSpec] = None,
+    results: Results,
     widths: Sequence[int] = _DEFAULT_WIDTHS,
     benchmarks: Sequence[str] = FP_BENCHMARKS,
-    traces: Optional[TraceCache] = None,
-    results: Optional[Results] = None,
 ) -> FigureResult:
     """PRI speedups for the SPECfp suite (Figure 12)."""
-    if results is None:
-        results = run_cells(plan("figure12", widths, benchmarks), spec,
-                            traces)
     return _scheme_speedup_figure(
         "Figure 12: PRI speed-up, SPEC2000 floating point", benchmarks,
         widths, results)
@@ -478,16 +454,11 @@ def figure12(
 # ===================================================================
 
 def figure11(
-    spec: Optional[RunSpec] = None,
+    results: Results,
     widths: Sequence[int] = _DEFAULT_WIDTHS,
     benchmarks: Sequence[str] = INT_BENCHMARKS,
-    traces: Optional[TraceCache] = None,
-    results: Optional[Results] = None,
 ) -> FigureResult:
     """Average integer PRF occupancy for base / ER / PRI / PRI+ER."""
-    if results is None:
-        results = run_cells(plan("figure11", widths, benchmarks), spec,
-                            traces)
     schemes = CELLS["figure11"][1]
     labels = [_LABELS.get(s, s) for s in schemes]
     result = FigureResult("Figure 11: average integer PRF occupancy (registers)")
@@ -524,21 +495,14 @@ def figure11(
 # Ablations
 # ===================================================================
 
-def ablation(
-    name: str,
-    spec: Optional[RunSpec] = None,
-    traces: Optional[TraceCache] = None,
-    results: Optional[Results] = None,
-) -> FigureResult:
-    """Render ablation ``name`` of :data:`ABLATIONS` at 4-wide.
+def ablation(name: str, results: Results) -> FigureResult:
+    """Render ablation ``name`` of :data:`ABLATIONS` at 4-wide from the
+    cells of ``plan(name, (4,))`` in ``results``.
 
     ``data["values"][label, header]`` is each number in the table, and
     ``data["stats"][label, header]`` the stats of its column's scheme in
     that row (the numerator of a ratio)."""
-    cells = plan(name, (4,))
-    if results is None:
-        results = run_cells(cells, spec, traces)
-    cells_view(results, cells)
+    cells_view(results, plan(name, (4,)))
     table = ABLATIONS[name]
     values, stats, rows = {}, {}, []
     for label, benchmark, suffix in table.rows:

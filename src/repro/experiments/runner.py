@@ -359,9 +359,10 @@ MatrixCell = Union[SimStats, CellError]
 
 
 class MatrixError(RuntimeError):
-    """One or more sweep cells failed under ``on_error='raise'``.  The
-    completed cells and the structured error records are attached, so a
-    caller (or the journal) loses nothing."""
+    """A view of a results table (:func:`matrix_view`,
+    :func:`run_matrix`) found failed cells.  The completed cells and the
+    structured error records are attached, so a caller (or the journal)
+    loses nothing."""
 
     def __init__(self, errors: List[CellError], results: Dict[str, Dict[str, MatrixCell]]):
         self.errors = errors
@@ -536,26 +537,18 @@ def run_matrix(
     spec: Optional[RunSpec] = None,
     traces: Optional[TraceCache] = None,
     jobs: int = 1,
-    *,
-    on_error: str = "raise",
     **options,
-) -> Dict[str, Dict[str, MatrixCell]]:
+) -> Dict[str, Dict[str, SimStats]]:
     """Simulate a benchmark x scheme matrix at one width; returns
     [benchmark][scheme].  The rectangle view of :func:`run_cells`, which
     runs it and takes ``options`` (``cell_timeout``, ``retries``,
-    ``journal``, ``farm``, ...).
-
-    ``on_error='record'`` leaves a structured :class:`CellError` in the
-    matrix for each failed cell (see :func:`matrix_errors`); ``'raise'``
-    (default) raises :class:`MatrixError` — *after* finishing and
-    journaling every other cell — with the partial results attached.
+    ``journal``, ``farm``, ...).  A failed cell raises
+    :class:`MatrixError` — *after* every other cell has finished and
+    been journaled — with the partial results attached; a caller that
+    wants each :class:`CellError` kept calls :func:`run_cells`.
     """
-    if on_error not in ("raise", "record"):
-        raise ValueError(f"on_error must be 'raise' or 'record', got {on_error!r}")
     cells = [(b, s, width) for b in benchmarks for s in schemes]
     results = run_cells(cells, spec, traces, jobs, **options)
-    if on_error == "record":
-        return {b: {s: results[b, s, width] for s in schemes} for b in benchmarks}
     return matrix_view(results, benchmarks, schemes, width)
 
 

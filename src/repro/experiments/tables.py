@@ -1,21 +1,19 @@
 """Table drivers: the paper's Table 1 (machine configurations) and
-Table 2 (benchmarks and base IPC)."""
+Table 2 (benchmarks and base IPC).  Table 2 renders from a results
+table, like the figure drivers (:mod:`repro.experiments.figures`)."""
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.config import eight_wide, four_wide
-from repro.experiments.figures import FigureResult, plan
+from repro.experiments.figures import FigureResult
 from repro.experiments.report import format_table
 from repro.experiments.runner import (
     FP_BENCHMARKS,
     INT_BENCHMARKS,
     Results,
-    RunSpec,
-    TraceCache,
     matrix_view,
-    run_cells,
 )
 from repro.workloads import get_profile
 
@@ -62,16 +60,11 @@ def table1() -> FigureResult:
     return result
 
 
-def table2(
-    spec: Optional[RunSpec] = None,
-    widths: Sequence[int] = _DEFAULT_WIDTHS,
-    traces: Optional[TraceCache] = None,
-    results: Optional[Results] = None,
-) -> FigureResult:
+def table2(results: Results,
+           widths: Sequence[int] = _DEFAULT_WIDTHS) -> FigureResult:
     """Base IPC for every benchmark at each width, next to the paper's
-    reported values (Table 2), rendered from ``results`` when given."""
-    if results is None:
-        results = run_cells(plan("table2", widths), spec, traces)
+    reported values (Table 2), rendered from the cells of
+    ``plan("table2", widths)`` in ``results``."""
     result = FigureResult("Table 2: benchmark programs simulated (base IPC)")
     for suite, names in (("integer", INT_BENCHMARKS), ("floating point", FP_BENCHMARKS)):
         matrices = [matrix_view(results, names, ("base",), width)

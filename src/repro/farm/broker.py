@@ -33,7 +33,10 @@ concurrency story auditable:
   :class:`~repro.farm.aggregate.Aggregator` exactly once per cell into
   ``on_cell_done`` (the same callback :func:`run_cells` uses for its
   serial path, so journaling and figure assembly are identical),
-  verifying zombie duplicates bit-identically;
+  verifying zombie duplicates bit-identically.  Each folded cell's
+  ``completed`` line follows a ``leased`` line for its attempt: a
+  worker's grant that no poll saw (claimed and finished between two)
+  is journaled from its result;
 * **drain** — on completion, Ctrl-C, or SIGTERM, live local workers get
   a SIGTERM and ``grace`` seconds to drop their cell and release its
   lease before being killed; still-held leases are journaled
@@ -170,6 +173,12 @@ def run_cells_farm(
             if agg.fold(result) != "folded":
                 continue
             cell = published[cid]
+            ident = (result.worker, result.attempt)
+            if result.worker != "broker" and known_leases.get(cid) != ident:
+                # Claimed and finished between two polls: journal the
+                # grant no scan saw, so every completion has its lease.
+                known_leases[cid] = ident
+                jlease(cell, "leased", result.worker, attempt=result.attempt)
             jlease(cell, "completed", result.worker, attempt=result.attempt)
             benchmark, scheme = cell.benchmark, cell.scheme
             if result.status == "ok":

@@ -129,8 +129,9 @@ def test_ablations_run_at_4_wide_only_and_apart_from_cells():
 
 
 def test_ablation_renders_its_columns():
-    result = ablation("load-immediate", RunSpec(length=60, warmup=500),
-                      TraceCache())
+    cells = plan("load-immediate", (4,))
+    result = ablation("load-immediate", run_cells(
+        cells, RunSpec(length=60, warmup=500), TraceCache()))
     text = result.render()
     assert text.startswith("Ablation: ")
     assert "PRI+hint IPC" in text and "inlined" in text

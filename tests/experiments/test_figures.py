@@ -1,5 +1,6 @@
 """Figure/table driver smoke tests at miniature scale: each driver must
-produce the paper's rows and series and render cleanly."""
+produce the paper's rows and series and render cleanly, from exactly the
+cells its plan names."""
 
 import pytest
 
@@ -16,9 +17,12 @@ from repro.experiments import (
     figure10,
     figure11,
     figure12,
+    run_cells,
+    run_one,
     table1,
     table2,
 )
+from repro.experiments.figures import ABLATIONS, CELLS, ablation, plan
 from repro.experiments.runner import FP_BENCHMARKS, INT_BENCHMARKS
 from repro.isa.instruction import MicroOp
 from repro.workloads import generate_trace
@@ -33,6 +37,46 @@ def cache():
     return TraceCache()
 
 
+def _simulated(name, benchmarks=None, spec=_SPEC, traces=None):
+    """The results table of driver ``name``'s 4-wide plan."""
+    return run_cells(plan(name, (4,), benchmarks), spec, traces)
+
+
+class _Reads(dict):
+    """A results table that records the cells read from it."""
+
+    def __init__(self, cells, stats):
+        super().__init__((cell, stats) for cell in cells)
+        self.read = set()
+
+    def __getitem__(self, cell):
+        self.read.add(cell)
+        return super().__getitem__(cell)
+
+
+_DRIVERS = {"table2": table2, "figure1": figure1, "figure8": figure8,
+            "figure9": figure9, "figure10": figure10, "figure11": figure11,
+            "figure12": figure12}
+
+
+@pytest.mark.parametrize("name", list(CELLS) + list(ABLATIONS))
+def test_driver_renders_from_exactly_its_plan(name):
+    """Each driver renders from a table that holds only the cells of
+    ``plan(name, (4, 8))``, and reads every one of them: a driver that
+    read a cell its plan does not name would raise ``KeyError`` here."""
+    assert set(_DRIVERS) == set(CELLS)
+    stats = run_one("gzip", "base", 4, RunSpec(length=40, warmup=100),
+                    TraceCache())
+    planned = plan(name, (4, 8))
+    results = _Reads(planned, stats)
+    if name in ABLATIONS:
+        result = ablation(name, results)
+    else:
+        result = _DRIVERS[name](results, widths=(4, 8))
+    assert result.render()
+    assert results.read == set(planned)
+
+
 class TestTables:
     def test_table1_lists_both_machines(self):
         text = table1().render()
@@ -40,7 +84,7 @@ class TestTables:
         assert "512" in text  # ROB
 
     def test_table2_structure(self, cache):
-        result = table2(_SPEC, widths=(4,), traces=cache)
+        result = table2(_simulated("table2", traces=cache), widths=(4,))
         text = result.render()
         assert "gzip" in text and "ammp" in text
         assert "paper(4w)" in text
@@ -48,7 +92,8 @@ class TestTables:
 
 class TestFigureDrivers:
     def test_figure1(self, cache):
-        result = figure1(_SPEC, widths=(4,), benchmarks=_BENCH, traces=cache)
+        result = figure1(_simulated("figure1", _BENCH, traces=cache),
+                         widths=(4,), benchmarks=_BENCH)
         assert len(result.data[4]) == 2
         text = result.render()
         assert "last-read->release" in text
@@ -63,18 +108,20 @@ class TestFigureDrivers:
         assert cdf[64] == pytest.approx(1.0)
 
     def test_figure8_has_three_schemes(self, cache):
-        result = figure8(_SPEC, widths=(4,), benchmarks=("gzip",), traces=cache)
+        result = figure8(_simulated("figure8", ("gzip",), traces=cache),
+                         widths=(4,), benchmarks=("gzip",))
         assert set(result.data[4]["gzip"]) == {"base", "PRI", "PRI+ER"}
 
     def test_figure9_normalized_to_smallest(self, cache):
-        result = figure9(_SPEC, widths=(4,), benchmarks=("gzip",),
-                         sizes=(40, 64), traces=cache)
+        result = figure9(_simulated("figure9", ("gzip",), traces=cache),
+                         widths=(4,), benchmarks=("gzip",))
         data = result.data[4]["gzip"]
         assert data[40] == pytest.approx(1.0)
         assert data[64] >= 1.0
 
     def test_figure10_series(self, cache):
-        result = figure10(_SPEC, widths=(4,), benchmarks=("gzip",), traces=cache)
+        result = figure10(_simulated("figure10", ("gzip",), traces=cache),
+                          widths=(4,), benchmarks=("gzip",))
         speedups = result.data[4]["speedups"]["gzip"]
         assert set(speedups) == {
             "ER", "PRI-refcount+ckptcount", "PRI-refcount+lazy",
@@ -83,27 +130,30 @@ class TestFigureDrivers:
         assert "mean speedup by scheme" in result.render()
 
     def test_figure11_occupancies(self, cache):
-        result = figure11(_SPEC, widths=(4,), benchmarks=("gzip",), traces=cache)
+        result = figure11(_simulated("figure11", ("gzip",), traces=cache),
+                          widths=(4,), benchmarks=("gzip",))
         occ = result.data[4]["gzip"]
         assert 0 < occ["PRI"] <= 64
         assert occ["base"] >= occ["PRI+ER"] * 0.9
 
     def test_figure12_runs_fp(self, cache):
-        result = figure12(_SPEC, widths=(4,), benchmarks=_FP_BENCH, traces=cache)
+        result = figure12(_simulated("figure12", _FP_BENCH, traces=cache),
+                          widths=(4,), benchmarks=_FP_BENCH)
         assert "ammp" in result.render()
 
 
 class TestFigure9Spec:
-    """Figure 9 honours the run spec like every other driver: audit and
-    oracle overlays on each size's config, and the cycle-limit watchdog."""
+    """Figure 9's plan honours the run spec like every other driver's:
+    audit and oracle overlays on each size's config, and the cycle-limit
+    watchdog, whose failures the render reports."""
 
     def test_watchdog_fires(self, cache):
         spec = RunSpec(length=350, warmup=700, seed=2, max_cycles=30)
+        results = _simulated("figure9", ("gzip",), spec, cache)
         with pytest.raises(MatrixError, match="cycle-limit watchdog:") as err:
-            figure9(spec, widths=(4,), benchmarks=("gzip",), sizes=(40, 64),
-                    traces=cache)
+            figure9(results, widths=(4,), benchmarks=("gzip",))
         assert [(e.scheme, e.error_type) for e in err.value.errors] == [
-            ("base@PR=40", "SimulationError"), ("base", "SimulationError")]
+            (s, "SimulationError") for _, s, _ in plan("figure9", (4,), ("gzip",))]
         assert "gzip/base@PR=40 committed only" in err.value.errors[0].message
 
     def test_audit_and_oracle_reach_every_config(self, cache, monkeypatch):
@@ -117,15 +167,16 @@ class TestFigure9Spec:
         monkeypatch.setattr(runner, "Machine", Recording)
         spec = RunSpec(length=350, warmup=700, seed=2, audit=True,
                        oracle=True)
-        figure9(spec, widths=(4,), benchmarks=("gzip",), sizes=(40, 64),
-                traces=cache)
-        assert [c.int_phys_regs for c in configs] == [40, 64]
+        figure9(_simulated("figure9", ("gzip",), spec, cache), widths=(4,),
+                benchmarks=("gzip",))
+        assert [c.int_phys_regs for c in configs] == [40, 48, 56, 64, 72, 80, 96]
         assert all(c.audit.enabled and c.oracle.enabled for c in configs)
 
     def test_uses_the_runs_shared_trace_cache(self, monkeypatch):
         shared = TraceCache()
         monkeypatch.setattr(runner, "_GLOBAL_TRACES", shared)
-        figure9(_SPEC, widths=(4,), benchmarks=("gzip",), sizes=(40, 64))
+        figure9(_simulated("figure9", ("gzip",)), widths=(4,),
+                benchmarks=("gzip",))
         assert shared.get("gzip", _SPEC).warm_states
 
 
@@ -164,7 +215,7 @@ class TestFigure2Streams:
         spec = RunSpec(length=100, warmup=1900, seed=4)
         shared = TraceCache()
         monkeypatch.setattr(runner, "_GLOBAL_TRACES", shared)
-        table2(spec, widths=(4,))
+        run_cells(plan("table2", (4,)), spec)
         names = list(INT_BENCHMARKS + FP_BENCHMARKS)
         assert sorted(generated) == sorted(names)
         reused = figure2(length=2000, seed=4)

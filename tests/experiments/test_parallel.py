@@ -73,10 +73,10 @@ def test_figure_driver_accepts_jobs():
 
     benchmarks = ("gzip", "mcf")
     cells = plan("figure10", (4,), benchmarks)
-    parallel = figure10(_SPEC, widths=(4,), benchmarks=benchmarks,
-                        results=run_cells(cells, _SPEC, jobs=2))
-    serial = figure10(_SPEC, widths=(4,), benchmarks=benchmarks,
-                      traces=TraceCache())
+    parallel = figure10(run_cells(cells, _SPEC, jobs=2), widths=(4,),
+                        benchmarks=benchmarks)
+    serial = figure10(run_cells(cells, _SPEC, TraceCache()), widths=(4,),
+                      benchmarks=benchmarks)
     assert set(parallel.data[4]["speedups"]) == set(benchmarks)
     assert parallel.render() == serial.render()
 

@@ -42,11 +42,17 @@ def _raise_pri(benchmark, scheme, width, spec, traces=None):
     return run_one(benchmark, scheme, width, spec, traces)
 
 
+def _recorded(benchmarks, schemes, **options):
+    """``run_cells`` over the 4-wide benchmarks x schemes rectangle, as a
+    [benchmark][scheme] matrix that keeps each failed cell's
+    :class:`CellError`."""
+    results = run_cells([(b, s, 4) for b in benchmarks for s in schemes],
+                        _SPEC, **options)
+    return {b: {s: results[b, s, 4] for s in schemes} for b in benchmarks}
+
+
 def test_crashing_cell_yields_partial_results():
-    results = run_matrix(
-        ["gzip"], ["base", _PRI], 4, _SPEC, jobs=2,
-        on_error="record", cell_fn=_crash_pri,
-    )
+    results = _recorded(["gzip"], ["base", _PRI], jobs=2, cell_fn=_crash_pri)
     ok = results["gzip"]["base"]
     assert isinstance(ok, SimStats) and ok.committed == 300
     err = results["gzip"][_PRI]
@@ -67,10 +73,8 @@ def test_crashing_cell_raises_matrix_error_with_partials():
 
 def test_hanging_cell_times_out():
     start = time.monotonic()
-    results = run_matrix(
-        ["gzip"], ["base", _PRI], 4, _SPEC, jobs=2,
-        on_error="record", cell_timeout=2.0, cell_fn=_hang_pri,
-    )
+    results = _recorded(["gzip"], ["base", _PRI], jobs=2, cell_timeout=2.0,
+                        cell_fn=_hang_pri)
     assert time.monotonic() - start < 30
     err = results["gzip"][_PRI]
     assert isinstance(err, CellError) and err.kind == "timeout"
@@ -85,20 +89,16 @@ def test_crash_is_retried(tmp_path):
             handle.write("x")
         os._exit(9)
 
-    results = run_matrix(
-        ["gzip"], ["base"], 4, _SPEC, jobs=2, on_error="record",
-        retries=2, retry_backoff=0.01, cell_fn=counting_crash,
-    )
+    results = _recorded(["gzip"], ["base"], jobs=2, retries=2,
+                        retry_backoff=0.01, cell_fn=counting_crash)
     err = results["gzip"]["base"]
     assert isinstance(err, CellError) and err.attempts == 3
     assert marker.read_text() == "xxx"
 
 
 def test_deterministic_error_is_not_retried():
-    results = run_matrix(
-        ["gzip"], ["base", _PRI], 4, _SPEC, jobs=2, on_error="record",
-        retries=3, retry_backoff=0.01, cell_fn=_raise_pri,
-    )
+    results = _recorded(["gzip"], ["base", _PRI], jobs=2, retries=3,
+                        retry_backoff=0.01, cell_fn=_raise_pri)
     err = results["gzip"][_PRI]
     assert isinstance(err, CellError)
     assert err.kind == "error"
@@ -107,10 +107,7 @@ def test_deterministic_error_is_not_retried():
 
 
 def test_serial_path_records_errors_too():
-    results = run_matrix(
-        ["gzip"], ["base", _PRI], 4, _SPEC, jobs=1,
-        on_error="record", cell_fn=_raise_pri,
-    )
+    results = _recorded(["gzip"], ["base", _PRI], jobs=1, cell_fn=_raise_pri)
     err = results["gzip"][_PRI]
     assert isinstance(err, CellError) and err.kind == "error"
     assert results["gzip"]["base"].committed == 300
@@ -181,10 +178,8 @@ def test_interrupt_hands_back_the_finished_cells(tmp_path):
 
 def test_journal_records_and_heals_errors(tmp_path):
     path = str(tmp_path / "sweep.json")
-    results = run_matrix(
-        ["gzip"], ["base", _PRI], 4, _SPEC, jobs=2,
-        on_error="record", journal=path, cell_fn=_crash_pri,
-    )
+    results = _recorded(["gzip"], ["base", _PRI], jobs=2, journal=path,
+                        cell_fn=_crash_pri)
     assert isinstance(results["gzip"][_PRI], CellError)
     journal = SweepJournal(path)
     assert journal.completed == 1

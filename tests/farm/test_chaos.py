@@ -52,6 +52,15 @@ def _assert_identical(farmed, plain):
             assert got.to_dict() == want.to_dict(), (benchmark, scheme)
 
 
+def _recorded(benchmarks, schemes, **options):
+    """``run_cells`` over the 4-wide benchmarks x schemes rectangle, as a
+    [benchmark][scheme] matrix that keeps each failed cell's
+    :class:`CellError`."""
+    results = run_cells([(b, s, 4) for b in benchmarks for s in schemes],
+                        _SPEC, **options)
+    return {b: {s: results[b, s, 4] for s in schemes} for b in benchmarks}
+
+
 @pytest.fixture(scope="module")
 def plain_small():
     """Fault-free reference for the 2x2 matrix used by most tests."""
@@ -71,21 +80,21 @@ def test_farm_matches_plain_run(tmp_path, plain_small):
     assert report.divergent == 0
 
 
-def _held(benchmark, scheme, width, spec, traces=None):
-    """``run_one``, after holding the cell for a few broker polls: the
-    broker journals the leases it sees at a poll, and a plain cell this
-    short can finish between two of them."""
-    time.sleep(0.3)
-    return run_one(benchmark, scheme, width, spec, traces)
-
-
 def test_farm_journals_lease_audit_trail(tmp_path, plain_small):
     farm = _farm(tmp_path)
-    run_matrix(_BENCH, ("base", _PRI), 4, _SPEC, farm=farm, cell_fn=_held)
+    run_matrix(_BENCH, ("base", _PRI), 4, _SPEC, farm=farm)
     journal = SweepJournal(os.path.join(farm.root, "journal.json"))
     states = [e["state"] for e in journal.lease_events]
     assert states.count("completed") == 4
     assert "leased" in states
+    # Every completion follows the grant of the attempt it completes,
+    # also for a cell claimed and finished between two broker polls.
+    granted = set()
+    for event in journal.lease_events:
+        if event["state"] == "leased":
+            granted.add((event["key"], event["attempt"]))
+        elif event["state"] == "completed":
+            assert (event["key"], event["attempt"]) in granted, event
     # Exactly one completion per cell key: the exactly-once contract,
     # as recorded durably in the journal.
     completed = [e["key"] for e in journal.lease_events
@@ -326,9 +335,8 @@ def _deterministic_boom(benchmark, scheme, width, spec, traces=None):
 
 def test_deterministic_error_is_not_retried(tmp_path):
     farm = _farm(tmp_path)
-    result = run_matrix(_BENCH, ("base", _PRI), 4, _SPEC, farm=farm,
-                        retries=3, on_error="record",
-                        cell_fn=_deterministic_boom)
+    result = _recorded(_BENCH, ("base", _PRI), farm=farm, retries=3,
+                       cell_fn=_deterministic_boom)
     for benchmark in _BENCH:
         assert isinstance(result[benchmark]["base"], SimStats)
         err = result[benchmark][_PRI]
@@ -347,8 +355,8 @@ def _crash_pri(benchmark, scheme, width, spec, traces=None):
 
 def test_retry_budget_exhaustion_is_terminal(tmp_path):
     farm = _farm(tmp_path, workers=1)
-    result = run_matrix(("gcc",), ("base", _PRI), 4, _SPEC, farm=farm,
-                        retries=1, on_error="record", cell_fn=_crash_pri)
+    result = _recorded(("gcc",), ("base", _PRI), farm=farm, retries=1,
+                       cell_fn=_crash_pri)
     assert isinstance(result["gcc"]["base"], SimStats)
     err = result["gcc"][_PRI]
     assert isinstance(err, CellError)
@@ -367,8 +375,8 @@ def test_dead_worker_lease_is_reclaimed_without_waiting_for_ttl(tmp_path):
                     poll_interval=0.05)
     assert farm.lease_ttl == 30.0
     start = time.monotonic()
-    result = run_matrix(("gcc",), ("base", _PRI), 4, _SPEC, farm=farm,
-                        on_error="record", cell_fn=_crash_pri)
+    result = _recorded(("gcc",), ("base", _PRI), farm=farm,
+                       cell_fn=_crash_pri)
     assert time.monotonic() - start < 10
     assert isinstance(result["gcc"]["base"], SimStats)
     err = result["gcc"][_PRI]
@@ -395,9 +403,8 @@ def test_timed_out_cell_frees_its_worker(tmp_path):
     farm = FarmSpec(root=str(tmp_path / "farm"), workers=1,
                     poll_interval=0.05)
     start = time.monotonic()
-    result = run_matrix(("gcc",), ("base", _PRI), 4, _SPEC, farm=farm,
-                        on_error="record", cell_timeout=2.0,
-                        cell_fn=hang_first)
+    result = _recorded(("gcc",), ("base", _PRI), farm=farm,
+                       cell_timeout=2.0, cell_fn=hang_first)
     assert time.monotonic() - start < 30
     hung = marker.read_text()
     other = _PRI if hung == "base" else "base"
