@@ -12,7 +12,9 @@ We measure *dynamic register operands*: every source register value an
 instruction reads plus every result it writes, matching the paper's
 "dynamic cumulative distribution of the number of bits needed to
 represent integer operands".  Each CDF takes an op stream: a
-:class:`Trace` (its timed ops) or a plain list of ops.
+:class:`Trace` (its timed ops), a plain list of ops, or
+:class:`~repro.workloads.packed.PackedOps` (a trace's warmup prefix, or
+Figure 2's stream prefix).
 """
 
 from __future__ import annotations
@@ -27,11 +29,15 @@ from repro.isa.values import (
     fp_significand_bits,
     significant_bits,
 )
+from repro.workloads.packed import PackedOps
 from repro.workloads.trace import Trace
 
 
 def _dynamic_operands(ops: Iterable[MicroOp], reg_class: RegClass) -> List[int]:
-    """All dynamic register operand values of one class in a stream."""
+    """All dynamic register operand values of one class in a stream.
+    Packed ops are read from their columns, without building ops."""
+    if isinstance(ops, PackedOps):
+        return ops.operand_values(reg_class)
     values: List[int] = []
     for op in ops:
         for src in op.sources:

@@ -101,6 +101,26 @@ class BranchUnit:
         if op.taken:
             self.btb.install(op.pc, op.target)
 
+    def train(self, kind: int, pc: int, taken: bool, target: int) -> None:
+        """:meth:`predict` then :meth:`resolve` for one branch of the
+        functional warmup, from its fields: the same history, table,
+        BTB and RAS updates in the same order, without the prediction
+        record or the accuracy counts (the warmup zeroes those)."""
+        if kind == _RETURN:
+            self.ras.pop()
+        else:
+            self.btb.lookup(pc)  # moves a hit to MRU, as predict does
+            if kind == _CALL:
+                self.ras.push(pc + 4)
+            else:
+                history = self.history
+                predictor = self.predictor
+                self.history = ((history << 1) | int(taken)) \
+                    & predictor.history_mask
+                predictor.update(pc, history, taken)
+        if taken:
+            self.btb.install(pc, target)
+
     def _counter_tables(self):
         """(state key, counter table) of the direction predictor, in
         :meth:`state` order."""

@@ -56,12 +56,13 @@ from repro.core.lsq import LoadStoreQueue
 from repro.core.regfile import NEVER, PhysRegFile, RegState
 from repro.core.scheduler import Scheduler
 from repro.core.stats import SimStats
-from repro.isa.opcodes import LATENCY_BY_CLASS, OpClass, RegClass
+from repro.isa.opcodes import IS_BRANCH, IS_MEM, LATENCY_BY_CLASS, OpClass, RegClass
 from repro.isa.registers import FP_ZERO_REG, INT_ZERO_REG
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.rename.checkpoints import CheckpointManager
 from repro.rename.map_table import MODE_IMMEDIATE, MODE_POINTER, RenameMapTable
 from repro.rename.refcount import RefCountTable
+from repro.workloads import packed
 from repro.workloads.trace import Trace
 
 # Event kinds, processed in (cycle, insertion-order).
@@ -431,28 +432,30 @@ class Machine:
                                   "memory": self.memory.state()}
 
     def _functional_warmup(self, trace: Trace) -> None:
-        """The warmup loop itself; counters are zeroed at the end."""
+        """The warmup loop itself; counters are zeroed at the end.  It
+        reads the packed prefix's columns and builds no ``MicroOp``."""
         unit = self.branch_unit
         mem = self.memory
         fetch = mem.il1.access_latency
         data = mem.dl1.access_latency
-        resolve = unit.resolve
-        predict = unit.predict
+        train = unit.train
         # Same-line IL1 accesses are skipped: a repeat access only moves
         # the already-MRU line to MRU and bumps the hit counter, and the
         # counters are zeroed below anyway.  Only the IL1 touches its
         # sets, so "same line as the previous access" proves residency.
         il1_shift = mem.il1.line_shift
         last_line = -1
-        for op in trace.warmup_ops:
-            line = op.pc >> il1_shift
+        for pc, kind, flags, target, addr in zip(*trace.warmup_ops.columns(
+                packed.PC, packed.KIND, packed.FLAGS, packed.TARGET,
+                packed.ADDR)):
+            line = pc >> il1_shift
             if line != last_line:
-                fetch(op.pc)
+                fetch(pc)
                 last_line = line
-            if op.is_branch:
-                resolve(op, predict(op))
-            elif op.is_mem:
-                data(op.mem_addr)
+            if IS_BRANCH[kind]:
+                train(kind, pc, flags & packed.TAKEN, target)
+            elif IS_MEM[kind]:
+                data(addr)
         unit.predictions = 0
         unit.direction_mispredicts = 0
         unit.target_mispredicts = 0

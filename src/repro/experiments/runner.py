@@ -38,9 +38,8 @@ from repro.core.machine import Machine, SimulationError
 from repro.core.stats import SimStats
 from repro.experiments.journal import SweepJournal, cell_key
 from repro.farm.lease import FarmSpec
-from repro.isa.instruction import MicroOp
 from repro.isa.registers import NUM_FP_ARCH_REGS, NUM_INT_ARCH_REGS
-from repro.workloads import SPEC_FP, SPEC_INT, Trace, generate_trace
+from repro.workloads import SPEC_FP, SPEC_INT, PackedOps, Trace, generate_trace
 
 #: Traces one :class:`TraceCache` holds before evicting the oldest.
 #: ``--all`` uses 27 distinct traces, so a whole paper run never evicts.
@@ -228,9 +227,11 @@ class TraceCache:
         if trace is None:
             if len(self._cache) >= TRACE_CACHE_LIMIT:
                 self._cache.pop(next(iter(self._cache)))
-            # A cached trace is tens of thousands of immutable, acyclic
-            # objects that live until evicted, and every collection that
-            # walks them frees nothing.  So: collect first (garbage that
+            # A cached trace is immutable and acyclic and lives until
+            # evicted: its warmup prefix is one packed array, but its
+            # timed ops are MicroOps (hundreds of thousands of objects
+            # at a long --length), and every collection that walks them
+            # frees nothing.  So: collect first (garbage that
             # is already waiting must not be frozen with them), build
             # with the cyclic collector paused (allocating them would
             # otherwise trigger collections that walk them), then freeze
@@ -254,22 +255,25 @@ class TraceCache:
             self._cache[key] = trace
         return trace
 
-    def stream_prefix(self, benchmark: str, seed: int, n: int) -> List[MicroOp]:
-        """The first ``n`` ops of ``benchmark``'s op stream at ``seed``:
-        the ops of ``generate_trace(benchmark, n, seed=seed, warmup=0)``.
+    def stream_prefix(self, benchmark: str, seed: int, n: int) -> PackedOps:
+        """The first ``n`` ops of ``benchmark``'s op stream at ``seed``,
+        packed: the ops of ``generate_trace(benchmark, n, seed=seed,
+        warmup=0)``.
 
         A trace's warmup prefix is the start of that same stream and its
         timed ops continue it, so any cached trace of (benchmark, seed)
         whose warmup plus length covers ``n`` already holds them.
-        Otherwise they are generated and not cached.  Only the ops are
-        returned: a cached trace's ``initial_int``/``initial_fp`` are the
-        registers after its warmup, not at the start of the stream.
+        Otherwise they are generated as the packed warmup prefix of an
+        empty trace, so no ``MicroOp`` is built, and not cached.  Only
+        the ops are returned: a cached trace's ``initial_int`` /
+        ``initial_fp`` are the registers after its warmup, not at the
+        start of the stream.
         """
         for (name, length, warmup, trace_seed), trace in self._cache.items():
             if name == benchmark and trace_seed == seed and warmup + length >= n:
                 ops = trace.warmup_ops[:n]
-                return ops + trace.ops[:n - len(ops)]
-        return generate_trace(benchmark, n, seed=seed, warmup=0).ops
+                return ops + PackedOps.pack(trace.ops[:n - len(ops)])
+        return generate_trace(benchmark, 0, seed=seed, warmup=n).warmup_ops
 
 
 _GLOBAL_TRACES = TraceCache()

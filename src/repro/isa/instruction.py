@@ -17,6 +17,36 @@ from typing import Optional, Tuple
 
 from repro.isa.opcodes import IS_BRANCH, IS_LOAD, IS_MEM, IS_STORE, OpClass, RegClass
 
+_CALL = OpClass.CALL
+
+
+def op_fault(kind: int, dest: Optional[int], mem_addr: Optional[int],
+             num_sources: int) -> Optional[str]:
+    """The first rule of micro-op validity that an op with these fields
+    breaks, as a message with ``{}`` where the op goes, or ``None``.
+
+    * a memory op has an address, and no other op does;
+    * a store writes no register;
+    * a branch other than a call writes no register;
+    * an op has at most two sources.
+
+    :meth:`MicroOp.validate` and every writer of packed op rows call
+    this, so the rules live in one place.
+    """
+    if IS_MEM[kind]:
+        if mem_addr is None:
+            return "memory op {} lacks an address"
+    elif mem_addr is not None:
+        return "non-memory op {} carries an address"
+    if dest is not None:
+        if IS_STORE[kind]:
+            return "store {} must not write a register"
+        if IS_BRANCH[kind] and kind != _CALL:
+            return "branch {} must not write a register"
+    if num_sources > 2:
+        return "{} has more than two source operands"
+    return None
+
 
 class SourceOperand:
     """A source register read, with the value dataflow says it must see.
@@ -100,22 +130,16 @@ class MicroOp:
         return self.dest is not None
 
     def validate(self) -> None:
-        """Raise ValueError if the micro-op is internally inconsistent.
+        """Raise ValueError if the micro-op is internally inconsistent
+        (:func:`op_fault`'s rules).
 
-        The trace generator calls this on every op it emits; the pipeline
-        relies on these invariants without rechecking them.
+        The trace generator checks the same rules on every row it
+        writes, and a trace packs a hand-built warmup prefix through
+        them; the pipeline relies on them without rechecking.
         """
-        if self.is_load or self.is_store:
-            if self.mem_addr is None:
-                raise ValueError(f"memory op {self} lacks an address")
-        elif self.mem_addr is not None:
-            raise ValueError(f"non-memory op {self} carries an address")
-        if self.is_store and self.dest is not None:
-            raise ValueError(f"store {self} must not write a register")
-        if self.is_branch and self.dest is not None and self.op != OpClass.CALL:
-            raise ValueError(f"branch {self} must not write a register")
-        if len(self.sources) > 2:
-            raise ValueError(f"{self} has more than two source operands")
+        fault = op_fault(self.op, self.dest, self.mem_addr, len(self.sources))
+        if fault is not None:
+            raise ValueError(fault.format(self))
 
     def __repr__(self) -> str:
         dest = ""

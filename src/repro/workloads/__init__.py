@@ -23,6 +23,7 @@ from repro.workloads.profiles import (
     get_profile,
 )
 from repro.workloads.generator import TraceGenerator, generate_trace
+from repro.workloads.packed import PackedOps
 from repro.workloads.trace import Trace, TraceStats
 from repro.workloads.builder import TraceBuilder
 
@@ -37,6 +38,7 @@ __all__ = [
     "get_profile",
     "TraceGenerator",
     "generate_trace",
+    "PackedOps",
     "Trace",
     "TraceStats",
     "TraceBuilder",

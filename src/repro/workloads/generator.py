@@ -24,8 +24,10 @@ The generator models:
 profile and seed alone, and ``tests/workloads/test_trace_golden.py`` pins
 every field of every op.  Every op comes from one loop,
 :meth:`TraceGenerator._emit` (``next_op`` and ``generate`` both call
-it), which makes exactly the draws, in exactly the order, that the
-plain ``random.Random`` calls it stands for would make:
+it), which writes it as one packed row (:mod:`repro.workloads.packed`;
+``generate`` keeps the warmup prefix packed and builds ``MicroOp``s for
+the timed ops only) and makes exactly the draws, in exactly the order,
+that the plain ``random.Random`` calls it stands for would make:
 
 * a bounded integer (``randrange``/``randint``/``choice`` over ``n``
   values) is ``getrandbits(k)`` with ``k = n.bit_length()``, redrawn while
@@ -44,13 +46,24 @@ from __future__ import annotations
 
 import random
 import zlib
+from array import array
 from bisect import bisect_left
 from math import log
 from typing import List, Optional, Tuple
 
-from repro.isa.instruction import MicroOp, SourceOperand
-from repro.isa.opcodes import OpClass, RegClass
+from repro.isa.instruction import MicroOp, op_fault
+from repro.isa.opcodes import OpClass
 from repro.isa.registers import INT_ZERO_REG, NUM_INT_ARCH_REGS
+from repro.workloads.packed import (
+    FP_DEST,
+    HAS_ADDR,
+    HAS_DEST,
+    INDIRECT,
+    SOURCES,
+    TAKEN,
+    PackedOps,
+    decode_row,
+)
 from repro.workloads.profiles import BenchmarkProfile
 from repro.workloads.trace import Trace
 from repro.workloads.value_models import FpValueModel, IntValueModel
@@ -64,11 +77,11 @@ _CALL_SITE_BITS = (2 * _FUNC_COUNT).bit_length()
 _HOT_WORDS = 8 * 1024 // 8  # doublewords in the 8KB hot data region
 _NUM_DESTS = NUM_INT_ARCH_REGS - 1  # writable registers: all but the zero register
 
-_INT, _FP = RegClass.INT, RegClass.FP
 _INT_ALU, _LOAD, _STORE = OpClass.INT_ALU, OpClass.LOAD, OpClass.STORE
 _FP_LOAD, _FP_STORE = OpClass.FP_LOAD, OpClass.FP_STORE
 _BRANCH, _CALL, _RETURN = OpClass.BRANCH, OpClass.CALL, OpClass.RETURN
 _FP_ALU = frozenset((OpClass.FP_ADD, OpClass.FP_MUL, OpClass.FP_DIV))
+_MASK = (1 << 64) - 1
 
 
 class _BranchSite:
@@ -261,17 +274,20 @@ class TraceGenerator:
 
     def next_op(self) -> MicroOp:
         """Generate and return the next micro-op."""
-        return self._emit(1)[0]
+        return decode_row(self._emit(1))
 
-    def _emit(self, count: int) -> List[MicroOp]:
-        """The next ``count`` micro-ops: the one emission loop.
+    def _emit(self, count: int) -> array:
+        """The next ``count`` micro-ops as packed rows (the layout of
+        :mod:`repro.workloads.packed`): the one emission loop.
 
         The generator's state is read into locals on entry and written
         back on exit, and every per-op helper is inlined or a local
         closure, so an op costs the draws it makes and little more.
         The closures only read locals that the loop never rebinds (the
         bound draw methods, the value lists, the recency lists), and
-        none refers to itself, so the generator stays acyclic.
+        none refers to itself, so the generator stays acyclic.  Each
+        row is checked against :func:`~repro.isa.instruction.op_fault`
+        before it is written.
         """
         rng = self.rng
         random, getrandbits = rng.random, rng.getrandbits
@@ -307,16 +323,10 @@ class TraceGenerator:
                 r = getrandbits(5)
             return r
 
-        def int_source() -> SourceOperand:
+        def int_source() -> int:
             if random() < zero_reg_frac:
-                index = INT_ZERO_REG
-            else:
-                index = pick_source(recent_int)
-            return SourceOperand(_INT, index, int_values[index])
-
-        def fp_source() -> SourceOperand:
-            index = pick_source(recent_fp)
-            return SourceOperand(_FP, index, fp_values[index])
+                return INT_ZERO_REG
+            return pick_source(recent_int)
 
         def pick_dest() -> int:
             # randrange(dest_hot_regs) from the hot pool, else
@@ -327,20 +337,25 @@ class TraceGenerator:
                 r = getrandbits(k)
             return base + r
 
+        # A source's SOURCES byte is ``reg_class | index << 1``: an
+        # integer register's is ``index << 1``, an FP register's
+        # ``index << 1 | 1``.  Integer values are written as their
+        # 64-bit two's-complement pattern (``& _MASK``).
         seq, pc = self._seq, self._pc
         l2_idx, mem_ptr = self._l2_idx, self._mem_ptr
         last_load_dest = self.last_load_dest
-        ops: List[MicroOp] = []
-        append = ops.append
+        rows = array("Q")
+        extend = rows.extend
         try:
             for _ in range(count):
                 i = bisect_left(op_weights, random())
                 op_class = classes[i] if i < len(classes) else classes[-1]
+                dest = addr = None
                 if op_class is _BRANCH:
                     if returns and random() < return_frac:
                         target = returns.pop()
-                        op = MicroOp(seq, pc, _RETURN, (), _INT, None, 0, None,
-                                     True, target, True)
+                        row = (seq, pc, _RETURN, TAKEN | INDIRECT, 0, 0, 0,
+                               target, 0, 0, 0)
                         pc = target
                     elif random() < call_frac and len(returns) < 64:
                         # choice(call_sites), whose length is 2 * _FUNC_COUNT.
@@ -349,8 +364,8 @@ class TraceGenerator:
                             r = getrandbits(_CALL_SITE_BITS)
                         call_pc, entry = call_sites[r]
                         returns.append(call_pc + 4)
-                        op = MicroOp(seq, call_pc, _CALL, (), _INT, None, 0, None,
-                                     True, entry)
+                        row = (seq, call_pc, _CALL, TAKEN, 0, 0, 0, entry,
+                               0, 0, 0)
                         pc = entry
                     else:
                         i = bisect_left(site_cum, random())
@@ -364,31 +379,40 @@ class TraceGenerator:
                             taken = site.taken_dir
                         else:
                             taken = not site.taken_dir
-                        op = MicroOp(seq, site.pc, _BRANCH, (int_source(),), _INT,
-                                     None, 0, None, taken, site.target)
+                        a = int_source()
+                        row = (seq, site.pc, _BRANCH, TAKEN if taken else 0,
+                               0, 0, 0, site.target, 1 | a << 3,
+                               int_values[a] & _MASK, 0)
                         pc = site.target if taken else site.pc + 4
                 elif op_class is _LOAD or op_class is _STORE:
                     if op_class is _LOAD:
                         base_reg = last_load_dest
                         if base_reg is not None and random() < pointer_chase_frac:
-                            source = SourceOperand(_INT, base_reg, int_values[base_reg])
+                            a = base_reg
                         else:
-                            source = int_source()
-                        sources = (source,)
+                            a = int_source()
+                        sources, v0, v1 = 1 | a << 3, int_values[a] & _MASK, 0
                         if random() < fp_mem_frac:
-                            op_class, dest_class = _FP_LOAD, _FP
-                            result = fp_sample(rng)
+                            op_class = _FP_LOAD
+                            flags = HAS_DEST | HAS_ADDR | FP_DEST
+                            result = word = fp_sample(rng)
                         else:
-                            dest_class = _INT
+                            flags = HAS_DEST | HAS_ADDR
                             result = int_sample()
+                            word = result & _MASK
                         dest = pick_dest()
                     else:
                         if random() < fp_mem_frac:
-                            op_class, data = _FP_STORE, fp_source()
+                            op_class = _FP_STORE
+                            a = pick_source(recent_fp)
+                            data, v0 = a << 1 | 1, fp_values[a]
                         else:
-                            data = int_source()
-                        sources = (data, int_source())
-                        dest_class, dest, result = _INT, None, 0
+                            a = int_source()
+                            data, v0 = a << 1, int_values[a] & _MASK
+                        b = int_source()
+                        sources = 2 | data << 2 | b << 11
+                        v1 = int_values[b] & _MASK
+                        flags, result = HAS_ADDR, 0
                     # The data address: a fresh line for a memory access
                     # (always a miss), the next line of the L2 ring, or
                     # randrange(0, 8192, 8) -- a random doubleword of the
@@ -405,10 +429,14 @@ class TraceGenerator:
                         while r >= _HOT_WORDS:
                             r = getrandbits(11)
                         addr = _HOT_BASE + 8 * r
-                    op = MicroOp(seq, pc, op_class, sources, dest_class, dest,
-                                 result, addr)
+                    if dest is None:
+                        row = (seq, pc, op_class, flags, 0, 0, addr, 0,
+                               sources, v0, v1)
+                    else:
+                        row = (seq, pc, op_class, flags, dest, word, addr, 0,
+                               sources, v0, v1)
                     pc = pc + 4 if pc + 4 < code_end else _CODE_BASE
-                    if dest_class is _FP:
+                    if flags & FP_DEST:
                         fp_values[dest] = result
                         recent_fp.append(dest)
                         if len(recent_fp) > 64:
@@ -420,10 +448,13 @@ class TraceGenerator:
                             del recent_int[:32]
                         last_load_dest = dest
                 elif op_class in _FP_ALU:
-                    sources = (fp_source(), fp_source())
+                    a = pick_source(recent_fp)
+                    b = pick_source(recent_fp)
                     dest = pick_dest()
                     result = fp_sample(rng)
-                    op = MicroOp(seq, pc, op_class, sources, _FP, dest, result)
+                    row = (seq, pc, op_class, HAS_DEST | FP_DEST, dest, result,
+                           0, 0, 2 | (a << 1 | 1) << 2 | (b << 1 | 1) << 10,
+                           fp_values[a], fp_values[b])
                     pc = pc + 4 if pc + 4 < code_end else _CODE_BASE
                     fp_values[dest] = result
                     recent_fp.append(dest)
@@ -431,27 +462,34 @@ class TraceGenerator:
                         del recent_fp[:32]
                 else:
                     if op_class is _INT_ALU and random() < 0.10:
-                        sources = ()
+                        sources = v0 = v1 = 0
                     elif random() < 0.3:
-                        sources = (int_source(),)
+                        a = int_source()
+                        sources, v0, v1 = 1 | a << 3, int_values[a] & _MASK, 0
                     else:
-                        sources = (int_source(), int_source())
+                        a = int_source()
+                        b = int_source()
+                        sources = 2 | a << 3 | b << 11
+                        v0, v1 = int_values[a] & _MASK, int_values[b] & _MASK
                     dest = pick_dest()
                     result = int_sample()
-                    op = MicroOp(seq, pc, op_class, sources, _INT, dest, result)
+                    row = (seq, pc, op_class, HAS_DEST, dest, result & _MASK,
+                           0, 0, sources, v0, v1)
                     pc = pc + 4 if pc + 4 < code_end else _CODE_BASE
                     int_values[dest] = result
                     recent_int.append(dest)
                     if len(recent_int) > 64:
                         del recent_int[:32]
-                op.validate()
-                append(op)
+                fault = op_fault(op_class, dest, addr, row[SOURCES] & 3)
+                if fault is not None:
+                    raise ValueError(fault.format(decode_row(row)))
+                extend(row)
                 seq += 1
         finally:
             self._seq, self._pc = seq, pc
             self._l2_idx, self._mem_ptr = l2_idx, mem_ptr
             self.last_load_dest = last_load_dest
-        return ops
+        return rows
 
     def generate(self, length: int, warmup: int = 0) -> Trace:
         """Generate a trace of ``length`` timed micro-ops.
@@ -459,13 +497,15 @@ class TraceGenerator:
         ``warmup`` extra ops are generated *first* and attached as the
         trace's untimed warmup prefix (the machine uses them to train
         branch predictors and warm caches, standing in for the paper's
-        400M-instruction fast-forward).  The trace records the
-        architectural register contents at the start of the timed region.
+        400M-instruction fast-forward).  The prefix stays packed; only
+        the timed ops become ``MicroOp``s.  The trace records the
+        architectural register contents at the start of the timed
+        region.
         """
-        warmup_ops = self._emit(warmup)
+        warmup_ops = PackedOps(self._emit(warmup))
         initial_int = list(self.int_values)
         initial_fp = list(self.fp_values)
-        ops = self._emit(length)
+        ops = list(PackedOps(self._emit(length)))
         return Trace(
             self.profile.name, ops, seed=self.seed,
             initial_int=initial_int, initial_fp=initial_fp,

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple, Union
 
 from repro.isa.instruction import MicroOp
+from repro.workloads.packed import PackedOps
 
 
 @dataclass
@@ -31,8 +32,16 @@ class Trace:
 
     The ops, initial register values and warmup prefix are immutable
     once built.  ``name`` and ``seed`` identify the generating profile
-    for reporting.  A trace also carries *derived* state:
-    :attr:`warm_states`, the post-warmup branch and cache state that
+    for reporting.  The timed ops are ``MicroOp`` objects, because the
+    pipeline reads them; the warmup prefix, usually far longer and read
+    only by the functional warmup and by Figure 2, is held as packed
+    rows (:class:`~repro.workloads.packed.PackedOps`, about 88 bytes an
+    op).  Hand-built ``warmup_ops`` are packed on construction, and
+    :attr:`warmup_ops` is a read-only sequence view over the rows that
+    builds a ``MicroOp`` only for an item read.
+
+    A trace also carries *derived* state: :attr:`warm_states`, the
+    post-warmup branch and cache state that
     :meth:`repro.core.machine.Machine.warmup` computes once per
     geometry and then copies into every later machine run on this
     trace object.  It lives and dies with the trace (so a trace cache's
@@ -47,7 +56,7 @@ class Trace:
         seed: int = 0,
         initial_int: Sequence[int] = None,
         initial_fp: Sequence[int] = None,
-        warmup_ops: Sequence[MicroOp] = (),
+        warmup_ops: Union[PackedOps, Iterable[MicroOp]] = (),
     ) -> None:
         self.name = name
         self.seed = seed
@@ -56,9 +65,9 @@ class Trace:
         #: machine seeds its committed physical registers from these.
         self.initial_int: List[int] = list(initial_int) if initial_int else [0] * 32
         self.initial_fp: List[int] = list(initial_fp) if initial_fp else [0] * 32
-        #: Untimed prefix used to warm predictors and caches — the stand-in
-        #: for the paper's 400M-instruction fast-forward.
-        self.warmup_ops: List[MicroOp] = list(warmup_ops)
+        if not isinstance(warmup_ops, PackedOps):
+            warmup_ops = PackedOps.pack(warmup_ops)
+        self._warmup = warmup_ops
         #: Derived warm-state memo, keyed by (BranchConfig, MemoryConfig):
         #: ``{"branch": BranchUnit.state(), "memory":
         #: MemoryHierarchy.state()}`` right after the functional warmup.
@@ -66,11 +75,17 @@ class Trace:
         #: running machine.
         self.warm_states: Dict[Tuple, Dict] = {}
 
+    @property
+    def warmup_ops(self) -> PackedOps:
+        """Untimed prefix used to warm predictors and caches — the
+        stand-in for the paper's 400M-instruction fast-forward."""
+        return self._warmup
+
     def fresh_copy(self) -> "Trace":
         """The same trace as a new object with an empty warm-state memo:
         the first machine run on it does the full functional warmup."""
         return Trace(self.name, self._ops, self.seed, self.initial_int,
-                     self.initial_fp, self.warmup_ops)
+                     self.initial_fp, self._warmup)
 
     def __len__(self) -> int:
         return len(self._ops)
