@@ -53,8 +53,9 @@ def main(argv=None) -> int:
                         help="also write each result to DIR/<name>.txt")
     parser.add_argument("--jobs", type=int, default=1,
                         help="local sweep-farm worker processes that run "
-                             "the cells of every table and figure "
-                             "(results are identical to --jobs 1)")
+                             "the cells of every table and figure, with "
+                             "or without --farm (results are identical "
+                             "to --jobs 1)")
     parser.add_argument("--audit", action=argparse.BooleanOptionalAction,
                         default=False,
                         help="run every cell with the machine invariant "
@@ -71,12 +72,6 @@ def main(argv=None) -> int:
                         help="JSON sweep journal; completed cells are "
                              "restored from it and new ones appended, so "
                              "an interrupted sweep resumes")
-    parser.add_argument("--cell-timeout", type=float, default=None,
-                        metavar="SEC",
-                        help="wall-clock budget per sweep cell (worker is "
-                             "killed and the cell recorded as a timeout)")
-    parser.add_argument("--retries", type=int, default=0, metavar="N",
-                        help="retry crashed/timed-out cells up to N times")
     parser.add_argument("--farm", default=None, metavar="DIR",
                         help="run the sweep through the fault-tolerant "
                              "farm (repro.farm) rooted at DIR: cells "
@@ -84,19 +79,6 @@ def main(argv=None) -> int:
                              "a crashed cell reruns on another worker; "
                              "attach extra workers from other shells "
                              "with `python -m repro.farm worker DIR`")
-    parser.add_argument("--farm-workers", type=int, default=2, metavar="N",
-                        help="local worker processes the farm broker "
-                             "spawns (default 2; 0 = attached only)")
-    parser.add_argument("--lease-ttl", type=float, default=30.0,
-                        metavar="SEC",
-                        help="reclaim a farm cell whose lease has not "
-                             "heartbeat for SEC seconds (default 30)")
-    parser.add_argument("--heartbeat", type=float, default=1.0,
-                        metavar="SEC",
-                        help="farm worker heartbeat cadence (default 1)")
-    parser.add_argument("--grace", type=float, default=5.0, metavar="SEC",
-                        help="seconds an evicted/drained farm worker "
-                             "gets to release its lease (default 5)")
     parser.add_argument("--farm-inject", action="append", default=[],
                         metavar="FAULT[:worker=N][:cell=N][:cycles=N]",
                         help="deterministically inject a farm fault "
@@ -105,17 +87,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     for flag, value, low in (
             ("--length", args.length, 1), ("--warmup", args.warmup, 0),
-            ("--jobs", args.jobs, 1), ("--retries", args.retries, 0),
-            ("--max-cycles", args.max_cycles, 1),
-            ("--farm-workers", args.farm_workers, 0),
-            ("--grace", args.grace, 0)):
+            ("--jobs", args.jobs, 1), ("--max-cycles", args.max_cycles, 1)):
         if value is not None and value < low:
             parser.error(f"{flag} must be >= {low}, got {value}")
-    for flag, value in (("--cell-timeout", args.cell_timeout),
-                        ("--lease-ttl", args.lease_ttl),
-                        ("--heartbeat", args.heartbeat)):
-        if value is not None and not value > 0:
-            parser.error(f"{flag} must be > 0, got {value}")
 
     figures = sorted(set(args.figure))
     tables = sorted(set(args.table))
@@ -146,18 +120,11 @@ def main(argv=None) -> int:
         except ValueError as err:
             print(f"error: {err}", file=sys.stderr)
             return 1
-    if args.cell_timeout is not None:
-        matrix_opts["cell_timeout"] = args.cell_timeout
-    if args.retries:
-        matrix_opts["retries"] = args.retries
     if args.farm:
         from repro.farm import FarmSpec
 
-        matrix_opts["farm"] = FarmSpec(
-            root=args.farm, workers=args.farm_workers,
-            lease_ttl=args.lease_ttl, heartbeat_interval=args.heartbeat,
-            grace=args.grace, inject=tuple(args.farm_inject),
-        )
+        matrix_opts["farm"] = FarmSpec(root=args.farm, workers=args.jobs,
+                                       inject=tuple(args.farm_inject))
 
         def farm_progress(report, active) -> None:
             print(f"\r{report.progress_line(active)}   ",

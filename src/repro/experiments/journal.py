@@ -74,8 +74,8 @@ JOURNAL_FORMAT = "repro-sweep-journal"
 #: lifecycle order.  ``leased`` — a worker claimed the cell;
 #: ``heartbeat`` — periodic liveness (journaled at a throttled rate);
 #: ``completed`` — the cell's result was folded; ``abandoned`` — the
-#: lease expired (crash/stall/timeout) and the cell became claimable
-#: again; ``released`` — the holder gave the cell back voluntarily
+#: lease expired or its worker died (stall, crash) and the cell became
+#: claimable again; ``released`` — the holder gave the cell back voluntarily
 #: (graceful drain or spot eviction) without completing it.
 LEASE_STATES = ("leased", "heartbeat", "completed", "abandoned", "released")
 

@@ -335,9 +335,12 @@ class CellError:
 
     benchmark: str
     scheme: str
-    #: ``error`` — the simulation raised (deterministic, not retried);
-    #: ``crash`` — the worker process died (signal/exit, retried);
-    #: ``timeout`` — the cell exceeded its wall-clock budget (retried).
+    #: ``error`` — the simulation raised (deterministic, not rerun);
+    #: ``crash`` — the worker process died or its lease expired, on
+    #: every attempt the farm's fixed rerun budget allowed
+    #: (:data:`repro.farm.broker.CRASH_RERUNS`).  Journals written
+    #: before the wall-clock cell timeout was retired may also hold
+    #: ``timeout`` records; they load like any other failure.
     kind: str
     error_type: str
     message: str
@@ -408,9 +411,6 @@ def run_cells(
     traces: Optional[TraceCache] = None,
     jobs: int = 1,
     *,
-    cell_timeout: Optional[float] = None,
-    retries: int = 0,
-    retry_backoff: float = 0.5,
     journal: Optional[Union[str, SweepJournal]] = None,
     cell_fn: Optional[Callable] = None,
     farm: Optional[FarmSpec] = None,
@@ -425,17 +425,13 @@ def run_cells(
     * ``jobs > 1`` runs the cells on ``jobs`` local worker processes of
       one sweep farm (:mod:`repro.farm`, rooted in a temporary
       directory removed on return), whatever their widths, so one
-      crashing or hanging cell can never take down the sweep: its
-      lease is reclaimed as a ``crash`` or ``timeout`` failure and the
-      dead worker replaced;
-    * ``cell_timeout`` bounds each cell's wall-clock seconds (worker
-      path only — the serial path relies on ``spec.max_cycles``, the
-      in-simulator watchdog, instead);
-    * ``crash``/``timeout`` failures are retried up to ``retries`` times
-      with jittered exponential backoff from ``retry_backoff`` seconds
-      (:func:`~repro.retry.backoff_delay`); deterministic simulation
-      errors are not retried.  Setting either option sends the sweep to
-      the workers even with ``jobs == 1``;
+      crashing cell can never take down the sweep: the dead worker is
+      replaced and the cell reruns from cycle 0, a few times with
+      backoff (the broker's fixed policy, :mod:`repro.farm.broker`),
+      before it is recorded as a ``crash``.  A deterministic simulation
+      error is recorded at once and never rerun.  No cell needs a
+      wall-clock bound: one that stops committing fails through the
+      machine's no-commit watchdog, or ``spec.max_cycles``;
     * ``journal`` (a path or a :class:`SweepJournal`) names an on-disk
       JSON journal: completed cells are restored from it instead of
       re-simulated, and every finished cell is persisted as it lands,
@@ -456,10 +452,11 @@ def run_cells(
     :func:`run_one`); it exists for fault-injection tests.
 
     ``farm`` (a :class:`~repro.farm.lease.FarmSpec`) hands execution to
-    the fault-tolerant sweep farm (:mod:`repro.farm`): cells become
-    durable lease records in a shared directory, stateless workers —
-    broker-spawned locally, or attached from other shells/hosts with
-    ``python -m repro.farm worker <root>`` — lease and heartbeat them,
+    the fault-tolerant sweep farm (:mod:`repro.farm`) even with
+    ``jobs == 1``: cells become durable lease records in a shared
+    directory, stateless workers — ``farm.workers`` broker-spawned
+    locally, or attached from other shells/hosts with ``python -m
+    repro.farm worker <root>`` — lease and heartbeat them,
     and expired leases are reclaimed and the cell rerun from cycle 0 on
     another worker.  The journal defaults
     to ``<farm.root>/journal.json`` and additionally carries the lease
@@ -492,12 +489,11 @@ def run_cells(
             else:
                 journal.record_ok(key, outcome)
 
-    isolate = jobs > 1 or cell_timeout is not None or retries > 0
     try:
-        if todo and (farm is not None or isolate):
-            # ``jobs``/``cell_timeout``/``retries`` without a farm: the
-            # same broker on a throwaway root, whose workers die and are
-            # replaced in place of the sweep when a cell crashes or hangs.
+        if todo and (farm is not None or jobs > 1):
+            # ``jobs`` without a farm: the same broker on a throwaway
+            # root, whose workers die and are replaced in place of the
+            # sweep when a cell crashes.
             local_root = None
             if farm is None:
                 local_root = tempfile.mkdtemp(prefix="repro-jobs-")
@@ -506,12 +502,8 @@ def run_cells(
             from repro.farm.broker import run_cells_farm  # lazy: reverse edge
 
             try:
-                run_cells_farm(
-                    todo, spec, farm, journal, on_cell_done,
-                    cell_timeout=cell_timeout, retries=retries,
-                    retry_backoff=retry_backoff, cell_fn=cell_fn,
-                    on_progress=farm_progress,
-                )
+                run_cells_farm(todo, spec, farm, journal, on_cell_done,
+                               cell_fn=cell_fn, on_progress=farm_progress)
             finally:
                 if local_root is not None:
                     shutil.rmtree(local_root, ignore_errors=True)
@@ -545,8 +537,8 @@ def run_matrix(
 ) -> Dict[str, Dict[str, SimStats]]:
     """Simulate a benchmark x scheme matrix at one width; returns
     [benchmark][scheme].  The rectangle view of :func:`run_cells`, which
-    runs it and takes ``options`` (``cell_timeout``, ``retries``,
-    ``journal``, ``farm``, ...).  A failed cell raises
+    runs it and takes ``options`` (``journal``, ``farm``, ``cell_fn``,
+    ...).  A failed cell raises
     :class:`MatrixError` — *after* every other cell has finished and
     been journaled — with the partial results attached; a caller that
     wants each :class:`CellError` kept calls :func:`run_cells`.

@@ -110,6 +110,7 @@ def _cmd_status(args: argparse.Namespace) -> int:
             "committed": lease.committed,
         })
     events, journal_note = _journal_tail(paths.journal)
+    recent = events[max(0, len(events) - args.tail):]
     summary = {
         "root": args.root,
         "cells": len(cells),
@@ -120,7 +121,7 @@ def _cmd_status(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps({**summary, "journal_note": journal_note,
                           "leases": leases,
-                          "recent": events[-args.tail:]}, indent=2))
+                          "recent": recent}, indent=2))
         return 0
     print(f"farm {args.root}: {summary['with_result']}/{summary['cells']} "
           f"cells have results, {summary['leased']} leased, "
@@ -135,7 +136,7 @@ def _cmd_status(args: argparse.Namespace) -> int:
               f"{lease['attempt']}  {lease['state']:<9} "
               f"age {lease['age']:>6.2f}s / ttl {lease['ttl']:.0f}s  "
               f"cycle {lease['cycle']}  committed {lease['committed']}")
-    for event in events[-args.tail:]:
+    for event in recent:
         print(f"  [journal] {event.get('state', '?'):<9} "
               f"{event.get('worker', '?'):>8}  {event.get('key', '?')}")
     return 0
@@ -178,6 +179,16 @@ def main(argv=None) -> int:
     faults.set_defaults(func=_cmd_faults)
 
     args = parser.parse_args(argv)
+    if args.command == "worker":
+        # A zero heartbeat would rewrite the lease file nonstop, a zero
+        # TTL would expire every lease the moment it is granted.
+        for flag, value in (("--lease-ttl", args.lease_ttl),
+                            ("--heartbeat", args.heartbeat),
+                            ("--poll", args.poll)):
+            if not value > 0:
+                worker.error(f"{flag} must be > 0, got {value}")
+    elif args.command == "status" and args.tail < 0:
+        status.error(f"--tail must be >= 0, got {args.tail}")
     return args.func(args)
 
 

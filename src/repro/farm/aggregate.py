@@ -37,7 +37,8 @@ class FarmReport:
     duplicates: int = 0
     #: Extra results that *differed* from the folded result (bug!).
     divergent: int = 0
-    #: Leases reclaimed after TTL expiry or wall-clock timeout.
+    #: Leases reclaimed after TTL expiry, or from a local worker that
+    #: died holding them (a crash).
     reclaims: int = 0
     #: Leases handed back voluntarily (spot eviction / graceful drain).
     evictions: int = 0

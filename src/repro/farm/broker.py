@@ -11,22 +11,21 @@ concurrency story auditable:
   ``fsck`` round-trips the whole history;
 * **watch** — polls the farm's lease views; journals new grants,
   relays throttled heartbeat lines (non-durable — losing the last one
-  costs nothing), detects expiry (no heartbeat within the TTL) and
-  wall-clock timeout, and scrubs fence-stale debris (a lease file
-  resurrected by a heartbeat that raced an earlier reclaim — removed
-  without burning retry budget, because no live work was lost);
-* **reclaim** — an expired/timed-out/evicted lease, or one a dead
-  local worker still holds (a ``crash``, reclaimed as soon as the
-  worker is reaped rather than after its TTL), is journaled
-  ``abandoned`` (or ``released``); a timed-out cell's local worker is
-  killed and replaced rather than left computing it.  The cell's
-  attempt is bumped and fenced with a jittered, capped backoff
-  (:func:`~repro.retry.backoff_delay`), and — crucially —
-  :func:`~repro.farm.lease.reclaim` makes the bumped spec visible
-  *before* the lease becomes claimable again, so no worker can claim
-  the stale attempt in between and an in-flight heartbeat
+  costs nothing), detects expiry (no heartbeat within the TTL), and
+  scrubs fence-stale debris (a lease file resurrected by a heartbeat
+  that raced an earlier reclaim — removed without spending a rerun,
+  because no live work was lost);
+* **reclaim** — an expired or evicted lease, or one a dead local
+  worker still holds (a ``crash``, reclaimed as soon as the worker is
+  reaped rather than after its TTL), is journaled ``abandoned`` (or
+  ``released``).  The cell's attempt is bumped and fenced with a
+  jittered, capped backoff (:func:`~repro.retry.backoff_delay`), and —
+  crucially — :func:`~repro.farm.lease.reclaim` makes the bumped spec
+  visible *before* the lease becomes claimable again, so no worker can
+  claim the stale attempt in between and an in-flight heartbeat
   deterministically loses.  The next attempt reruns the cell from
-  cycle 0.  When the retry budget is exhausted the broker streams a
+  cycle 0.  Once a cell has crashed or expired on its first attempt
+  and on all :data:`CRASH_RERUNS` reruns, the broker streams a
   terminal error result itself, so workers' exit condition (every cell
   has a result) still converges;
 * **fold** — streams results through
@@ -49,6 +48,16 @@ worker <root>``) participate identically, because every protocol step
 above is a :mod:`repro.farm.lease` function over the shared directory,
 never an in-process one.  Local workers read their budgets from the
 broker's own :class:`~repro.farm.lease.FarmSpec`.
+
+There is one recovery policy, and nothing sets it per sweep: a
+deterministic simulation error is terminal at once (the worker writes
+it as the cell's result); a release (spot eviction, drain) reruns the
+cell at once and for free; a crash or an expired lease reruns it after
+a backoff, up to :data:`CRASH_RERUNS` times.  There is no wall-clock
+cell timeout: a cell whose cycle loop stops committing fails as an
+``error`` through the machine's no-commit watchdog (or ``--max-cycles``),
+and a frozen or dead worker stops heartbeating, so its lease expires or
+is reclaimed when the worker is reaped.
 """
 
 from __future__ import annotations
@@ -68,6 +77,15 @@ from repro.farm.worker import worker_loop
 from repro.retry import backoff_delay
 from repro.store import ArtifactError
 
+#: Reruns a cell gets after a crash or an expired lease before that
+#: failure becomes its terminal result.  Releases do not count.
+CRASH_RERUNS = 4
+#: Backoff before a cell's n-th crash rerun: ``backoff_delay(n,
+#: RERUN_BACKOFF)`` seconds, capped at that function's 30 s.
+RERUN_BACKOFF = 0.5
+#: Journal at most one heartbeat line per cell per this many seconds.
+JOURNAL_HEARTBEAT_EVERY = 10.0
+
 
 def _mp_context():
     methods = multiprocessing.get_all_start_methods()
@@ -81,9 +99,6 @@ def run_cells_farm(
     journal,
     on_cell_done: Callable,
     *,
-    cell_timeout: Optional[float] = None,
-    retries: int = 0,
-    retry_backoff: float = 0.5,
     cell_fn: Optional[Callable] = None,
     on_progress: Optional[Callable[[FarmReport, int], None]] = None,
 ) -> FarmReport:
@@ -194,7 +209,7 @@ def run_cells_farm(
     # ---------------------------------------------------------- reclaim
     def reclaim(cid: str, lease, reason: str, cause: Optional[str] = None,
                 held: float = 0.0) -> None:
-        """Hand ``lease`` back (``reason``: expired, timeout, crash, or
+        """Hand ``lease`` back (``reason``: expired, crash, or
         released).  ``cause`` and ``held`` describe the failure in a
         terminal error: what happened, and the seconds it held."""
         cell = published[cid]
@@ -202,32 +217,28 @@ def run_cells_farm(
         voluntary = reason == "released"
         if voluntary:
             # Eviction and drain are infrastructure preemption, not cell
-            # failure: they never consume retry budget (and never back
-            # off — the cell is fine, re-run it at once).
+            # failure: they never spend a rerun (and never back off —
+            # the cell is fine, re-run it at once).
             cell.released += 1
-        retries_used = new_attempt - 1 - cell.released
-        if retries_used > retries:
-            # Retry budget exhausted: the broker itself streams the
-            # terminal error so the workers' all-cells-have-results exit
+        reruns = new_attempt - 1 - cell.released
+        if reruns > CRASH_RERUNS:
+            # Out of reruns: the broker itself streams the terminal
+            # error so the workers' all-cells-have-results exit
             # condition still converges.
-            kind = "timeout" if reason == "timeout" else "crash"
-            error_type = "TimeoutError" if kind == "timeout" else "LeaseExpired"
             fsl.reclaim(paths, cell, durable=farm.durable, terminal=CellResult(
                 cid=cid, key=cell.key, worker="broker",
-                attempt=lease.attempt, status="error", kind=kind,
-                error_type=error_type,
+                attempt=lease.attempt, status="error", kind="crash",
+                error_type="LeaseExpired",
                 message=(f"{cause or 'lease ' + reason} on attempt "
                          f"{lease.attempt} (held by {lease.worker!r}); "
-                         f"retry budget of {retries} exhausted"),
+                         f"all {CRASH_RERUNS} reruns spent"),
                 elapsed=held,
             ))
         else:
             cell.attempt = new_attempt
             cell.not_before = time.time() if voluntary else (
-                time.time() + backoff_delay(
-                    max(1, retries_used), retry_backoff,
-                    cap=farm.backoff_cap, token=cell.key,
-                )
+                time.time() + backoff_delay(max(1, reruns), RERUN_BACKOFF,
+                                            token=cell.key)
             )
             # reclaim publishes the bumped spec (the fence) before the
             # lease becomes claimable again: no worker can claim the
@@ -256,8 +267,8 @@ def run_cells_farm(
                 # Fence-stale debris: a heartbeat's atomic rename raced
                 # an earlier reclaim's unlink and resurrected the lease
                 # file.  The fence already decided that race — scrub the
-                # husk without counting a reclaim or burning retry
-                # budget, or it would block claims on the live attempt.
+                # husk without counting a reclaim or spending a rerun,
+                # or it would block claims on the live attempt.
                 # release() is ownership-checked: only this exact husk
                 # goes, never a lease a new claim just created.
                 fsl.release(paths, lease)
@@ -282,25 +293,15 @@ def run_cells_farm(
                        attempt=lease.attempt, cycle=lease.cycle)
                 reclaim(cid, lease, "released")
                 continue
-            timed_out = (cell_timeout is not None
-                         and view.held > cell_timeout)
-            if view.age > lease.ttl or timed_out:
-                reason = "timeout" if timed_out else "expired"
+            if view.age > lease.ttl:
                 report.reclaims += 1
                 jlease(cell, "abandoned", lease.worker,
-                       attempt=lease.attempt, reason=reason,
+                       attempt=lease.attempt, reason="expired",
                        cycle=lease.cycle)
-                reclaim(cid, lease, reason, held=view.held)
-                proc = procs.get(lease.worker)
-                if timed_out and proc is not None:
-                    # The abandoned cell would keep its worker busy until
-                    # drain: kill it now (its lease is already reclaimed,
-                    # there is nothing to release) and let
-                    # reap_and_respawn replace it.
-                    proc.kill()
+                reclaim(cid, lease, "expired", held=view.held)
                 continue
             active += 1
-            if now - journal_hb_at.get(cid, 0.0) >= farm.journal_heartbeat_every:
+            if now - journal_hb_at.get(cid, 0.0) >= JOURNAL_HEARTBEAT_EVERY:
                 journal_hb_at[cid] = now
                 jlease(cell, "heartbeat", lease.worker, durable=False,
                        attempt=lease.attempt, cycle=lease.cycle,
@@ -339,9 +340,6 @@ def run_cells_farm(
         if len(agg.folded) == len(published):
             return
         for _ in exit_codes:
-            if (farm.max_respawns is not None
-                    and report.respawns >= farm.max_respawns):
-                return
             report.respawns += 1
             spawn()
 
@@ -368,8 +366,8 @@ def run_cells_farm(
                 continue
             jlease(cell, "released", lease.worker, attempt=lease.attempt,
                    reason="drain", cycle=lease.cycle)
-            # Hand the cell back now (a voluntary release consumes no
-            # retry budget) so the next run re-claims it immediately
+            # Hand the cell back now (a voluntary release spends no
+            # rerun) so the next run re-claims it immediately
             # instead of waiting out a dead worker's TTL.
             reclaim(view.cid, lease, "released")
 
@@ -377,7 +375,7 @@ def run_cells_farm(
     # Startup sweep: leases left behind by a previous broker that died
     # without draining (power loss, SIGKILL).  Anything already expired
     # or marked released is previous-incarnation debris — hand those
-    # cells back without burning retry budget.  A *live* lease (recent
+    # cells back without spending a rerun.  A *live* lease (recent
     # heartbeat) belongs to a surviving attached/orphaned worker: leave
     # it, its result will fold like any other.
     for view in fsl.lease_views(paths):

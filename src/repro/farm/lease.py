@@ -24,8 +24,8 @@ per transition)::
             claim (O_EXCL create)
    PENDING ----------------------> LEASED --- result written --> COMPLETED
       ^                              |
-      |   TTL expired / timeout /    | SIGTERM (spot eviction):
-      |   stalled heartbeat          | drop the cell, mark "released"
+      |   TTL expired (stalled       | SIGTERM (spot eviction):
+      |   heartbeat) / worker died   | drop the cell, mark "released"
       +------- ABANDONED <-----------+
 
 Cells are short (a fraction of a second at the paper's lengths), so a
@@ -143,10 +143,10 @@ class CellSpec:
     width: int
     spec: Dict                 # RunSpec as a plain dict
     attempt: int = 1           # bumped by the broker on every reclaim
-    not_before: float = 0.0    # unix-time backoff fence for retries
+    not_before: float = 0.0    # unix-time backoff fence for reruns
     #: How many of those attempts ended in a *voluntary* release (spot
     #: eviction, broker drain).  Releases are not cell failures, so the
-    #: retry budget only counts ``attempt - 1 - released`` against them.
+    #: rerun budget only counts ``attempt - 1 - released`` against them.
     released: int = 0
 
     def to_dict(self) -> Dict:
@@ -346,9 +346,11 @@ class CellResult:
     stats: Optional[Dict] = None    # SimStats.to_dict() when ok
     #: Failure class for error results, mirroring
     #: :class:`~repro.experiments.runner.CellError`: ``error`` —
-    #: deterministic simulation failure (not retried); ``crash`` /
-    #: ``timeout`` — broker-written terminal records after the retry
-    #: budget ran out.
+    #: deterministic simulation failure (not rerun); ``crash`` — the
+    #: broker-written terminal record once a cell has crashed or
+    #: expired on every attempt its rerun budget allowed.  A farm root
+    #: from before the wall-clock cell timeout was retired may also
+    #: hold ``timeout`` records, which still fold as failed cells.
     kind: Optional[str] = None
     error_type: Optional[str] = None
     message: Optional[str] = None
@@ -460,7 +462,7 @@ class LeaseView:
     lease: Optional[Lease]
     #: Seconds since the last heartbeat (TTL expiry is ``age > ttl``).
     age: float = 0.0
-    #: Seconds since the lease was granted (wall-clock timeout input).
+    #: Seconds since the lease was granted (a failed cell's ``elapsed``).
     held: float = 0.0
     torn: bool = False
 
@@ -530,14 +532,6 @@ class FarmSpec:
     grace: float = 5.0
     #: Deterministic fault plans (see :mod:`repro.farm.inject`).
     inject: tuple = ()
-    #: Journal at most one heartbeat line per cell per this many seconds.
-    journal_heartbeat_every: float = 10.0
-    #: Cap for the jittered retry backoff (seconds).
-    backoff_cap: float = 30.0
-    #: Respawn local workers that die, up to this many times total
-    #: (None: never stop respawning — per-cell attempt budgets still
-    #: bound the run).
-    max_respawns: Optional[int] = None
     #: fsync the cell, lease and result files.  ``run_cells`` turns this
     #: off for the temporary root of a plain ``--jobs`` run, which no
     #: later run resumes: it is deleted when the call returns.

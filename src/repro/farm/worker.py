@@ -38,7 +38,7 @@ hook, which fires the fault at its simulation cycle.
 
 **Spot eviction**: SIGTERM means "you have ``grace`` seconds".  Mid-cell
 the handler raises out of the simulation; the worker drops the cell,
-marks its lease ``released`` (no retry budget spent) and exits.
+marks its lease ``released`` (no crash rerun spent) and exits.
 Between cells it just exits.
 
 **Lost leases**: a worker whose lease vanishes or changes hands (broker

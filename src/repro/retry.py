@@ -1,10 +1,11 @@
 """One retry policy for every transient-failure site in the tree.
 
 Every place that waits and tries again shares it: the farm broker
-fences reclaimed cells with a backoff (which is also how a
-``run_cells(jobs=N)`` sweep retries crashed or timed-out cells, since
-those run on the farm's local workers), and the serve client retries
-failed requests.  There is
+fences a crashed or expired cell's rerun with a backoff (its fixed
+policy, :data:`repro.farm.broker.CRASH_RERUNS` reruns from
+:data:`~repro.farm.broker.RERUN_BACKOFF` seconds; a ``run_cells(jobs=N)``
+sweep runs on the farm's local workers, so it reruns its crashed cells
+the same way), and the serve client retries failed requests.  There is
 exactly one implementation of each half of the problem:
 
 :func:`backoff_delay`

@@ -1,8 +1,7 @@
-"""Fault-tolerant sweep execution: crash isolation, timeouts, retries,
-and the on-disk sweep journal."""
+"""Fault-tolerant sweep execution: crash isolation, the fixed rerun
+budget, the cycle watchdog, and the on-disk sweep journal."""
 
 import os
-import time
 
 import pytest
 
@@ -19,6 +18,7 @@ from repro.experiments import (
     run_matrix,
     run_one,
 )
+from repro.farm.broker import CRASH_RERUNS
 
 _SPEC = RunSpec(length=300, warmup=600, seed=2)
 _PRI = "PRI-refcount+ckptcount"
@@ -27,12 +27,6 @@ _PRI = "PRI-refcount+ckptcount"
 def _crash_pri(benchmark, scheme, width, spec, traces=None):
     if scheme == _PRI:
         os._exit(9)  # simulates a segfault/OOM-kill: no exception, no result
-    return run_one(benchmark, scheme, width, spec, traces)
-
-
-def _hang_pri(benchmark, scheme, width, spec, traces=None):
-    if scheme == _PRI:
-        time.sleep(60)
     return run_one(benchmark, scheme, width, spec, traces)
 
 
@@ -71,14 +65,19 @@ def test_crashing_cell_raises_matrix_error_with_partials():
     assert err.results["gzip"]["base"].committed == 300
 
 
-def test_hanging_cell_times_out():
-    start = time.monotonic()
-    results = _recorded(["gzip"], ["base", _PRI], jobs=2, cell_timeout=2.0,
-                        cell_fn=_hang_pri)
-    assert time.monotonic() - start < 30
-    err = results["gzip"][_PRI]
-    assert isinstance(err, CellError) and err.kind == "timeout"
-    assert results["gzip"]["base"].committed == 300
+def test_cycle_watchdog_fails_a_worker_cell_as_an_error():
+    """A cell that cannot finish in ``max_cycles`` fails on its worker
+    as a deterministic ``error`` naming the watchdog: attempt 1, no
+    rerun, no wall-clock bound needed."""
+    tight = RunSpec(length=300, warmup=600, seed=2, max_cycles=20)
+    results = run_cells([("gzip", "base", 4), ("gzip", _PRI, 4)], tight,
+                        jobs=2)
+    for err in results.values():
+        assert isinstance(err, CellError)
+        assert err.kind == "error"
+        assert err.error_type == "SimulationError"
+        assert "cycle-limit watchdog" in err.message
+        assert err.attempts == 1
 
 
 def test_crash_is_retried(tmp_path):
@@ -89,16 +88,15 @@ def test_crash_is_retried(tmp_path):
             handle.write("x")
         os._exit(9)
 
-    results = _recorded(["gzip"], ["base"], jobs=2, retries=2,
-                        retry_backoff=0.01, cell_fn=counting_crash)
+    results = _recorded(["gzip"], ["base"], jobs=2, cell_fn=counting_crash)
     err = results["gzip"]["base"]
-    assert isinstance(err, CellError) and err.attempts == 3
-    assert marker.read_text() == "xxx"
+    assert isinstance(err, CellError) and err.kind == "crash"
+    assert err.attempts == CRASH_RERUNS + 1
+    assert marker.read_text() == "x" * (CRASH_RERUNS + 1)
 
 
 def test_deterministic_error_is_not_retried():
-    results = _recorded(["gzip"], ["base", _PRI], jobs=2, retries=3,
-                        retry_backoff=0.01, cell_fn=_raise_pri)
+    results = _recorded(["gzip"], ["base", _PRI], jobs=2, cell_fn=_raise_pri)
     err = results["gzip"][_PRI]
     assert isinstance(err, CellError)
     assert err.kind == "error"
@@ -207,8 +205,7 @@ def test_journal_key_distinguishes_spec(tmp_path):
 
 def test_parallel_with_resilience_matches_serial():
     serial = run_matrix(["gzip", "mcf"], ["base", _PRI], 4, _SPEC, jobs=1)
-    parallel = run_matrix(["gzip", "mcf"], ["base", _PRI], 4, _SPEC, jobs=4,
-                          cell_timeout=120.0, retries=1)
+    parallel = run_matrix(["gzip", "mcf"], ["base", _PRI], 4, _SPEC, jobs=4)
     for benchmark in ("gzip", "mcf"):
         for scheme in ("base", _PRI):
             assert serial[benchmark][scheme].ipc == parallel[benchmark][scheme].ipc

@@ -28,6 +28,7 @@ from repro.experiments.runner import FIGURE10_SCHEMES, CellError
 from repro.farm import FarmSpec
 from repro.farm import lease as fsl
 from repro.farm.aggregate import Aggregator
+from repro.farm.broker import CRASH_RERUNS
 from repro.farm.lease import CellResult
 from repro.farm.worker import _Heartbeat
 
@@ -222,8 +223,7 @@ def test_sigkill_mid_cell_reruns_and_folds_identically(tmp_path, plain_small):
     cell reruns from cycle 0 on a later attempt, and the final stats
     are bit-identical to an uninterrupted run."""
     farm = _farm(tmp_path, inject=("kill:worker=0:cell=0:cycles=400",))
-    result = run_matrix(_BENCH, ("base", _PRI), 4, _SPEC,
-                        farm=farm, retries=3)
+    result = run_matrix(_BENCH, ("base", _PRI), 4, _SPEC, farm=farm)
     _assert_identical(result, plain_small)
     report = farm.report
     assert report.reclaims >= 1          # the SIGKILLed lease was reclaimed
@@ -240,8 +240,7 @@ def test_sigkill_mid_cell_reruns_and_folds_identically(tmp_path, plain_small):
 def test_eviction_releases_within_grace_and_reruns(tmp_path, plain_small):
     """SIGTERM (spot eviction) mid-cell: the worker drops the cell and
     marks its lease released; the cell reruns elsewhere and folds
-    bit-identically.  A release spends no retry budget, so the default
-    ``retries=0`` still completes every cell."""
+    bit-identically.  A release spends none of the cell's crash reruns."""
     farm = _farm(tmp_path, inject=("evict:worker=1:cell=0:cycles=300",))
     result = run_matrix(_BENCH, ("base", _PRI), 4, _SPEC, farm=farm)
     _assert_identical(result, plain_small)
@@ -261,8 +260,7 @@ def test_stalled_heartbeat_is_reclaimed(tmp_path, plain_small):
     lease must expire and the cell be reclaimed; if the zombie finishes
     too, its duplicate must verify bit-identical, never diverge."""
     farm = _farm(tmp_path, inject=("stall:worker=0:cell=0:cycles=200",))
-    result = run_matrix(_BENCH, ("base", _PRI), 4, _SPEC,
-                        farm=farm, retries=3)
+    result = run_matrix(_BENCH, ("base", _PRI), 4, _SPEC, farm=farm)
     _assert_identical(result, plain_small)
     report = farm.report
     assert report.reclaims >= 1
@@ -271,8 +269,7 @@ def test_stalled_heartbeat_is_reclaimed(tmp_path, plain_small):
 
 def test_orphaned_worker_is_reclaimed_and_respawned(tmp_path, plain_small):
     farm = _farm(tmp_path, inject=("orphan:worker=1:cell=0:cycles=300",))
-    result = run_matrix(_BENCH, ("base", _PRI), 4, _SPEC,
-                        farm=farm, retries=3)
+    result = run_matrix(_BENCH, ("base", _PRI), 4, _SPEC, farm=farm)
     _assert_identical(result, plain_small)
     assert farm.report.reclaims >= 1
     assert farm.report.respawns >= 1
@@ -280,8 +277,7 @@ def test_orphaned_worker_is_reclaimed_and_respawned(tmp_path, plain_small):
 
 def test_double_lease_completes_exactly_once(tmp_path, plain_small):
     farm = _farm(tmp_path, inject=("double-lease:worker=0:cell=0:cycles=200",))
-    result = run_matrix(_BENCH, ("base", _PRI), 4, _SPEC,
-                        farm=farm, retries=3)
+    result = run_matrix(_BENCH, ("base", _PRI), 4, _SPEC, farm=farm)
     _assert_identical(result, plain_small)
     report = farm.report
     assert report.completed == 4
@@ -314,7 +310,7 @@ def test_figure10_shaped_sweep_under_continuous_chaos(tmp_path):
             "kill:worker=4:cell=1:cycles=500",         # keep the pressure on
         ),
     )
-    result = run_matrix(_BENCH, schemes, 4, _SPEC, farm=farm, retries=4)
+    result = run_matrix(_BENCH, schemes, 4, _SPEC, farm=farm)
     _assert_identical(result, plain)
     report = farm.report
     assert report.cells == len(_BENCH) * len(schemes)
@@ -335,7 +331,7 @@ def _deterministic_boom(benchmark, scheme, width, spec, traces=None):
 
 def test_deterministic_error_is_not_retried(tmp_path):
     farm = _farm(tmp_path)
-    result = _recorded(_BENCH, ("base", _PRI), farm=farm, retries=3,
+    result = _recorded(_BENCH, ("base", _PRI), farm=farm,
                        cell_fn=_deterministic_boom)
     for benchmark in _BENCH:
         assert isinstance(result[benchmark]["base"], SimStats)
@@ -355,14 +351,15 @@ def _crash_pri(benchmark, scheme, width, spec, traces=None):
 
 def test_retry_budget_exhaustion_is_terminal(tmp_path):
     farm = _farm(tmp_path, workers=1)
-    result = _recorded(("gcc",), ("base", _PRI), farm=farm, retries=1,
+    result = _recorded(("gcc",), ("base", _PRI), farm=farm,
                        cell_fn=_crash_pri)
     assert isinstance(result["gcc"]["base"], SimStats)
     err = result["gcc"][_PRI]
     assert isinstance(err, CellError)
     assert err.kind == "crash"
     assert err.error_type == "LeaseExpired"
-    assert farm.report.reclaims >= 1
+    assert err.attempts == CRASH_RERUNS + 1
+    assert farm.report.reclaims == CRASH_RERUNS + 1
     journal = SweepJournal(os.path.join(farm.root, "journal.json"))
     assert _PRI in str(journal.errors())
 
@@ -387,30 +384,6 @@ def test_dead_worker_lease_is_reclaimed_without_waiting_for_ttl(tmp_path):
     journal = SweepJournal(os.path.join(farm.root, "journal.json"))
     assert any(e["state"] == "abandoned" and e.get("reason") == "crash"
                for e in journal.lease_events)
-
-
-def test_timed_out_cell_frees_its_worker(tmp_path):
-    """The worker running a timed-out cell is replaced at once, so the
-    only worker does not sit on the abandoned cell until drain."""
-    marker = tmp_path / "first"
-
-    def hang_first(benchmark, scheme, width, spec, traces=None):
-        if not marker.exists():
-            marker.write_text(scheme)
-            time.sleep(60)
-        return run_one(benchmark, scheme, width, spec, traces)
-
-    farm = FarmSpec(root=str(tmp_path / "farm"), workers=1,
-                    poll_interval=0.05)
-    start = time.monotonic()
-    result = _recorded(("gcc",), ("base", _PRI), farm=farm,
-                       cell_timeout=2.0, cell_fn=hang_first)
-    assert time.monotonic() - start < 30
-    hung = marker.read_text()
-    other = _PRI if hung == "base" else "base"
-    assert result["gcc"][hung].kind == "timeout"
-    assert isinstance(result["gcc"][other], SimStats)
-    assert farm.report.respawns >= 1
 
 
 # ===================================================== aggregator units
@@ -465,8 +438,7 @@ def test_fence_stale_lease_is_scrubbed_not_reclaimed(tmp_path, plain_small):
     write_cell(farm.paths, bumped)         # reclaim already fenced it...
     assert claim(farm.paths, stale, "ghost", ttl=30.0)  # ...ghost lingers
 
-    result = run_matrix(_BENCH, ("base", _PRI), 4, _SPEC, farm=farm,
-                        retries=3)
+    result = run_matrix(_BENCH, ("base", _PRI), 4, _SPEC, farm=farm)
     _assert_identical(result, plain_small)
     report = farm.report
     assert report.completed == 4
@@ -480,10 +452,9 @@ def test_fence_stale_lease_is_scrubbed_not_reclaimed(tmp_path, plain_small):
 
 def test_broker_crash_resume_burns_no_retry_budget(tmp_path):
     """SIGKILL the whole broker mid-sweep (power loss / CI teardown):
-    the next run — with retries=0, the default — must hand the stale
-    leases back voluntarily and complete every cell.  Preemption is
-    infrastructure failure, not cell failure, so it never consumes
-    retry budget."""
+    the next run must hand the stale leases back voluntarily and
+    complete every cell.  Preemption is infrastructure failure, not
+    cell failure, so it never spends a crash rerun."""
     crash_spec = RunSpec(length=1200, warmup=2400, seed=2)
     farm_root = str(tmp_path / "farm")
     src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
@@ -562,6 +533,9 @@ def test_farm_status_cli_is_read_only(tmp_path, capsys):
     assert main(["status", farm.root, "--json"]) == 0
     status = json.loads(capsys.readouterr().out)
     assert status["journal_note"] is None and status["lease_events"] > 0
+    assert len(status["recent"]) == min(8, status["lease_events"])
+    assert main(["status", farm.root, "--json", "--tail", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["recent"] == []
     after = (os.path.getmtime(journal_path), os.path.getsize(journal_path))
     assert before == after  # status never writes
 
@@ -610,6 +584,27 @@ def test_farm_status_reports_interior_journal_damage(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "journal damaged at line 2" in out
     assert "fsck" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["worker", "ROOT", "--lease-ttl", "0"],
+    ["worker", "ROOT", "--heartbeat", "0"],
+    ["worker", "ROOT", "--heartbeat", "nan"],
+    ["worker", "ROOT", "--poll", "-1"],
+    ["status", "ROOT", "--tail", "-1"],
+])
+def test_farm_cli_rejects_out_of_range_numbers(argv, tmp_path, capsys):
+    """A zero heartbeat would spin rewriting the lease file and a zero
+    TTL would expire every lease at once: usage errors, before any
+    worker starts."""
+    from repro.farm.__main__ import main
+
+    root = str(tmp_path / "farm")
+    with pytest.raises(SystemExit) as excinfo:
+        main([root if arg == "ROOT" else arg for arg in argv])
+    assert excinfo.value.code == 2
+    assert argv[2] in capsys.readouterr().err
+    assert not os.path.exists(root)
 
 
 def test_farm_faults_cli_lists_registry(capsys):

@@ -231,8 +231,8 @@ def test_backoff_growth_and_cap():
         delay = backoff_delay(attempt, base, cap=4.0, token="t")
         raw = min(4.0, base * 2 ** (attempt - 1))
         assert raw / 2 <= delay < raw
-    # Far attempts are capped, not unbounded like the old
-    # retry_backoff * 2**attempt schedule.
+    # Far attempts are capped, not unbounded like a plain
+    # base * 2**attempt schedule.
     assert backoff_delay(60, base, cap=4.0, token="t") < 4.0
 
 

@@ -22,7 +22,7 @@ def test_backoff_grows_exponentially_within_jitter_band():
         assert raw / 2 <= delay <= raw
 
 
-def test_backoff_caps():
+def test_backoff_is_capped():
     assert backoff_delay(50, 0.5, cap=4.0) <= 4.0
 
 

@@ -45,15 +45,26 @@ def test_generator_leaves_no_cycles(cyclic_garbage):
     assert cyclic_garbage(run) == 0
 
 
+def _tracked(ops):
+    """How many of ``ops`` sit in the collector's three generations
+    (``gc.get_objects`` does not list the frozen ones)."""
+    ids = {id(op) for op in ops}
+    return sum(id(obj) in ids for obj in gc.get_objects())
+
+
 def test_cache_get_freezes_the_trace():
+    # The control: a trace built outside the cache is walked by every
+    # full collection.
+    loose = generate_trace("gzip", _SPEC.length, seed=_SPEC.seed,
+                           warmup=_SPEC.warmup)
+    assert _tracked(loose.ops) == len(loose.ops)
     cache = TraceCache()
-    before = gc.get_freeze_count()
     trace = cache.get("gzip", _SPEC)
-    frozen = gc.get_freeze_count() - before
-    assert frozen >= len(trace) + len(trace.warmup_ops)
+    assert _tracked(trace.ops) == 0
     # A hit generates and freezes nothing.
+    frozen = gc.get_freeze_count()
     assert cache.get("gzip", _SPEC) is trace
-    assert gc.get_freeze_count() - before == frozen
+    assert gc.get_freeze_count() == frozen
 
 
 def test_evicted_trace_is_freed_without_the_collector(monkeypatch):

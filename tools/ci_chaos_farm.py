@@ -91,7 +91,7 @@ def main(argv=None) -> int:
     )
     print(f"chaos run: injecting {len(INJECT)} faults: "
           + ", ".join(p.split(":", 1)[0] for p in INJECT))
-    farmed = run_cells(CELLS, spec, farm=farm, retries=4)
+    farmed = run_cells(CELLS, spec, farm=farm)
     report = farm.report
 
     failures: list = []
