@@ -1,10 +1,9 @@
 """Deterministic crash-consistency harness (ALICE/CrashMonkey style).
 
 Every durability layer in this repo — the checksummed envelope store,
-the checked-line sweep journals, the farm lease protocol, the serve
-job journal — funnels its disk traffic through the handful of
-primitives in :mod:`repro.store.atomic` and
-:mod:`repro.store.integrity`.  That narrow waist is what makes
+the checked-line sweep journals, the serve job journal — funnels its
+disk traffic through the handful of primitives in
+:mod:`repro.store.atomic` and :mod:`repro.store.integrity`.  That narrow waist is what makes
 crash-consistency *checkable* rather than argued about:
 
 1. **Record** (:mod:`repro.crash.oplog`): run a workload with a
@@ -22,11 +21,10 @@ crash-consistency *checkable* rather than argued about:
    disk.
 3. **Recover and check** (:mod:`repro.crash.harness`): materialize
    each state into a scratch root, run the owning layer's recovery
-   path (``repro.store`` fsck/repair, journal salvage, farm recovery),
+   path (``repro.store`` fsck/repair, journal salvage, serve recovery),
    and assert the recovery oracle: recovery terminates without
    crashing, no acknowledged write is lost, no unacknowledged write
-   surfaces as committed, fencing tokens never regress, and a final
-   fsck pass is clean.
+   surfaces as committed, and a final fsck pass is clean.
 
 Workloads covering each durability layer live in
 :mod:`repro.crash.workloads`; ``python -m repro.crash run`` drives them

@@ -9,7 +9,7 @@ kind       meaning
 write      full-file contents landed in ``path`` (temp file of an
            atomic write, or the payload of an exclusive create)
 append     ``data`` appended to ``path`` at byte ``offset``
-create     ``path`` created with ``O_EXCL`` (farm lease claim)
+create     ``path`` created with ``O_EXCL``
 rename     ``path`` atomically renamed to ``dst`` (:func:`os.replace`)
 unlink     ``path`` removed
 fsync      file data of ``path`` forced to stable storage

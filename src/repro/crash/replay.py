@@ -6,8 +6,8 @@ at index ``k`` persists some subset of the stateful ops in
 
 * ``fsync(F)`` forces every earlier ``write``/``append`` to ``F`` —
   file *data* only.  It does **not** persist F's directory entry, which
-  is why a freshly created lease file can vanish even after its payload
-  was fsynced (safe: claims are retried).
+  is why a freshly created file can vanish even after its payload
+  was fsynced.
 * a non-skipped ``fsync_dir(D)`` forces every earlier ``create`` /
   ``unlink`` of a file in D and every earlier ``rename`` whose source
   *or* destination lives in D.

@@ -17,10 +17,6 @@ store-envelope      after :func:`write_json_artifact` returns, the
 journal-append      after ``record_ok`` returns, the cell is in the
                     journal and survives any crash; a torn tail costs
                     only un-acked records
-farm-lease          the cell spec's attempt number (the fence) never
-                    regresses below an acked value; acked results stay
-                    readable; lease files may vanish (liveness) but
-                    never poison recovery
 journal-archive     once an incompatible journal is archived (the
                     caller told where), the backup exists with the
                     original bytes and the old journal cannot resurrect
@@ -43,9 +39,7 @@ from typing import Callable, Dict, List
 from repro.core.stats import SimStats
 from repro.crash.harness import Workload
 from repro.crash.oplog import Op
-from repro.experiments.journal import SweepJournal
-from repro.farm import lease as fsl
-from repro.farm.lease import CellResult, CellSpec, FarmPaths, cid_of
+from repro.experiments.journal import SweepJournal, cid_of
 from repro.store import (
     ArtifactError,
     DigestMismatch,
@@ -196,91 +190,6 @@ class _JournalAppend:
                 k for k in _JOURNAL_CELLS if journal.get(k) is not None]:
             if key not in known:
                 problems.append(f"phantom journal cell {key}")
-        return problems
-
-
-# ============================================================= farm-lease
-
-_FARM_SPEC = {"length": 100, "warmup": 0, "seed": 1}
-
-
-@_register("farm-lease",
-           "lease protocol: publish, O_EXCL claim, heartbeats, result, "
-           "release, then the broker's fence-bump reclaim")
-class _FarmLease:
-    @staticmethod
-    def run(root: str, ack: Callable) -> None:
-        paths = FarmPaths(root).ensure()
-        cell = CellSpec(cid=cid_of("k1"), key="k1", benchmark="gcc",
-                        scheme="base", width=4, spec=dict(_FARM_SPEC))
-        fsl.write_cell(paths, cell)
-        ack("cell-1", cid=cell.cid, attempt=1)
-        lease = fsl.claim(paths, cell, "w0", ttl=30.0)
-        assert lease is not None
-        ack("claim-1", cid=cell.cid)
-        fsl.heartbeat(paths, lease, cycle=50, committed=20)
-        fsl.heartbeat(paths, lease, cycle=80, committed=40)
-        fsl.write_result(paths, CellResult(
-            cid=cell.cid, key="k1", worker="w0", attempt=1, status="ok",
-            stats={"cycles": 100}))
-        ack("result-1", cid=cell.cid, attempt=1, worker="w0")
-        fsl.release(paths, lease)
-        ack("release-1", cid=cell.cid)
-        # Second cell: claimed, then taken back by the broker's own
-        # reclaim — the spec rewrite with the bumped attempt (the fence)
-        # strictly precedes the lease unlink.
-        cell2 = CellSpec(cid=cid_of("k2"), key="k2", benchmark="mesa",
-                         scheme="ER", width=4, spec=dict(_FARM_SPEC))
-        fsl.write_cell(paths, cell2)
-        ack("cell-2", cid=cell2.cid, attempt=1)
-        lease2 = fsl.claim(paths, cell2, "w1", ttl=30.0)
-        assert lease2 is not None
-        cell2.attempt = 2
-        fsl.reclaim(paths, cell2)
-        ack("fence-2", cid=cell2.cid, attempt=2)
-
-    @staticmethod
-    def recover(root: str) -> None:
-        # The read side must get through any crash image untracebacked.
-        from repro.farm.__main__ import main as farm_main
-
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            rc = farm_main(["status", root])
-        if rc != 0:
-            raise RuntimeError(f"farm status exited {rc}")
-        _store_repair(root)
-
-    @staticmethod
-    def check(root: str, acked: List[Op]) -> List[str]:
-        problems: List[str] = []
-        paths = FarmPaths(root)
-        fences: Dict[str, int] = {}
-        for op in acked:
-            if op.label.startswith(("cell-", "fence-")):
-                cid = op.info["cid"]
-                fences[cid] = max(fences.get(cid, 0), op.info["attempt"])
-        for cid, attempt in fences.items():
-            try:
-                cell = fsl.read_cell(paths.cell(cid))
-            except (OSError, ArtifactError) as exc:
-                problems.append(f"acked cell spec {cid} lost: {exc}")
-                continue
-            if cell.attempt < attempt:
-                problems.append(
-                    f"cell {cid} fence regressed to attempt {cell.attempt} "
-                    f"after attempt {attempt} was acked")
-        for op in acked:
-            if not op.label.startswith("result-"):
-                continue
-            path = paths.result(op.info["cid"], op.info["attempt"],
-                                op.info["worker"])
-            try:
-                fsl.read_result(path)
-            except (OSError, ArtifactError) as exc:
-                problems.append(f"acked result {op.label} lost: {exc}")
-        # Acked claims carry no durability promise (a lost lease file is
-        # re-claimed: liveness, not safety) — nothing to check for them.
         return problems
 
 

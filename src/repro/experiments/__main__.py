@@ -52,10 +52,9 @@ def main(argv=None) -> int:
     parser.add_argument("--output", default=None, metavar="DIR",
                         help="also write each result to DIR/<name>.txt")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="local sweep-farm worker processes that run "
-                             "the cells of every table and figure, with "
-                             "or without --farm (results are identical "
-                             "to --jobs 1)")
+                        help="local worker processes that run the cells "
+                             "of every table and figure (results are "
+                             "identical to --jobs 1)")
     parser.add_argument("--audit", action=argparse.BooleanOptionalAction,
                         default=False,
                         help="run every cell with the machine invariant "
@@ -72,18 +71,6 @@ def main(argv=None) -> int:
                         help="JSON sweep journal; completed cells are "
                              "restored from it and new ones appended, so "
                              "an interrupted sweep resumes")
-    parser.add_argument("--farm", default=None, metavar="DIR",
-                        help="run the sweep through the fault-tolerant "
-                             "farm (repro.farm) rooted at DIR: cells "
-                             "become durable leases, workers heartbeat, "
-                             "a crashed cell reruns on another worker; "
-                             "attach extra workers from other shells "
-                             "with `python -m repro.farm worker DIR`")
-    parser.add_argument("--farm-inject", action="append", default=[],
-                        metavar="FAULT[:worker=N][:cell=N][:cycles=N]",
-                        help="deterministically inject a farm fault "
-                             "(kill, stall, orphan, evict, double-lease); "
-                             "repeatable — used by the chaos suites")
     args = parser.parse_args(argv)
     for flag, value, low in (
             ("--length", args.length, 1), ("--warmup", args.warmup, 0),
@@ -104,33 +91,15 @@ def main(argv=None) -> int:
                    oracle=args.oracle)
     widths = (args.width,) if args.width else (4, 8)
     matrix_opts = {}
-    journal_path = args.journal or (
-        f"{args.farm}/journal.json" if args.farm else None
-    )
+    journal_path = args.journal
     if journal_path:
         from repro.experiments import SweepJournal
 
-        if args.farm and not args.journal:
-            # The farm keeps its journal inside its root; open it here
-            # so a damaged one is the same clean error --journal gets,
-            # not a traceback from deep inside the broker.
-            os.makedirs(args.farm, exist_ok=True)
         try:
             matrix_opts["journal"] = SweepJournal(journal_path)
         except ValueError as err:
             print(f"error: {err}", file=sys.stderr)
             return 1
-    if args.farm:
-        from repro.farm import FarmSpec
-
-        matrix_opts["farm"] = FarmSpec(root=args.farm, workers=args.jobs,
-                                       inject=tuple(args.farm_inject))
-
-        def farm_progress(report, active) -> None:
-            print(f"\r{report.progress_line(active)}   ",
-                  end="", file=sys.stderr, flush=True)
-
-        matrix_opts["farm_progress"] = farm_progress
 
     # A drained sweep must be resumable with the exact same invocation:
     # completed cells are journaled, so re-running skips them.
@@ -194,8 +163,6 @@ def main(argv=None) -> int:
         # table and figure runs once, then each renders from the table.
         start = time.time()
         results = run_cells(cells, spec, jobs=args.jobs, **matrix_opts)
-        if args.farm:
-            print(file=sys.stderr)  # end the live progress line
         if results:
             print(f"[simulate: {len(results)} cells, "
                   f"{time.time() - start:.1f}s]", file=sys.stderr)
@@ -205,8 +172,8 @@ def main(argv=None) -> int:
                       "re-run to resume)", file=sys.stderr)
             return 1
     except KeyboardInterrupt as interrupted:
-        # In-flight cells were drained (the farm broker handles that on
-        # the way out) and every finished cell is already journaled.
+        # The workers were killed and reaped on the way out, and every
+        # finished cell is already journaled.
         # Render the tables and figures whose cells all finished, then
         # say how to pick the sweep back up.
         print("\ninterrupted: sweep drained cleanly.", file=sys.stderr)
@@ -222,7 +189,7 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             print(f"  resume with: {resume_command}", file=sys.stderr)
         else:
-            print("  (no --journal/--farm given, so completed cells were "
+            print("  (no --journal given, so completed cells were "
                   "not persisted; pass one to make sweeps resumable)",
                   file=sys.stderr)
             print(f"  re-run with: {resume_command}", file=sys.stderr)

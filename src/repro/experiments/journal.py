@@ -37,14 +37,12 @@ digest-valid record it rejects fails the load with
 :class:`~repro.store.errors.MalformedRecord`.
 
 Besides cell records (``{"key": ..., "cell": ...}``), a journal may
-carry **lease records** (``{"lease": {...}}``) — the durable audit
-trail of the sweep farm (:mod:`repro.farm`): one line per lease
-transition (``leased`` / ``heartbeat`` / ``completed`` / ``abandoned``
-/ ``released``), each checksummed exactly like a cell line, so
-``python -m repro.store fsck`` round-trips farmed journals unchanged.
-Lease records never affect which cells are restored — they are
-provenance, replayable to reconstruct who ran what, when, and how many
-times each cell was reclaimed.
+carry **lease records** (``{"lease": {...}}``): the audit trail that
+the shared-directory sweep farm of earlier revisions wrote, one line
+per lease transition.  Nothing writes them any more, but a journal
+that holds them still loads and resumes: each lease record is checked
+like any other (:func:`check_journal_record`) and then skipped, since
+lease records never affected which cells are restored.
 
 The header record carries a schema version.  Loading a journal written
 by a different version (including the v1/v2 whole-document JSON
@@ -55,9 +53,10 @@ the archived cells stay on disk for manual salvage.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.config import MachineConfig, config_digest
 from repro.core.stats import SimStats
@@ -70,16 +69,10 @@ _VERSION = 3
 #: ``format`` tag of the journal header record (fsck's sniffing key).
 JOURNAL_FORMAT = "repro-sweep-journal"
 
-#: The lease state machine of the sweep farm (:mod:`repro.farm`), in
-#: lifecycle order.  ``leased`` — a worker claimed the cell;
-#: ``heartbeat`` — periodic liveness (journaled at a throttled rate);
-#: ``completed`` — the cell's result was folded; ``abandoned`` — the
-#: lease expired or its worker died (stall, crash) and the cell became
-#: claimable again; ``released`` — the holder gave the cell back voluntarily
-#: (graceful drain or spot eviction) without completing it.
+#: The states an old journal's lease records may carry.
 LEASE_STATES = ("leased", "heartbeat", "completed", "abandoned", "released")
 
-#: Fields every journaled lease record must carry.
+#: Fields every lease record must carry.
 LEASE_FIELDS = ("key", "state", "worker", "ts")
 
 
@@ -121,6 +114,12 @@ def cell_key(
         f"|s{spec.seed}|c{spec.max_cycles or 0}|a{int(spec.audit)}"
         f"|{config_digest(config)}"
     )
+
+
+def cid_of(key: str) -> str:
+    """Short, filename-safe identity of a cell key (the journal key is
+    human-readable but contains ``|``)."""
+    return hashlib.sha256(key.encode("utf-8")).hexdigest()[:16]
 
 
 def check_journal_record(record) -> Optional[str]:
@@ -174,9 +173,6 @@ class SweepJournal:
         self.path = path
         self._log = CheckedLog(path, SWEEP_LOG)
         self._cells: Dict[str, Dict] = {}
-        #: Every lease transition journaled so far, in append order (the
-        #: sweep farm's audit trail; see :data:`LEASE_STATES`).
-        self.lease_events: List[Dict] = []
         #: Path the incompatible predecessor was moved to, if any.
         self.archived: Optional[str] = None
         self._load(path, archive_incompatible)
@@ -201,9 +197,7 @@ class SweepJournal:
             self._incompatible(exc.found, archive_incompatible)
             return
         for record in records:
-            if "lease" in record:
-                self.lease_events.append(record["lease"])
-            else:
+            if "lease" not in record:
                 self._cells[record["key"]] = record["cell"]
 
     def _incompatible(self, version, archive_incompatible: bool) -> None:
@@ -253,16 +247,6 @@ class SweepJournal:
             if cell.get("status") == "error"
         }
 
-    def lease_states(self) -> Dict[str, Dict]:
-        """key -> the *latest* journaled lease record per cell (replaying
-        :attr:`lease_events` in append order)."""
-        latest: Dict[str, Dict] = {}
-        for event in self.lease_events:
-            key = event.get("key")
-            if key is not None:
-                latest[key] = event
-        return latest
-
     # --------------------------------------------------------- updates
 
     def record_ok(self, key: str, stats: SimStats) -> None:
@@ -270,16 +254,6 @@ class SweepJournal:
 
     def record_error(self, key: str, error: Dict) -> None:
         self._record(key, {"status": "error", "error": error})
-
-    def record_lease(self, event: Dict, *, durable: bool = True) -> None:
-        """Append one lease-transition record (see :data:`LEASE_STATES`).
-
-        ``event`` must carry at least :data:`LEASE_FIELDS`; the farm's
-        broker is the only writer.  ``durable=False`` skips the fsync —
-        used for throttled heartbeat lines, where losing the last one in
-        a crash costs nothing (the next load still sees the grant)."""
-        self._log.append({"lease": event}, durable=durable)
-        self.lease_events.append(event)
 
     def _record(self, key: str, cell: Dict) -> None:
         self._log.append({"key": key, "cell": cell})

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import dataclasses
 import gc
-import shutil
-import tempfile
 import threading
 import time
 from dataclasses import dataclass
@@ -37,7 +35,6 @@ from repro.config import (
 from repro.core.machine import Machine, SimulationError
 from repro.core.stats import SimStats
 from repro.experiments.journal import SweepJournal, cell_key
-from repro.farm.lease import FarmSpec
 from repro.isa.registers import NUM_FP_ARCH_REGS, NUM_INT_ARCH_REGS
 from repro.workloads import SPEC_FP, SPEC_INT, PackedOps, Trace, generate_trace
 
@@ -285,17 +282,13 @@ def _simulate_cell(
     width: int,
     spec: RunSpec,
     traces: TraceCache,
-    on_machine: Optional[Callable[[Machine], None]] = None,
 ) -> SimStats:
-    """:func:`run_one`'s body.  A farm worker calls it directly:
-    ``on_machine(machine)`` sees the machine before it runs, so the
-    worker's heartbeat thread can report its progress (and a chaos
-    plan can attach its cycle hook)."""
+    """:func:`run_one`'s body.  A pool worker
+    (:mod:`repro.experiments.pool`) and the serve executor call it
+    directly."""
     config = resolve_config(scheme, width, spec)
     trace = traces.get(benchmark, spec)
     machine = Machine(config)
-    if on_machine is not None:
-        on_machine(machine)
     stats = machine.run(trace, max_cycles=spec.max_cycles)
     if spec.max_cycles is not None and stats.committed < len(trace):
         # The cycle-limit watchdog: never return truncated statistics.
@@ -336,9 +329,9 @@ class CellError:
     benchmark: str
     scheme: str
     #: ``error`` — the simulation raised (deterministic, not rerun);
-    #: ``crash`` — the worker process died or its lease expired, on
-    #: every attempt the farm's fixed rerun budget allowed
-    #: (:data:`repro.farm.broker.CRASH_RERUNS`).  Journals written
+    #: ``crash`` — the worker process died or stalled, on every attempt
+    #: the pool's fixed rerun budget allowed
+    #: (:data:`repro.experiments.pool.CRASH_RERUNS`).  Journals written
     #: before the wall-clock cell timeout was retired may also hold
     #: ``timeout`` records; they load like any other failure.
     kind: str
@@ -413,8 +406,6 @@ def run_cells(
     *,
     journal: Optional[Union[str, SweepJournal]] = None,
     cell_fn: Optional[Callable] = None,
-    farm: Optional[FarmSpec] = None,
-    farm_progress: Optional[Callable] = None,
 ) -> Results:
     """Simulate each distinct (benchmark, scheme, width) cell of
     ``cells`` once; the results table, in first-appearance order.  A
@@ -422,51 +413,36 @@ def run_cells(
 
     Execution is fault-tolerant at cell granularity:
 
-    * ``jobs > 1`` runs the cells on ``jobs`` local worker processes of
-      one sweep farm (:mod:`repro.farm`, rooted in a temporary
-      directory removed on return), whatever their widths, so one
-      crashing cell can never take down the sweep: the dead worker is
-      replaced and the cell reruns from cycle 0, a few times with
-      backoff (the broker's fixed policy, :mod:`repro.farm.broker`),
-      before it is recorded as a ``crash``.  A deterministic simulation
-      error is recorded at once and never rerun.  No cell needs a
-      wall-clock bound: one that stops committing fails through the
-      machine's no-commit watchdog, or ``spec.max_cycles``;
+    * ``jobs > 1`` runs the cells, whatever their widths, on
+      ``min(jobs, cells)`` forked worker processes
+      (:mod:`repro.experiments.pool`), so one crashing cell can never
+      take down the sweep: the dead worker is replaced and the cell
+      reruns from cycle 0, a few times with backoff, before it is
+      recorded as a ``crash``.  A deterministic simulation error is
+      recorded at once and never rerun.  No cell needs a wall-clock
+      bound: one that stops committing fails through the machine's
+      no-commit watchdog, or ``spec.max_cycles``;
     * ``journal`` (a path or a :class:`SweepJournal`) names an on-disk
-      JSON journal: completed cells are restored from it instead of
+      journal: completed cells are restored from it instead of
       re-simulated, and every finished cell is persisted as it lands,
       so an interrupted sweep resumes.
 
-    Ctrl-C or SIGTERM (raised as :class:`KeyboardInterrupt`) drains the
-    workers and raises :class:`SweepInterrupted` with the finished part
-    of the table.
+    Ctrl-C or SIGTERM (raised as :class:`KeyboardInterrupt`) kills and
+    reaps the workers and raises :class:`SweepInterrupted` with the
+    finished part of the table.
 
     Results are bit-identical between serial and worker runs: traces
     are deterministic in (benchmark, spec).  The ``traces`` cache serves
     the serial path; each worker process keeps its own
     :class:`TraceCache`, since shipping whole traces between processes
-    costs more than regenerating them, and claims cells of the traces
-    it holds first (:func:`repro.farm.worker.claim_order`).
+    costs more than regenerating them, and is handed the cells of the
+    traces it holds first (:func:`repro.experiments.pool.claim_order`).
 
     ``cell_fn`` overrides the per-cell simulation callable (signature of
     :func:`run_one`); it exists for fault-injection tests.
-
-    ``farm`` (a :class:`~repro.farm.lease.FarmSpec`) hands execution to
-    the fault-tolerant sweep farm (:mod:`repro.farm`) even with
-    ``jobs == 1``: cells become durable lease records in a shared
-    directory, stateless workers — ``farm.workers`` broker-spawned
-    locally, or attached from other shells/hosts with ``python -m
-    repro.farm worker <root>`` — lease and heartbeat them,
-    and expired leases are reclaimed and the cell rerun from cycle 0 on
-    another worker.  The journal defaults
-    to ``<farm.root>/journal.json`` and additionally carries the lease
-    audit trail.  ``farm_progress(report, active_leases)`` is invoked
-    periodically with the live :class:`~repro.farm.aggregate.FarmReport`.
     """
     spec = spec or RunSpec()
     traces = traces or _GLOBAL_TRACES
-    if journal is None and farm is not None:
-        journal = farm.paths.journal
     if journal is not None and not isinstance(journal, SweepJournal):
         journal = SweepJournal(journal)
 
@@ -490,23 +466,10 @@ def run_cells(
                 journal.record_ok(key, outcome)
 
     try:
-        if todo and (farm is not None or jobs > 1):
-            # ``jobs`` without a farm: the same broker on a throwaway
-            # root, whose workers die and are replaced in place of the
-            # sweep when a cell crashes.
-            local_root = None
-            if farm is None:
-                local_root = tempfile.mkdtemp(prefix="repro-jobs-")
-                farm = FarmSpec(root=local_root, workers=min(jobs, len(todo)),
-                                durable=False)
-            from repro.farm.broker import run_cells_farm  # lazy: reverse edge
+        if todo and jobs > 1:
+            from repro.experiments.pool import run_pool  # imports this module
 
-            try:
-                run_cells_farm(todo, spec, farm, journal, on_cell_done,
-                               cell_fn=cell_fn, on_progress=farm_progress)
-            finally:
-                if local_root is not None:
-                    shutil.rmtree(local_root, ignore_errors=True)
+            run_pool(todo, spec, jobs, on_cell_done, cell_fn=cell_fn)
         else:
             cell_fn = cell_fn or run_one
             for benchmark, scheme, width in todo:
@@ -537,11 +500,11 @@ def run_matrix(
 ) -> Dict[str, Dict[str, SimStats]]:
     """Simulate a benchmark x scheme matrix at one width; returns
     [benchmark][scheme].  The rectangle view of :func:`run_cells`, which
-    runs it and takes ``options`` (``journal``, ``farm``, ``cell_fn``,
-    ...).  A failed cell raises
-    :class:`MatrixError` — *after* every other cell has finished and
-    been journaled — with the partial results attached; a caller that
-    wants each :class:`CellError` kept calls :func:`run_cells`.
+    runs it and takes ``options`` (``journal``, ``cell_fn``).  A failed
+    cell raises :class:`MatrixError` — *after* every other cell has
+    finished and been journaled — with the partial results attached; a
+    caller that wants each :class:`CellError` kept calls
+    :func:`run_cells`.
     """
     cells = [(b, s, width) for b in benchmarks for s in schemes]
     results = run_cells(cells, spec, traces, jobs, **options)

@@ -1,12 +1,12 @@
 """One retry policy for every transient-failure site in the tree.
 
-Every place that waits and tries again shares it: the farm broker
-fences a crashed or expired cell's rerun with a backoff (its fixed
-policy, :data:`repro.farm.broker.CRASH_RERUNS` reruns from
-:data:`~repro.farm.broker.RERUN_BACKOFF` seconds; a ``run_cells(jobs=N)``
-sweep runs on the farm's local workers, so it reruns its crashed cells
-the same way), and the serve client retries failed requests.  There is
-exactly one implementation of each half of the problem:
+Every place that waits and tries again shares it: the worker pool of
+a ``run_cells(jobs=N)`` sweep delays a crashed or stalled cell's rerun
+with a backoff (its fixed policy,
+:data:`repro.experiments.pool.CRASH_RERUNS` reruns from
+:data:`~repro.experiments.pool.RERUN_BACKOFF` seconds), and the serve
+client retries failed requests.  There is exactly one implementation of
+each half of the problem:
 
 :func:`backoff_delay`
     The *schedule*: jittered, capped exponential backoff.  The jitter is

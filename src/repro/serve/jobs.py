@@ -11,7 +11,7 @@ identity the sweep journal keys cells by.  Two submissions whose
 keys match are, by construction, the same simulation; the key is
 therefore what the result cache is addressed by and what in-flight
 deduplication collapses on.  The job **id** is the filename-safe hash of
-the key (:func:`~repro.farm.lease.cid_of`), so resubmitting a job is
+the key (:func:`~repro.experiments.journal.cid_of`), so resubmitting a job is
 idempotent: you get the same id back.
 
 The **job journal** (``jobs.json`` in the serve root) records every job
@@ -107,7 +107,7 @@ class JobSpec:
                         self.run_spec(), config=self.config())
 
     def job_id(self) -> str:
-        from repro.farm.lease import cid_of
+        from repro.experiments.journal import cid_of
 
         return cid_of(self.key())
 

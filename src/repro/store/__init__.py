@@ -1,7 +1,7 @@
 """Checksummed artifact store: crash-safe I/O for persistent state.
 
 Every artifact the simulator persists — sweep journals, fuzz
-reproducer specs, farm and serve records — goes through
+reproducer specs, serve records — goes through
 this layer, which provides:
 
 * **atomic, durable writes** (:mod:`repro.store.atomic`) — one shared

@@ -24,7 +24,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.store",
         description="Verify and repair the simulator's persistent "
-                    "artifacts (journals, reproducers, farm records).",
+                    "artifacts (journals, reproducers, serve records).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (

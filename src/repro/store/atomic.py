@@ -2,7 +2,7 @@
 
 One implementation of write-to-temp + fsync + :func:`os.replace` +
 directory fsync, shared by every artifact producer (journals,
-reproducers, farm and serve records) — previously several modules each
+reproducers, serve records) — previously several modules each
 had an ad-hoc copy, none of which fsynced, so the
 "atomic" rename could still land an empty or partial file after a power
 cut (the rename is durable before the data on many filesystems).
@@ -264,8 +264,7 @@ def durable_replace(src: str, dst: str, *, durable: bool = True) -> None:
 
 def create_exclusive_bytes(path: str, data: bytes, *, durable: bool = True) -> bool:
     """Atomically create ``path`` with ``data`` iff it does not already
-    exist (the farm's O_EXCL lease claim: the filesystem is the
-    arbiter).  Returns False when somebody else holds the file.  The
+    exist (an O_EXCL claim: the filesystem is the arbiter).  Returns False when somebody else holds the file.  The
     data is fsynced unless ``durable=False``; note the *directory
     entry* is not — losing a fresh claim file to a crash is safe
     (liveness, not safety: the claim is simply retried), so no caller
@@ -289,7 +288,7 @@ def create_exclusive_bytes(path: str, data: bytes, *, durable: bool = True) -> b
 def remove_file(path: str) -> bool:
     """Unlink ``path`` if present; returns False when it was already
     gone (or unremovable).  The observable counterpart of the bare
-    ``os.unlink`` the lease/server layers used to scatter."""
+    ``os.unlink`` the server layer used to scatter."""
     try:
         os.unlink(path)
     except OSError:

@@ -1,7 +1,7 @@
 """Typed artifact-integrity errors.
 
 Every persistent artifact reader in the tree (sweep journals, fuzz
-reproducers, farm and serve records) raises exactly one
+reproducers, serve records) raises exactly one
 hierarchy on bad input, so callers can tell *corrupt* (quarantine the
 file, keep the sweep alive) from *incompatible* (a schema migration —
 archive or regenerate) without string-matching messages, and no bare

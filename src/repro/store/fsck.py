@@ -1,7 +1,7 @@
 """``fsck`` for the artifact store: scan, verify, repair.
 
 Walks a results/journal tree, recognizes every artifact kind the
-simulator persists (sweep journals, fuzz reproducers, farm and serve
+simulator persists (sweep journals, fuzz reproducers, serve
 records — plus abandoned ``*.tmp`` files
 from interrupted atomic writers), verifies each one's integrity framing, and
 reports structured findings.  In repair mode it

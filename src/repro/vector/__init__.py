@@ -16,7 +16,7 @@ NumPy backs the column control plane (capacity chains, lane masks,
 divergence bookkeeping) and is this package's only dependency; install
 it with the ``vector`` extra (``pip install repro[vector]``).
 
-See ``INTERNALS.md`` §9 for the layout, the lane-masking rules, and the
+See ``INTERNALS.md`` §8 for the layout, the lane-masking rules, and the
 column-batching contract.
 """
 

@@ -13,7 +13,6 @@ from repro.crash import WORKLOADS, run_harness
 from repro.crash.__main__ import main as crash_main
 
 EXPECTED = {
-    "farm-lease",
     "journal-append",
     "journal-archive",
     "serve-jobs",

@@ -11,14 +11,9 @@ import threading
 
 import pytest
 
+import repro.experiments.runner as runner
 from repro.core.machine import Machine, SimulationError
-from repro.experiments.runner import (
-    RunSpec,
-    TraceCache,
-    _simulate_cell,
-    run_one,
-)
-from repro.farm.inject import InjectPlan, WorkerChaos
+from repro.experiments.runner import RunSpec, TraceCache, run_one
 
 
 @pytest.fixture
@@ -52,24 +47,25 @@ def test_watchdog_hit_raises_the_same_error(runs):
     assert "gzip/base committed only" in messages[0]
 
 
-def test_chaos_hooked_cells_always_simulate(runs):
-    """A cell a chaos plan is armed for carries a cycle hook (which
-    turns off the quiet-cycle fast-forward): it still simulates on
+def test_chaos_hooked_cells_always_simulate(runs, monkeypatch):
+    """A cell run with a cycle hook (as a fault-injection test attaches
+    one; it turns off the quiet-cycle fast-forward) still simulates on
     every call and gets the unhooked cell's statistics."""
     traces = TraceCache()
     reference = run_one("gzip", "base", 4, _spec(), traces)
-    chaos = WorkerChaos((InjectPlan("stall", after_cycles=10 ** 9),))
-    assert chaos.armed()
+    seen = []
 
-    def hook_chaos(machine):
-        machine.add_cycle_hook(chaos.check)
+    class Hooked(Machine):
+        def __init__(self, config):
+            super().__init__(config)
+            self.add_cycle_hook(lambda m: seen.append(m.now))
 
-    for _ in range(2):
-        stats = _simulate_cell("gzip", "base", 4, _spec(), traces,
-                               on_machine=hook_chaos)
-        assert stats == reference
+    with monkeypatch.context() as patch:
+        patch.setattr(runner, "Machine", Hooked)
+        for _ in range(2):
+            assert run_one("gzip", "base", 4, _spec(), traces) == reference
     assert len(runs) == 3
-    assert not chaos.fired
+    assert seen
     assert run_one("gzip", "base", 4, _spec(), traces) == reference
     assert len(runs) == 4
 

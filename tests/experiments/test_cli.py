@@ -69,10 +69,11 @@ def test_rejects_out_of_range_numbers(flag, value, capsys):
 @pytest.mark.parametrize(("flag", "value"), [
     ("--cell-timeout", "600"), ("--retries", "2"), ("--farm-workers", "4"),
     ("--lease-ttl", "5"), ("--heartbeat", "0.2"), ("--grace", "5"),
+    ("--farm", "DIR"), ("--farm-inject", "kill"),
 ])
 def test_retired_recovery_flags_are_usage_errors(flag, value, capsys):
-    """Sweep recovery is one fixed policy (``repro.farm.broker``) and
-    ``--jobs`` sets the farm's worker count: these flags are gone."""
+    """Sweep recovery is one fixed policy (``repro.experiments.pool``)
+    and ``--jobs`` is the only worker setting: these flags are gone."""
     with pytest.raises(SystemExit) as excinfo:
         main(["--figure", "1", "--width", "4", flag, value])
     assert excinfo.value.code == 2
@@ -169,34 +170,33 @@ def test_failed_cells_fail_their_figure_after_the_rest_ran(tmp_path, capsys):
     assert len(journal.errors()) == 8
 
 
-def test_farm_run_matches_serial_and_resumes(tmp_path, capsys, monkeypatch):
-    """``--farm DIR --jobs 3`` prints what the serial run prints, on
-    three local workers; the same command again restores every cell
-    from the farm's journal and simulates none."""
+def test_jobs_run_matches_serial_and_resumes(tmp_path, capsys, monkeypatch):
+    """``--jobs 3 --journal J`` prints what the serial run prints, on
+    three worker processes; the same command again restores every cell
+    from the journal and simulates none."""
     argv = ["--figure", "11", "--width", "4", "--length", "200",
             "--warmup", "800"]
     assert main(argv) == 0
     serial = capsys.readouterr().out
-    root = str(tmp_path / "farm")
-    farmed = argv + ["--farm", root, "--jobs", "3"]
-    assert main(farmed) == 0
-    assert capsys.readouterr().out == serial
 
     log = tmp_path / "runs.log"
     original = Machine.run
 
     def logged(self, *args, **kwargs):
         with open(log, "a") as handle:  # forked workers inherit the patch
-            handle.write("x")
+            handle.write(f"{os.getpid()}\n")
         return original(self, *args, **kwargs)
 
     monkeypatch.setattr(Machine, "run", logged)
-    assert main(farmed) == 0
+    parallel = argv + ["--jobs", "3", "--journal", str(tmp_path / "j")]
+    assert main(parallel) == 0
+    assert capsys.readouterr().out == serial
+    pids = log.read_text().split()
+    assert len(pids) == 52
+    # All three workers simulate some of the 52 cells; the parent none.
+    assert len(set(pids)) == 3 and str(os.getpid()) not in pids
+
+    log.unlink()
+    assert main(parallel) == 0
     assert capsys.readouterr().out == serial
     assert not log.exists(), "journaled cells were re-simulated"
-
-    journal = SweepJournal(os.path.join(root, "journal.json"))
-    workers = {event["worker"] for event in journal.lease_events
-               if event["state"] == "leased"}
-    # Each of the 52 cells is a lease; all three workers claim some.
-    assert len(workers) == 3, workers

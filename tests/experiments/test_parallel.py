@@ -22,24 +22,24 @@ def test_parallel_matches_serial():
             assert serial[b][s].inlined == parallel[b][s].inlined
 
 
-def test_one_cell_runs_on_a_one_worker_farm(monkeypatch):
-    import repro.farm.broker as broker
+def test_one_cell_runs_on_one_worker(monkeypatch):
+    import repro.experiments.pool as pool
 
-    real = broker.run_cells_farm
-    workers = []
+    real = pool._Worker
+    spawned = []
 
-    def spy(cells, spec, farm, *args, **kwargs):
-        workers.append(farm.workers)
-        return real(cells, spec, farm, *args, **kwargs)
+    def spy(*args, **kwargs):
+        spawned.append(real(*args, **kwargs))
+        return spawned[-1]
 
-    monkeypatch.setattr(broker, "run_cells_farm", spy)
+    monkeypatch.setattr(pool, "_Worker", spy)
     result = run_matrix(["gzip"], ["base"], 4, _SPEC, jobs=4)
     assert result["gzip"]["base"].committed == 300
-    assert workers == [1]
+    assert len(spawned) == 1
 
 
 def test_parallel_run_builds_each_trace_once(tmp_path, monkeypatch):
-    """One farm for both widths, and workers that claim the cells of the
+    """One pool for both widths, and workers that get the cells of the
     traces they hold: each trace is built once, plus at most one steal
     per worker when the tail is balanced."""
     import repro.experiments.runner as runner
@@ -82,16 +82,13 @@ def test_figure_driver_accepts_jobs():
 
 
 @pytest.fixture
-def io_log(tmp_path, monkeypatch):
-    """Route temporary directories under ``tmp_path`` and log every I/O
-    event, worker processes' included, to a file (the observer is forked
-    into the workers along with the store module).  Yields a function
-    that reads the log as ``(op, path)`` pairs."""
-    import tempfile
-
+def io_log(tmp_path):
+    """Log every store I/O event, worker processes' included, to a file
+    (the observer is forked into the workers along with the store
+    module).  Yields a function that reads the log as ``(op, path)``
+    pairs."""
     from repro.store import add_io_observer, remove_io_observer
 
-    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     log = tmp_path / "io.log"
 
     def observe(event):
@@ -111,37 +108,13 @@ def io_log(tmp_path, monkeypatch):
     remove_io_observer(observe)
 
 
-def test_jobs_root_skips_fsync_and_farm_root_keeps_it(tmp_path, io_log):
-    """A plain ``--jobs`` run's temporary root is deleted on return, so
-    its claims and results are not fsynced; a ``--farm`` root, which a
-    later run resumes, keeps every fsync."""
-    from repro.farm import FarmSpec
-
-    read = io_log
+def test_jobs_run_without_journal_writes_nothing(io_log):
+    """Workers talk to the parent through pipes: a ``--jobs`` run with
+    no journal writes no file and makes no fsync."""
     cells = [(b, s, 4) for b in ("gzip", "mcf") for s in ("base", _PRI)]
     spec = RunSpec(length=100, warmup=500, seed=1)
     serial = run_cells(cells, spec, TraceCache())
-
     parallel = run_cells(cells, spec, jobs=2)
-    events = read()
-    jobs_root = [(op, path) for op, path in events if "repro-jobs-" in path]
-    # The workers wrote the cell, lease and result files under the root...
-    assert {os.path.basename(os.path.dirname(path))
-            for op, path in jobs_root if op == "write"} >= {
-        "cells", "leases", "results"}
-    # ... and fsynced none of them.
-    assert not [e for e in jobs_root if e[0] in ("fsync", "fsync_dir")]
-
-    farm = FarmSpec(root=str(tmp_path / "farm"), workers=2)
-    farmed = run_cells(cells, spec, farm=farm)
-    synced = [(op, os.path.relpath(path, farm.root).split(os.sep)[0])
-              for op, path in read()[len(events):]
-              if op in ("fsync", "fsync_dir")]
-    for directory in ("cells", "leases", "results"):
-        assert synced.count(("fsync", directory)) == len(cells)
-    for directory in ("cells", "results"):
-        assert synced.count(("fsync_dir", directory)) == len(cells)
-    assert synced.count(("fsync", "journal.json")) >= len(cells)
-    for results in (parallel, farmed):
-        assert {c: s.to_dict() for c, s in results.items()} == \
-            {c: s.to_dict() for c, s in serial.items()}
+    assert io_log() == []
+    assert {c: s.to_dict() for c, s in parallel.items()} == \
+        {c: s.to_dict() for c, s in serial.items()}

@@ -18,7 +18,7 @@ from repro.experiments import (
     run_matrix,
     run_one,
 )
-from repro.farm.broker import CRASH_RERUNS
+from repro.experiments.pool import CRASH_RERUNS
 
 _SPEC = RunSpec(length=300, warmup=600, seed=2)
 _PRI = "PRI-refcount+ckptcount"

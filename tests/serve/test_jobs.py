@@ -5,7 +5,7 @@ import os
 import pytest
 
 from repro.experiments.journal import cell_key
-from repro.farm.lease import cid_of
+from repro.experiments.journal import cid_of
 from repro.serve.jobs import (
     JobError,
     JobJournal,

@@ -24,6 +24,12 @@ def _lease(state, key="cellA", **extra):
     return {"key": key, "state": state, "worker": "w0", "ts": 1.0, **extra}
 
 
+def _record_lease(journal, event, durable=True):
+    """Append a lease line as the retired sweep farm wrote them: no
+    writer API is left, but old journals that hold them must load."""
+    journal._log.append({"lease": event}, durable=durable)
+
+
 def _job(jid, state, **extra):
     return {"id": jid, "key": f"key-{jid}", "state": state, "ts": 2.0,
             **extra}
@@ -66,14 +72,14 @@ _JOB_EVENTS = [
 
 def _drive_sweep(path):
     journal = SweepJournal(path)  # a fresh create: no file yet
-    journal.record_lease(_SWEEP_LEASES[0])  # header + first record
-    journal.record_lease(_SWEEP_LEASES[1], durable=False)
+    _record_lease(journal, _SWEEP_LEASES[0])  # header + first record
+    _record_lease(journal, _SWEEP_LEASES[1], durable=False)
     journal.record_ok("cellA", _SWEEP_STATS["cellA"])
-    journal.record_lease(_SWEEP_LEASES[2])
+    _record_lease(journal, _SWEEP_LEASES[2])
     journal.record_error("cellB", {"error_type": "RuntimeError",
                                    "message": "first try"})
-    journal.record_lease(_SWEEP_LEASES[3])
-    journal.record_lease(_SWEEP_LEASES[4], durable=False)
+    _record_lease(journal, _SWEEP_LEASES[3])
+    _record_lease(journal, _SWEEP_LEASES[4], durable=False)
     journal.record_ok("cellB", _SWEEP_STATS["cellB"])  # supersedes the error
     reopened = SweepJournal(path)
     reopened.record_ok("cellC", _SWEEP_STATS["cellC"])
@@ -92,7 +98,9 @@ def _assert_sweep_contents(journal):
         assert journal.get(key).to_dict() == stats.to_dict()
     assert journal.errors() == _SWEEP_ERRORS
     assert len(journal) == 4 and journal.completed == 3
-    assert journal.lease_events == _SWEEP_LEASES
+    with open(journal.path, encoding="utf-8") as handle:
+        assert sum('{"lease":' in line for line in handle) == \
+            len(_SWEEP_LEASES)
 
 
 def test_sweep_journal_bytes_pinned(tmp_path):
@@ -141,7 +149,7 @@ def test_job_journal_torn_tail_salvage(tmp_path):
 
 
 def _sweep_with_bad_lease(path):
-    SweepJournal(path).record_lease(_lease("leased"))
+    _record_lease(SweepJournal(path), _lease("leased"))
     return SweepJournal
 
 

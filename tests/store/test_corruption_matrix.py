@@ -15,8 +15,8 @@ import pytest
 
 from repro.experiments.journal import SweepJournal
 from repro.core.stats import SimStats
-from repro.farm.lease import FARM_SCHEMA, RESULT_KIND, CellResult, read_result
 from repro.oracle.fuzz import FuzzSpec, load_reproducer, write_reproducer
+from repro.serve.cache import CACHE_KIND, CACHE_SCHEMA, CacheEntry
 from repro.store import (
     ArtifactError,
     DigestMismatch,
@@ -26,20 +26,27 @@ from repro.store import (
     corrupt,
     envelope_bytes,
     fsck_tree,
+    read_json_artifact,
 )
 
 # ======================================================= fixture builders
 
 
 def _build_result(root, name="result.json"):
-    """A farm worker's result envelope.  Its full statistics payload is
-    most of the file, so the damage offsets land in the payload."""
+    """A serve result-cache entry.  Its full statistics payload is most
+    of the file, so the damage offsets land in the payload."""
     path = os.path.join(root, name)
-    result = CellResult(cid="c" * 16, key="gzip|base|w4", worker="w0",
-                        attempt=1, status="ok", stats=SimStats().to_dict())
-    atomic_write_bytes(path, envelope_bytes(RESULT_KIND, FARM_SCHEMA,
-                                            result.to_dict()))
+    entry = CacheEntry(key="gzip|base|w4", stats=SimStats().to_dict(),
+                       cost={}, created_unix=0.0)
+    atomic_write_bytes(path, envelope_bytes(CACHE_KIND, CACHE_SCHEMA,
+                                            entry.to_dict()))
     return path
+
+
+def read_result(path):
+    data, _meta = read_json_artifact(path, CACHE_KIND,
+                                     expected_schema=CACHE_SCHEMA)
+    return CacheEntry.from_dict(data)
 
 
 def _build_reproducer(root):
@@ -174,7 +181,7 @@ def test_fsck_repair_leaves_loadable_tree(tmp_path):
 
     # Everything still on disk loads cleanly; a second fsck is quiet.
     assert load_reproducer(reproducer)["result"]["outcome"] == "clean"
-    assert read_result(healthy).worker == "w0"
+    assert read_result(healthy).key == "gzip|base|w4"
     salvaged = SweepJournal(journal)
     assert salvaged.salvaged is None and len(salvaged) >= 1
     clean = fsck_tree(root)

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from repro.core.stats import SimStats
-from repro.farm.lease import FARM_SCHEMA, RESULT_KIND, CellResult
+from repro.serve.cache import CACHE_KIND, CACHE_SCHEMA, CacheEntry
 from repro.store import (
     atomic_write_bytes,
     atomic_write_text,
@@ -19,12 +19,12 @@ from repro.store.__main__ import main
 
 
 def _envelope(root, name="result.json"):
-    """A farm result envelope (any store-framed artifact would do)."""
+    """A serve result-cache entry (any store-framed artifact would do)."""
     path = os.path.join(root, name)
-    result = CellResult(cid="c" * 16, key="gzip|base|w4", worker="w0",
-                        attempt=1, status="ok", stats=SimStats().to_dict())
-    atomic_write_bytes(path, envelope_bytes(RESULT_KIND, FARM_SCHEMA,
-                                            result.to_dict()))
+    entry = CacheEntry(key="gzip|base|w4", stats=SimStats().to_dict(),
+                       cost={}, created_unix=0.0)
+    atomic_write_bytes(path, envelope_bytes(CACHE_KIND, CACHE_SCHEMA,
+                                            entry.to_dict()))
     return path
 
 

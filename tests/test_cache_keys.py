@@ -21,7 +21,7 @@ import pytest
 from repro.config import config_digest, config_to_dict, eight_wide, four_wide
 from repro.experiments.journal import cell_key
 from repro.experiments.runner import RunSpec
-from repro.farm.lease import cid_of
+from repro.experiments.journal import cid_of
 from repro.serve.cache import cache_address
 from repro.serve.jobs import JobSpec
 

@@ -37,6 +37,29 @@ def test_backoff_clamps_nonpositive_attempt():
     assert backoff_delay(0, 0.5, token="x") == backoff_delay(1, 0.5, token="x")
 
 
+def test_backoff_is_deterministic_and_jittered():
+    a = backoff_delay(2, 0.5, cap=30.0, token="gcc|base")
+    b = backoff_delay(2, 0.5, cap=30.0, token="gcc|base")
+    c = backoff_delay(2, 0.5, cap=30.0, token="mesa|base")
+    assert a == b           # reproducible schedules
+    assert a != c           # spread across cells
+
+
+def test_backoff_growth_and_cap():
+    base = 0.5
+    for attempt in range(1, 20):
+        delay = backoff_delay(attempt, base, cap=4.0, token="t")
+        raw = min(4.0, base * 2 ** (attempt - 1))
+        assert raw / 2 <= delay < raw
+    # Far attempts are capped, not unbounded like a plain
+    # base * 2**attempt schedule.
+    assert backoff_delay(60, base, cap=4.0, token="t") < 4.0
+
+
+def test_backoff_clamps_bad_attempt():
+    assert backoff_delay(0, 1.0, cap=8.0, token="x") <= 1.0
+
+
 # ======================================================== call_with_retry
 
 

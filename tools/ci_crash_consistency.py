@@ -6,14 +6,13 @@ Runnable locally::
     PYTHONPATH=src python tools/ci_crash_consistency.py [DIR]
 
 For every registered workload in :mod:`repro.crash.workloads` — the
-envelope store, the sweep journal's append stream, the farm lease
-protocol, the serve job journal and
-result cache, and the incompatible-journal archive path — the
-harness records the workload's op log, enumerates **all** reachable
+envelope store, the sweep journal's append stream, the serve job
+journal and result cache, and the incompatible-journal archive path —
+the harness records the workload's op log, enumerates **all** reachable
 crash states (no ``--limit`` smoke mode here), runs the owning layer's
 recovery against each one, and applies the oracle: recovery terminates,
-no acknowledged write is lost, no phantom state surfaces, fencing never
-regresses, and the post-recovery tree passes ``fsck`` clean.
+no acknowledged write is lost, no phantom state surfaces, and the
+post-recovery tree passes ``fsck`` clean.
 
 Exit status 0 when every state across every workload recovers, 1
 otherwise.

@@ -1,14 +1,15 @@
 #!/usr/bin/env python
-"""Write one of every artifact kind, then fsck the tree.
+"""Write a sweep journal, then fsck the tree.
 
 The artifact-integrity CI job's round-trip check, extracted from an
 inline workflow heredoc so it is lintable and runnable locally::
 
     PYTHONPATH=src python tools/ci_fsck_roundtrip.py [DIR]
 
-Builds a fresh tree containing a farm result (an envelope) and a sweep
-journal (checksummed lines), one of each store-framed artifact family,
-then runs the fsck engine over it.  Exit status 0 when the tree verifies clean, 1 otherwise.
+Builds a fresh tree containing a sweep journal (checksummed lines),
+then runs the fsck engine over it.  Exit status 0 when the tree
+verifies clean, 1 otherwise.  Envelope artifacts have their own
+round trips in ``tests/store``.
 """
 
 from __future__ import annotations
@@ -18,15 +19,11 @@ import sys
 
 
 def build_tree(root: str) -> None:
-    """Write one artifact of each kind under ``root``."""
+    """Write a sweep journal under ``root``."""
     from repro.core.stats import SimStats
     from repro.experiments.journal import SweepJournal
-    from repro.farm.lease import CellResult, FarmPaths, write_result
 
-    paths = FarmPaths(root).ensure()
-    write_result(paths, CellResult(
-        cid="ci", key="cell-0", worker="w0", attempt=1, status="ok",
-        stats=SimStats().to_dict()))
+    os.makedirs(root, exist_ok=True)
     journal = SweepJournal(os.path.join(root, "sweep.json"))
     journal.record_ok("cell-0", SimStats())
 

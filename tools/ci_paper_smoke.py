@@ -21,8 +21,8 @@ A second pass does the same for ``--table 2 --figure 2`` at
 streams, so Figure 2 reads its ops from them instead of generating its
 own, and must render exactly as it does alone.
 
-A third pass runs ``--all --jobs 2``: every cell then runs on the sweep
-farm's local workers, and its whole output, ablations included, must
+A third pass runs ``--all --jobs 2``: every cell then runs on one of
+two forked worker processes, and its whole output, ablations included, must
 equal the serial ``--all`` output.  Exit status 0 when all of that
 holds, 1 otherwise.
 """
